@@ -53,7 +53,7 @@ smoke-sanitize:
 smoke-route:
 	LACR_SANITIZE=1 dune exec bin/lacr_cli.exe -- verify-route s27
 
-# Scale smoke: plan a 2x10^5-unit hierarchical circuit under the
+# Scale smoke: plan a 2x10^5-unit hierarchical circuit on the default
 # streamed path backend inside a hard 16 GiB address-space ceiling.
 # The dense (W,D) matrices alone would need hundreds of GiB at this
 # size (2 x n^2 x 8 bytes at ~220k retiming-graph vertices), so only
@@ -63,9 +63,9 @@ smoke-route:
 # assembly and hard-fails unless counts and content agree.
 smoke-scale: build
 	bash -c 'ulimit -v 16777216; exec ./_build/default/bin/lacr_cli.exe \
-	  plan hier:200000 --paths-mode stream --domains 2 --second-iteration=false'
+	  plan hier:200000 --domains 2 --second-iteration=false'
 	bash -c 'ulimit -v 16777216; exec ./_build/default/bin/lacr_cli.exe \
-	  verify-constraints hier:200000 --paths-mode stream --domains 2'
+	  verify-constraints hier:200000 --domains 2'
 
 # Serving smoke: start lacrd on a private Unix socket, drive it with
 # the seeded load generator (cache warm-up, byte-identity of daemon

@@ -300,9 +300,9 @@ let constraint_setup ?(prune = true) (inst : Build.instance) =
 (* The growth seed's (W,D) implementation, kept verbatim as the
    speedup baseline: per-source Dijkstra over fanout edge *lists* with
    the polymorphic float-priority heap, and a tight-edge pass that
-   rebuilds list adjacency for every source.  The live engine
-   (Paths.compute) replaces this with CSR arrays, a monomorphic int
-   heap, reusable scratch and a domain pool. *)
+   rebuilds list adjacency for every source.  The dense backend
+   (Paths.compute ~mode:Dense) replaces this with CSR arrays, a
+   monomorphic int heap, reusable scratch and a domain pool. *)
 module Seed_paths = struct
   let min_weights g source =
     let n = Graph.num_vertices g in
@@ -420,13 +420,15 @@ let run_wd_scaling () =
       let n = Graph.num_vertices g and m = Graph.num_edges g in
       let seed_wd, seed_dt = best_of_runs reps (fun () -> Seed_paths.compute g) in
       log_timing ~name:"wd-seed" ~circuit:name ~domains:1 seed_dt;
-      let seq_wd, seq_dt = best_of_runs reps (fun () -> Paths.compute g) in
+      let seq_wd, seq_dt = best_of_runs reps (fun () -> Paths.compute ~mode:Paths.Mode.Dense g) in
       log_timing ~name:"wd-csr" ~circuit:name ~domains:1 seq_dt;
       let pool_results =
         List.map
           (fun domains ->
             Lacr_util.Pool.with_pool ~size:domains (fun pool ->
-                let wd, dt = best_of_runs reps (fun () -> Paths.compute ~pool g) in
+                let wd, dt =
+                  best_of_runs reps (fun () -> Paths.compute ~mode:Paths.Mode.Dense ~pool g)
+                in
                 log_timing ~name:"wd-csr" ~circuit:name ~domains dt;
                 (wd, dt)))
           domain_counts

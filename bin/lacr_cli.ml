@@ -55,14 +55,13 @@ let load_circuit name_or_path =
            "unknown circuit %s (not a file, not hier:UNITS, not one of: s27 %s)" name_or_path
            (String.concat " " Suite.table1_names))
 
-let config_with ?seed ?alpha ?grid ?domains ?sanitize ?router ?paths_mode () =
+let config_with ?seed ?alpha ?grid ?domains ?sanitize ?router () =
   let c = Config.default in
   let c = match seed with Some s -> { c with Config.seed = s } | None -> c in
   let c = match alpha with Some a -> { c with Config.alpha = a } | None -> c in
   let c = match grid with Some g -> { c with Config.grid = g } | None -> c in
   let c = match domains with Some d -> { c with Config.domains = d } | None -> c in
   let c = match router with Some r -> { c with Config.router = r } | None -> c in
-  let c = match paths_mode with Some m -> { c with Config.paths_mode = m } | None -> c in
   match sanitize with Some s -> { c with Config.sanitize = s } | None -> c
 
 (* Router options from the plan-level flags, on top of the defaults. *)
@@ -87,15 +86,15 @@ let router_options route_passes spec_rounds spec_batch no_astar =
 
 (* --- plan --- *)
 
-let run_plan circuit seed domains sanitize paths_mode route_passes spec_rounds spec_batch
-    no_astar verbose second trace_file metrics_file =
+let run_plan circuit seed domains sanitize route_passes spec_rounds spec_batch no_astar verbose
+    second trace_file metrics_file =
   match load_circuit circuit with
   | Error msg ->
     prerr_endline msg;
     1
   | Ok netlist ->
     let router = router_options route_passes spec_rounds spec_batch no_astar in
-    let config = config_with ?seed ?domains ~sanitize ~router ?paths_mode () in
+    let config = config_with ?seed ?domains ~sanitize ~router () in
     (* The collector is only live when an output was requested, so a
        plain `lacr plan` keeps the zero-overhead disabled path. *)
     let trace =
@@ -187,8 +186,8 @@ let run_trace_check trace_file metrics_file expect =
 
 (* --- table1 --- *)
 
-let run_table1 seed domains paths_mode second csv =
-  let config = config_with ?seed ?domains ?paths_mode () in
+let run_table1 seed domains second csv =
+  let config = config_with ?seed ?domains () in
   let rows =
     List.filter_map
       (fun (name, netlist) ->
@@ -244,16 +243,7 @@ let run_alpha circuit seed values =
       prerr_endline msg;
       1
     | Ok inst ->
-      let g = inst.Build.graph in
-      let wd = Lacr_retime.Paths.compute g in
-      let extra = inst.Build.pin_constraints in
-      let mp = Lacr_retime.Feasibility.min_period ~extra g wd in
-      let t_init = Lacr_retime.Graph.clock_period g in
-      let t_clk =
-        mp.Lacr_retime.Feasibility.period
-        +. (config.Config.clk_fraction *. (t_init -. mp.Lacr_retime.Feasibility.period))
-      in
-      let cs = Lacr_retime.Constraints.generate ~prune:true ~extra g wd ~period:t_clk in
+      let _, _, t_clk, cs = Planner.retiming_setup inst in
       Printf.printf "alpha sweep on %s (T_clk = %.2f ns)\n" inst.Build.circuit t_clk;
       Printf.printf "%8s %8s %8s %8s\n" "alpha" "N_FOA" "N_F" "N_wr";
       List.iter
@@ -278,16 +268,7 @@ let run_verify_warm circuit seed =
       prerr_endline msg;
       1
     | Ok inst ->
-      let g = inst.Build.graph in
-      let wd = Lacr_retime.Paths.compute g in
-      let extra = inst.Build.pin_constraints in
-      let mp = Lacr_retime.Feasibility.min_period ~extra g wd in
-      let t_init = Lacr_retime.Graph.clock_period g in
-      let t_clk =
-        mp.Lacr_retime.Feasibility.period
-        +. (config.Config.clk_fraction *. (t_init -. mp.Lacr_retime.Feasibility.period))
-      in
-      let cs = Lacr_retime.Constraints.generate ~prune:true ~extra g wd ~period:t_clk in
+      let _, _, _, cs = Planner.retiming_setup inst in
       (match (Lac.retime ~reuse:false inst cs, Lac.retime inst cs) with
       | Error msg, _ | _, Error msg ->
         Printf.eprintf "verify-warm %s: solver failed: %s\n" circuit msg;
@@ -376,13 +357,13 @@ let run_verify_route circuit seed =
 
 (* --- verify-constraints: flat pipeline vs the seed list assembly --- *)
 
-let run_verify_constraints circuit seed domains paths_mode =
+let run_verify_constraints circuit seed domains =
   match load_circuit circuit with
   | Error msg ->
     prerr_endline msg;
     1
   | Ok netlist ->
-    let config = config_with ?seed ?domains ?paths_mode () in
+    let config = config_with ?seed ?domains () in
     (match Build.build ~config netlist with
     | Error msg ->
       prerr_endline msg;
@@ -614,25 +595,6 @@ let sanitize_arg =
            and span balance. Violations abort with exit code 2. Equivalent to \
            LACR_SANITIZE=1; the planned result is bit-identical, just slower.")
 
-let paths_mode_arg =
-  let mode =
-    let parse s =
-      match Lacr_retime.Paths.Mode.of_string s with
-      | Some m -> Ok m
-      | None -> Error (`Msg (Printf.sprintf "invalid paths mode %S (auto|dense|stream)" s))
-    in
-    Arg.conv (parse, fun fmt m -> Format.pp_print_string fmt (Lacr_retime.Paths.Mode.to_string m))
-  in
-  Arg.(
-    value
-    & opt (some mode) None
-    & info [ "paths-mode" ] ~docv:"MODE"
-        ~doc:
-          "(W,D) path-matrix backend: $(b,dense) materializes the full n x n matrices, \
-           $(b,stream) keeps only the period-violating frontier (memory-bounded; required \
-           past ~10^4 units), $(b,auto) (default) picks by circuit size. Both backends \
-           produce bit-identical constraint systems and plans.")
-
 let second_arg =
   Arg.(
     value & opt bool true
@@ -704,9 +666,9 @@ let plan_cmd =
   let doc = "Run the interconnect planner on one circuit." in
   Cmd.v (Cmd.info "plan" ~doc)
     Term.(
-      const run_plan $ circuit_arg $ seed_arg $ domains_arg $ sanitize_arg $ paths_mode_arg
-      $ route_passes_arg $ spec_rounds_arg $ spec_batch_arg $ no_astar_arg $ verbose_arg
-      $ second_arg $ trace_arg $ metrics_arg)
+      const run_plan $ circuit_arg $ seed_arg $ domains_arg $ sanitize_arg $ route_passes_arg
+      $ spec_rounds_arg $ spec_batch_arg $ no_astar_arg $ verbose_arg $ second_arg $ trace_arg
+      $ metrics_arg)
 
 let trace_check_file_arg =
   Arg.(
@@ -744,7 +706,7 @@ let csv_arg =
 let table1_cmd =
   let doc = "Reproduce the paper's Table 1 over the benchmark suite." in
   Cmd.v (Cmd.info "table1" ~doc)
-    Term.(const run_table1 $ seed_arg $ domains_arg $ paths_mode_arg $ second_arg $ csv_arg)
+    Term.(const run_table1 $ seed_arg $ domains_arg $ second_arg $ csv_arg)
 
 let figures_cmd =
   let doc = "Render ASCII versions of the paper's Figures 1 and 2." in
@@ -791,7 +753,7 @@ let verify_constraints_cmd =
      non-zero on any divergence)."
   in
   Cmd.v (Cmd.info "verify-constraints" ~doc)
-    Term.(const run_verify_constraints $ circuit_arg $ seed_arg $ domains_arg $ paths_mode_arg)
+    Term.(const run_verify_constraints $ circuit_arg $ seed_arg $ domains_arg)
 
 let retime_cmd =
   let doc = "Min-area retime a circuit and emit the retimed .bench netlist." in

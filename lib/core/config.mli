@@ -48,13 +48,12 @@ type t = {
   max_wr : int;  (** hard cap on weighted min-area calls *)
   prune_constraints : bool;
   paths_mode : Lacr_retime.Paths.Mode.t;
-      (** (W,D) path-matrix backend: [Dense] materializes the full
-          n x n matrices, [Stream] keeps only the period-violating
-          frontier (memory-bounded, required past ~10^4 vertices),
-          [Auto] (default) picks dense below
-          {!Lacr_retime.Paths.auto_cutoff} vertices and streamed
-          above.  Both backends produce bit-identical constraint
-          systems and plans. *)
+      (** (W,D) path-matrix backend: [Auto] (default) and [Stream]
+          keep only the probe-relevant frontier at every size
+          (memory-bounded); [Dense] materializes the full n x n
+          matrices, the test oracle (O(n^2) memory, out of reach past
+          ~10^4 vertices).  Both backends produce bit-identical
+          constraint systems and plans. *)
   (* -- execution -- *)
   domains : int;
       (** worker domains for the parallel kernels (global routing,

@@ -107,6 +107,19 @@ val prepare :
     worker pool for the duration of the call (size from
     [config.domains]); wrapped in a [plan.prepare] span. *)
 
+val retiming_setup :
+  ?pool:Lacr_util.Pool.t ->
+  ?trace:Lacr_obs.Trace.ctx ->
+  Build.instance ->
+  float * float * float * Lacr_retime.Constraints.t
+(** The retiming set-up step of {!prepare} on an already built
+    instance: [(t_init, t_min, t_clk, constraints)] — the (W,D)
+    backend from [config.paths_mode], the minimum period under the
+    instance's pin constraints, [t_clk] from [config.clk_fraction], and
+    the constraint system at [t_clk] (pruned per
+    [config.prune_constraints]).  [pool] defaults to sequential;
+    wrapped in a [retiming.setup] span. *)
+
 val plan_prepared :
   ?second_iteration:bool ->
   ?session:Lacr_retime.Min_area.compiled ->

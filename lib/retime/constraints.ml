@@ -1,15 +1,16 @@
 (* The constraint system lives in flat parallel arrays ([system]) from
-   the moment it is generated: the emitters below write the exact
-   sequence the seed's list assembly produced — header (extra, then
-   edge constraints in edge-array order), then the period part
-   (unpruned: sources descending with targets descending inside a
-   source; pruned: targets descending with each target's kept pairs in
-   reverse consider order) — so the flat pipeline is bit-identical to
-   the historical list pipeline for every backend, period, pool size
-   and --domains.  The list pipeline itself is kept below, verbatim,
-   as the reference implementation ([reference_list]) that the
-   equivalence tests, the verify-constraints CLI check and bench
-   section U compare against. *)
+   the moment it is generated.  Both backends enumerate it
+   graph-direct through the [Paths] sweep passes, and the emitters
+   below write the exact sequence the seed's list assembly produced —
+   header (extra, then edge constraints in edge-array order), then the
+   period part (unpruned: sources descending with targets descending
+   inside a source; pruned: targets descending with each target's kept
+   pairs in reverse consider order) — so the flat pipeline is
+   bit-identical to the historical list pipeline for every backend,
+   period, pool size and --domains.  The list pipeline itself is kept
+   below, verbatim, as the reference implementation ([reference_list])
+   that the equivalence tests, the verify-constraints CLI check and
+   bench section U compare against. *)
 
 type system = {
   ca : int array;
@@ -195,46 +196,8 @@ let fill_header ~extra ~edges ca cb cbound =
       incr i)
     edges
 
-(* Unpruned dense: one counting sweep fixes each source's slice, then a
-   second parallel sweep writes the rows in place (sources descending,
-   targets descending — the list pipeline's emission order). *)
-let emit_unpruned_dense ~pool ~extra ~edges (dn : Paths.dense) ~period =
-  let n = Array.length dn.Paths.w in
-  let counts = Array.make n 0 in
-  Lacr_util.Pool.parallel_for pool n (fun u ->
-      let wrow = dn.Paths.w.(u) and drow = dn.Paths.d.(u) in
-      let c = ref 0 in
-      for v = 0 to n - 1 do
-        if wrow.(v) <> max_int && drow.(v) > period +. epsilon && (u <> v || wrow.(v) = 0) then
-          incr c
-      done;
-      counts.(u) <- !c);
-  let n_edge = List.length extra + Array.length edges in
-  let starts = Array.make n 0 in
-  let cum = ref n_edge in
-  for u = n - 1 downto 0 do
-    starts.(u) <- !cum;
-    cum := !cum + counts.(u)
-  done;
-  let m = !cum in
-  let ca = Array.make m 0 and cb = Array.make m 0 and cbound = Array.make m 0 in
-  fill_header ~extra ~edges ca cb cbound;
-  Lacr_util.Pool.parallel_for pool n (fun u ->
-      let wrow = dn.Paths.w.(u) and drow = dn.Paths.d.(u) in
-      let k = ref starts.(u) in
-      for v = n - 1 downto 0 do
-        if wrow.(v) <> max_int && drow.(v) > period +. epsilon && (u <> v || wrow.(v) = 0)
-        then begin
-          ca.(!k) <- u;
-          cb.(!k) <- v;
-          cbound.(!k) <- wrow.(v) - 1;
-          incr k
-        end
-      done);
-  ({ ca; cb; cbound; m }, n_edge, m - n_edge)
-
-(* Unpruned streamed: the source-pass CSR holds each row ascending by
-   target; slices are blitted reversed into the descending layout. *)
+(* Unpruned: the source-pass CSR holds each row ascending by target;
+   slices are blitted reversed into the descending layout. *)
 let emit_unpruned_rows ~pool ~extra ~edges (sr : Paths.flat_rows) =
   let n = Array.length sr.Paths.sr_off - 1 in
   let n_edge = List.length extra + Array.length edges in
@@ -260,10 +223,9 @@ let emit_unpruned_rows ~pool ~extra ~edges (sr : Paths.flat_rows) =
       done);
   ({ ca; cb; cbound; m }, n_edge, m - n_edge)
 
-(* Pruned (both backends): the target-major cols CSR holds each
-   target's kept pairs in consider order; emission is targets
-   descending with each slice reversed — the order the sequential
-   prepend assembly produced. *)
+(* Pruned: the target-major cols CSR holds each target's kept pairs in
+   consider order; emission is targets descending with each slice
+   reversed — the order the sequential prepend assembly produced. *)
 let emit_pruned_cols ~pool ~extra ~edges (tc : Paths.flat_cols) =
   let n = Array.length tc.Paths.tc_off - 1 in
   let n_edge = List.length extra + Array.length edges in
@@ -288,150 +250,6 @@ let emit_pruned_cols ~pool ~extra ~edges (tc : Paths.flat_cols) =
         done
       done);
   ({ ca; cb; cbound; m }, n_edge, m - n_edge)
-
-(* Dense prune, source side, into chunk arenas: candidates packed as
-   W * n + (n - 1 - v) so an ascending int sort is the legacy consider
-   order (W ascending, ties by descending target — the List.sort
-   stability outcome over the descending-built candidate list), then
-   the same greedy with the same implication test. *)
-let dense_prune_source_flat ~pool (dn : Paths.dense) ~period =
-  let n = Array.length dn.Paths.w in
-  let w = dn.Paths.w and d = dn.Paths.d in
-  let chunk =
-    max 1 (min 8192 ((n + (4 * Lacr_util.Pool.size pool) - 1) / (4 * Lacr_util.Pool.size pool)))
-  in
-  let n_chunks = (n + chunk - 1) / chunk in
-  let arenas = Array.make n_chunks None in
-  let chunk_cand = Array.make n_chunks 0 in
-  Lacr_util.Pool.parallel_for_chunks ~chunk pool n (fun lo hi ->
-      let a = Lacr_arena.Chunked.make_pairs ~lo ~rows:(hi - lo) in
-      let cands = ref 0 in
-      for u = lo to hi - 1 do
-        let wrow = w.(u) and drow = d.(u) in
-        let nc = ref 0 in
-        for v = 0 to n - 1 do
-          if wrow.(v) <> max_int && drow.(v) > period +. epsilon && (u <> v || wrow.(v) = 0)
-          then incr nc
-        done;
-        cands := !cands + !nc;
-        let keys = Array.make !nc 0 in
-        let i = ref 0 in
-        for v = 0 to n - 1 do
-          if wrow.(v) <> max_int && drow.(v) > period +. epsilon && (u <> v || wrow.(v) = 0)
-          then begin
-            keys.(!i) <- (wrow.(v) * n) + (n - 1 - v);
-            incr i
-          end
-        done;
-        Array.sort Int.compare keys;
-        let kept = Array.make !nc 0 in
-        let nk = ref 0 in
-        for ii = 0 to !nc - 1 do
-          let v = n - 1 - (keys.(ii) mod n) in
-          let wv = wrow.(v) in
-          let implied = ref false in
-          let j = ref 0 in
-          while (not !implied) && !j < !nk do
-            let x = kept.(!j) in
-            let wxv = w.(x).(v) in
-            if wxv <> max_int && wrow.(x) + wxv <= wv then implied := true;
-            incr j
-          done;
-          if not !implied then begin
-            kept.(!nk) <- v;
-            incr nk
-          end
-        done;
-        Lacr_arena.Chunked.set_count a ~row:u !nk;
-        for ii = 0 to !nk - 1 do
-          Lacr_arena.Chunked.push a kept.(ii) wrow.(kept.(ii))
-        done
-      done;
-      let ci = lo / chunk in
-      arenas.(ci) <- Some a;
-      chunk_cand.(ci) <- !cands);
-  let sr_off, sr_dst, sr_wgt = Lacr_arena.Chunked.merge arenas ~n in
-  {
-    Paths.sr_off;
-    sr_dst;
-    sr_wgt;
-    sr_candidates = Array.fold_left ( + ) 0 chunk_cand;
-    sr_scanned = n;
-  }
-
-(* Dense prune, target side, parallel over targets (the seed ran this
-   sequentially): per-target slices of packed keys sorted into consider
-   order, then the exact legacy greedy with its dense-W implication
-   test, compacting kept keys in place. *)
-let dense_prune_target_flat ~pool (dn : Paths.dense) (sr : Paths.flat_rows) =
-  let n = Array.length dn.Paths.w in
-  let w = dn.Paths.w in
-  let msurv = sr.Paths.sr_off.(n) in
-  let toff = Array.make (n + 1) 0 in
-  for i = 0 to msurv - 1 do
-    let v = sr.Paths.sr_dst.(i) in
-    toff.(v + 1) <- toff.(v + 1) + 1
-  done;
-  for v = 1 to n do
-    toff.(v) <- toff.(v) + toff.(v - 1)
-  done;
-  let tkey = Array.make (max 1 msurv) 0 in
-  let tfill = Array.copy toff in
-  for u = 0 to n - 1 do
-    for i = sr.Paths.sr_off.(u) to sr.Paths.sr_off.(u + 1) - 1 do
-      let v = sr.Paths.sr_dst.(i) in
-      tkey.(tfill.(v)) <- (sr.Paths.sr_wgt.(i) * n) + (n - 1 - u);
-      tfill.(v) <- tfill.(v) + 1
-    done
-  done;
-  let kcount = Array.make n 0 in
-  Lacr_util.Pool.parallel_for_chunks pool n (fun lo hi ->
-      for v = lo to hi - 1 do
-        let base = toff.(v) in
-        let len = toff.(v + 1) - base in
-        if len > 0 then begin
-          let sub = Array.sub tkey base len in
-          Array.sort Int.compare sub;
-          Array.blit sub 0 tkey base len;
-          let k = ref 0 in
-          for i = base to base + len - 1 do
-            let key = tkey.(i) in
-            let u = n - 1 - (key mod n) in
-            let wuv = key / n in
-            let implied = ref false in
-            if u <> v then begin
-              let j = ref 0 in
-              while (not !implied) && !j < !k do
-                let x = n - 1 - (tkey.(base + !j) mod n) in
-                let wux = w.(u).(x) in
-                if wux <> max_int && wux + w.(x).(v) <= wuv then implied := true;
-                incr j
-              done
-            end;
-            if not !implied then begin
-              tkey.(base + !k) <- key;
-              incr k
-            end
-          done;
-          kcount.(v) <- !k
-        end
-      done);
-  let tc_off = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    tc_off.(v + 1) <- tc_off.(v) + kcount.(v)
-  done;
-  let mk = tc_off.(n) in
-  let tc_src = Array.make (max 1 mk) 0 in
-  let tc_wgt = Array.make (max 1 mk) 0 in
-  for v = 0 to n - 1 do
-    let src_base = toff.(v) and dst_base = tc_off.(v) in
-    for j = 0 to kcount.(v) - 1 do
-      let key = tkey.(src_base + j) in
-      tc_src.(dst_base + j) <- n - 1 - (key mod n);
-      tc_wgt.(dst_base + j) <- key / n
-    done
-  done;
-  { Paths.tc_off; tc_src; tc_wgt }
 
 (* --- throwaway probe systems --------------------------------------- *)
 
@@ -475,13 +293,23 @@ let compile ?(extra = []) g (wd : Paths.wd) ~period =
           push u v (wrow.(v) - 1)
       done
     done
-  | Paths.Streamed fr ->
+  | Paths.Streamed fr when Paths.in_window fr ~period ->
     for u = 0 to n - 1 do
       for i = fr.Paths.row_off.(u) to fr.Paths.row_off.(u + 1) - 1 do
         let v = fr.Paths.fdst.(i) in
         let wuv = fr.Paths.fwgt.(i) in
         if fr.Paths.fdly.(i) > period +. epsilon && (u <> v || wuv = 0) then
           push u v (wuv - 1)
+      done
+    done
+  | Paths.Streamed _ ->
+    (* Outside the window the frontier is not a complete answer (see
+       [Paths.in_window]); the graph-direct enumeration is exact at
+       every period. *)
+    let sr = Paths.source_pass_flat ~prune:false g ~period in
+    for u = 0 to n - 1 do
+      for i = sr.Paths.sr_off.(u) to sr.Paths.sr_off.(u + 1) - 1 do
+        push u sr.Paths.sr_dst.(i) (sr.Paths.sr_wgt.(i) - 1)
       done
     done);
   { ca = !ca; cb = !cb; cbound = !cbound; m = !m }
@@ -496,28 +324,18 @@ let generate ?(prune = false) ?(extra = []) ?pool ?(trace = Lacr_obs.Trace.disab
     (fun () ->
       let pool = match pool with Some p -> p | None -> Lacr_util.Pool.sequential in
       let edges = Graph.edges g in
-      let system, n_edge, n_period, scanned, candidates, survivors =
-        match (wd : Paths.wd), prune with
-        | Paths.Dense dn, false ->
-          let s, ne, np = emit_unpruned_dense ~pool ~extra ~edges dn ~period in
-          (s, ne, np, Array.length dn.Paths.w, np, -1)
-        | Paths.Streamed fr, false ->
-          let sr = Paths.source_pass_flat ~pool ~frontier:fr ~prune:false g ~period in
-          let s, ne, np = emit_unpruned_rows ~pool ~extra ~edges sr in
-          (s, ne, np, sr.Paths.sr_scanned, sr.Paths.sr_candidates, -1)
-        | Paths.Dense dn, true ->
-          let n = Array.length dn.Paths.w in
-          let sr = dense_prune_source_flat ~pool dn ~period in
-          let tc = dense_prune_target_flat ~pool dn sr in
-          let s, ne, np = emit_pruned_cols ~pool ~extra ~edges tc in
-          (s, ne, np, n, sr.Paths.sr_candidates, sr.Paths.sr_off.(n))
-        | Paths.Streamed fr, true ->
-          let n = Graph.num_vertices g in
-          let sr = Paths.source_pass_flat ~pool ~frontier:fr ~prune:true g ~period in
-          let tc = Paths.prune_target_pass_flat ~pool g sr in
-          let s, ne, np = emit_pruned_cols ~pool ~extra ~edges tc in
-          (s, ne, np, sr.Paths.sr_scanned, sr.Paths.sr_candidates, sr.Paths.sr_off.(n))
+      (* Both backends enumerate graph-direct; a streamed frontier only
+         lets the source pass skip sources it proves constraint-free. *)
+      let frontier =
+        match (wd : Paths.wd) with Paths.Streamed fr -> Some fr | Paths.Dense _ -> None
       in
+      let sr = Paths.source_pass_flat ~pool ?frontier ~prune g ~period in
+      let system, n_edge, n_period =
+        if prune then emit_pruned_cols ~pool ~extra ~edges (Paths.prune_target_pass_flat ~pool g sr)
+        else emit_unpruned_rows ~pool ~extra ~edges sr
+      in
+      let survivors = if prune then sr.Paths.sr_off.(Graph.num_vertices g) else -1 in
+      let scanned = sr.Paths.sr_scanned and candidates = sr.Paths.sr_candidates in
       if Lacr_obs.Trace.enabled trace then begin
         Lacr_obs.Trace.add (Lacr_obs.Trace.counter trace "constraints.sources_scanned") scanned;
         Lacr_obs.Trace.add (Lacr_obs.Trace.counter trace "constraints.period_candidates")

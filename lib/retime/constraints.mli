@@ -67,11 +67,14 @@ val generate :
     content {e and} order — is identical for every pool size, and
     bit-identical to the seed's list assembly ({!reference_list}).
 
-    On the streamed backend the frontier gates the per-source sweeps:
-    inside the retention window, sources whose frontier rows show no
-    pair violating [period] are provably constraint-free and are
-    skipped without a Dijkstra (see [Paths.source_pass_flat]) — the
-    emitted system is unchanged; only the wall clock and the
+    Generation reads the graph, not the (W,D) matrices: both backends
+    run the same per-source sweeps ([Paths.source_pass_flat], and
+    [Paths.prune_target_pass_flat] when pruning).  On the streamed
+    backend the frontier gates those sweeps: inside the retention
+    window, sources whose frontier rows show no pair violating
+    [period] are provably constraint-free and are skipped without a
+    sweep (see [Paths.source_pass_flat]) — the emitted system is
+    unchanged; only the wall clock and the
     [constraints.sources_scanned] counter (now "sources actually
     swept") reflect the gate.
 
@@ -119,4 +122,10 @@ val compile :
 (** The full unpruned system as parallel arrays, for
     [Lacr_mcmf.Difference.feasible_arrays] — the min-period binary
     search path.  Arrays are over-allocated; only the [m]-prefix is
-    live. *)
+    live.
+
+    A dense [wd] is scanned in full.  A streamed [wd] is read from the
+    frontier inside its window ([Paths.in_window]), where the
+    dominance-reduced pair set has the same verdicts and labels as the
+    full enumeration; at any other period the pairs are enumerated
+    graph-direct, which is exact everywhere. *)

@@ -1,13 +1,5 @@
 module Mode = struct
   type t = Auto | Dense | Stream
-
-  let to_string = function Auto -> "auto" | Dense -> "dense" | Stream -> "stream"
-
-  let of_string = function
-    | "auto" -> Some Auto
-    | "dense" -> Some Dense
-    | "stream" -> Some Stream
-    | _ -> None
 end
 
 type dense = { w : int array array; d : float array array }
@@ -16,7 +8,7 @@ type frontier = {
   fn : int;
   threshold : float;
   fbound : float;  (* cycle-ratio/max-delay lower bound (threshold = fbound - 1e-9) *)
-  ffar : float;  (* near/far cut: clock_period + 1e-9; far pairs are dominance-reduced *)
+  ffar : float;  (* near/far cut: clock_period + 2e-9; far pairs are dominance-reduced *)
   row_off : int array;
   fdst : int array;
   fwgt : int array;
@@ -25,12 +17,14 @@ type frontier = {
 
 type wd = Dense of dense | Streamed of frontier
 
-(* The per-source row computation runs on the graph's CSR fanout view
-   (flat int arrays, no list chasing) with a monomorphic int-priority
-   heap and reusable scratch, so one row costs one Dijkstra plus two
-   sweeps over the out-edges and allocates nothing beyond its two
-   output rows.  Rows are independent, which is what makes [compute]
-   embarrassingly parallel over a domain pool. *)
+(* --- dense backend: the independent test oracle --- *)
+
+(* The dense rows run on the graph's CSR fanout view (flat int arrays,
+   no list chasing) with a monomorphic int-priority heap and reusable
+   scratch, so one row costs one Dijkstra plus two sweeps over the
+   out-edges and allocates nothing beyond its two output rows.  These
+   kernels share no code with the streamed sweeps below, which is what
+   makes the dense matrices a useful oracle for them. *)
 
 type scratch = {
   settled : Bytes.t;
@@ -310,9 +304,9 @@ let compute_dense ~pool ~trace g =
           end));
   Dense { w; d }
 
-(* --- streamed backend --- *)
+(* --- per-source sweeps: the streamed frontier and the constraint passes --- *)
 
-(* Reusable per-worker scratch for the streaming row kernel.  All
+(* Reusable per-worker scratch for the per-source sweeps.  All
    validity is epoch-stamped so a row touches only the vertices it
    reaches: no O(n) clearing between rows, which is what keeps the
    whole pass O(sum of reached set sizes) instead of O(n^2). *)
@@ -325,7 +319,7 @@ type stream_scratch = {
   sheap : Lacr_util.Int_heap.t;
   squeue : int array;
   stouched : int array;  (* reached vertices in settle order *)
-  scand : int array;  (* frontier targets of the current row *)
+  scand : int array;  (* kept targets of the current row *)
   sdrop : int array;  (* epoch when dominated by a far tight predecessor *)
   scmem : int array;  (* epoch when a prune-candidate (marking passes) *)
   spos : int array;  (* epoch when a candidate ancestor precedes via positive weight *)
@@ -368,147 +362,186 @@ let make_stream_scratch n =
     sprev_nt = 0;
   }
 
-(* One streamed row: W and D restricted to the reached set, then the
-   frontier targets with D >= threshold, sorted by target index.
-   Returns the candidate count; targets are in [sc.scand], their W/D
-   read back from [sc.swrow]/[sc.sdrow].  Values are bit-identical to
-   the dense row kernels: the Dijkstra explores the same relaxations
-   and the tight-DAG maximum over identical float candidate sets is
-   order-independent.
-
-   Retention is split at [far_cut] (the initial clock period, plus the
-   constraint-test tolerance).  Feasibility never probes a period
-   above the initial clock period — the identity retiming makes it
-   feasible, so the min-period search is capped there — which makes a
-   "far" pair (D beyond the cut) one that violates *every* probed
-   period.  The near band [threshold, far_cut] is kept in full; a far
-   target is kept only when it has no far tight-DAG ancestor, i.e.
-   only the first crossing shell of the far cut survives.  Soundness:
-   a far ancestor x of y lies on a minimum-weight path, so
-   W(u,x) + W(x,y) = W(u,y) and y's constraint is implied by x's plus
-   the tight-edge constraints; x is a candidate at every probed
-   period, and the justification chains terminate because the tight
-   graph is acyclic (a tight cycle would be a zero-weight cycle), so
-   Bellman-Ford distance vectors — hence every feasibility verdict
-   and label set — are unchanged.  The reduction is invisible to
-   probe outcomes, and constraint *lists* never read the frontier at
-   all (generation is graph-direct, see constraints.ml), so both
-   backends emit bit-identical systems. *)
-let stream_row sc ~off ~dst ~wgt ~delays ~threshold ~far_cut u =
-  sc.sepoch <- sc.sepoch + 1;
-  let ep = sc.sepoch in
-  let wrow = sc.swrow and settled = sc.ssettled in
-  let heap = sc.sheap in
-  Lacr_util.Int_heap.clear heap;
-  (* The heap's lazy deletion needs a "tentative distance" check; an
-     unsettled vertex whose stamp is stale counts as infinity. *)
-  let wstamp = sc.swstamp in
-  wrow.(u) <- 0;
-  wstamp.(u) <- ep;
-  Lacr_util.Int_heap.push heap ~prio:0 u;
-  let touched = sc.stouched in
-  let nt = ref 0 in
-  while not (Lacr_util.Int_heap.is_empty heap) do
-    let x = Lacr_util.Int_heap.pop_min heap in
-    if settled.(x) <> ep then begin
-      settled.(x) <- ep;
-      touched.(!nt) <- x;
-      incr nt;
-      let wx = wrow.(x) in
-      for i = off.(x) to off.(x + 1) - 1 do
-        let y = dst.(i) in
-        if settled.(y) <> ep then begin
-          let nd = wx + wgt.(i) in
-          if wstamp.(y) <> ep || nd < wrow.(y) then begin
-            wrow.(y) <- nd;
-            wstamp.(y) <- ep;
-            Lacr_util.Int_heap.push heap ~prio:nd y
-          end
-        end
-      done
-    end
-  done;
-  (* Tight-DAG longest-delay pass over the reached set only.  [sindeg]
-     is re-purposed: reset for reached vertices, then accumulated. *)
-  let indeg = sc.sindeg in
-  for t = 0 to !nt - 1 do
-    indeg.(touched.(t)) <- 0
-  done;
-  for t = 0 to !nt - 1 do
-    let x = touched.(t) in
-    let wx = wrow.(x) in
+(* Global topological order of the zero-weight subgraph (well-defined:
+   a legal circuit has no zero-weight cycle).  The point: an edge that
+   is tight for SOME source either has positive weight — then the
+   endpoints' distances from that source strictly increase — or zero
+   weight — then it is a zero-subgraph edge and this order covers it.
+   So for every source, sorting the reached set by
+   (distance, zero-rank) is a valid topological order of that source's
+   tight DAG, and the per-source Kahn passes disappear.  Returns
+   [(zorder, zrank)]: rank-to-vertex and vertex-to-rank. *)
+let zero_topo_order ~off ~dst ~wgt n =
+  let indeg = Array.make n 0 in
+  for x = 0 to n - 1 do
     for i = off.(x) to off.(x + 1) - 1 do
-      let y = dst.(i) in
-      if settled.(y) = ep && wx + wgt.(i) = wrow.(y) then indeg.(y) <- indeg.(y) + 1
+      if wgt.(i) = 0 then indeg.(dst.(i)) <- indeg.(dst.(i)) + 1
     done
   done;
-  let drow = sc.sdrow in
-  for t = 0 to !nt - 1 do
-    drow.(touched.(t)) <- neg_infinity
-  done;
-  drow.(u) <- delays.(u);
-  let queue = sc.squeue in
-  let head = ref 0 and tail = ref 0 in
-  for t = 0 to !nt - 1 do
-    let v = touched.(t) in
+  let zorder = Array.make n 0 in
+  let tail = ref 0 in
+  for v = 0 to n - 1 do
     if indeg.(v) = 0 then begin
-      queue.(!tail) <- v;
+      zorder.(!tail) <- v;
       incr tail
     end
   done;
+  let head = ref 0 in
   while !head < !tail do
-    let x = queue.(!head) in
+    let x = zorder.(!head) in
     incr head;
-    let wx = wrow.(x) and dx = drow.(x) in
     for i = off.(x) to off.(x + 1) - 1 do
-      let y = dst.(i) in
-      if settled.(y) = ep && wx + wgt.(i) = wrow.(y) then begin
-        if dx > neg_infinity then begin
-          let cand = dx +. delays.(y) in
-          if cand > drow.(y) then drow.(y) <- cand
-        end;
+      if wgt.(i) = 0 then begin
+        let y = dst.(i) in
         indeg.(y) <- indeg.(y) - 1;
         if indeg.(y) = 0 then begin
-          queue.(!tail) <- y;
+          zorder.(!tail) <- y;
           incr tail
         end
       end
     done
   done;
-  (* Far-dominance marking: a target with a far tight-DAG ancestor is
-     dropped, so only the first shell past the far cut survives.  One
-     sweep in the topological order already sitting in [squeue]
-     ([drop] itself carries the transitive closure), so the reduction
-     costs nothing beyond the row itself. *)
-  let drop = sc.sdrop in
-  for t = 0 to !tail - 1 do
-    let x = queue.(t) in
-    if drop.(x) = ep || drow.(x) > far_cut then begin
-      let wx = wrow.(x) in
-      for i = off.(x) to off.(x + 1) - 1 do
-        let y = dst.(i) in
-        if settled.(y) = ep && wx + wgt.(i) = wrow.(y) then drop.(y) <- ep
-      done
-    end
+  if !tail < n then failwith "Paths.zero_topo_order: zero-weight cycle";
+  let zrank = Array.make n 0 in
+  for r = 0 to n - 1 do
+    zrank.(zorder.(r)) <- r
   done;
-  (* Frontier extraction: reached targets whose D clears the
-     threshold — all of the near band, far targets only when not
-     dominance-dropped — sorted by index so the merged arenas are
-     canonically ordered (grouped by source ascending, targets
-     ascending) independent of chunking and pool size. *)
-  let cand = sc.scand in
-  let nc = ref 0 in
-  for t = 0 to !nt - 1 do
-    let v = touched.(t) in
-    if drow.(v) >= threshold && (drow.(v) <= far_cut || drop.(v) <> ep) then begin
-      cand.(!nc) <- v;
-      incr nc
-    end
+  (zorder, zrank)
+
+(* The per-source sweep behind the streamed frontier and the flat
+   constraint passes: [tight_topo] (the list oracle's kernel below)
+   with the heap replaced by a Dial bucket queue and the two Kahn
+   passes replaced by one counting pass over the reached set:
+   vertices are laid into [squeue] grouped by ascending distance and,
+   within a distance class, by ascending zero-subgraph rank — a valid
+   topological order of the tight DAG (see [zero_topo_order]).  The
+   distances are the same unique shortest-path values, and every
+   downstream quantity ([drow], [spos], [smax]) is an
+   order-independent DAG fixpoint, so swapping engines cannot change
+   any emitted constraint.  [cap] truncates the exploration at a
+   distance bound: every retained distance, and the tight sub-DAG over
+   the retained set, are unchanged (prefixes of shortest paths are
+   shortest), which is what the target pass exploits — dominance
+   verdicts for a survivor slice only ever read vertices no farther
+   than the slice's largest weight. *)
+let tight_sweep ?(cap = max_int) sc ~off ~dst ~wgt ~zorder ~zrank root =
+  sc.sepoch <- sc.sepoch + 1;
+  let ep = sc.sepoch in
+  let n = Array.length zorder in
+  let wrow = sc.swrow and settled = sc.ssettled in
+  (* Restore the rest state ([max_int] everywhere) from the previous
+     sweep's touched set, so relaxation needs no per-edge stamp check:
+     an untouched vertex simply reads as unreachable. *)
+  let touched = sc.stouched in
+  for t = 0 to sc.sprev_nt - 1 do
+    wrow.(touched.(t)) <- max_int
   done;
-  let sub = Array.sub cand 0 !nc in
-  Array.sort Int.compare sub;
-  Array.blit sub 0 cand 0 !nc;
-  !nc
+  let push d v =
+    if d >= Array.length sc.sdlen then begin
+      let ncap = max (2 * Array.length sc.sdlen) (d + 1) in
+      let ndial = Array.make ncap [||] and nlen = Array.make ncap 0 in
+      Array.blit sc.sdial 0 ndial 0 (Array.length sc.sdial);
+      Array.blit sc.sdlen 0 nlen 0 (Array.length sc.sdlen);
+      sc.sdial <- ndial;
+      sc.sdlen <- nlen;
+      sc.sdcls <- Array.make (ncap + 2) 0
+    end;
+    let b = sc.sdial.(d) in
+    let l = sc.sdlen.(d) in
+    let b =
+      if l < Array.length b then b
+      else begin
+        let nb = Array.make (max 16 (2 * l)) 0 in
+        Array.blit b 0 nb 0 l;
+        sc.sdial.(d) <- nb;
+        nb
+      end
+    in
+    b.(l) <- v;
+    sc.sdlen.(d) <- l + 1
+  in
+  wrow.(root) <- 0;
+  push 0 root;
+  let nt = ref 0 in
+  let maxd = ref 0 in
+  let d = ref 0 in
+  while !d <= !maxd do
+    let dd = !d in
+    while sc.sdlen.(dd) > 0 do
+      let l = sc.sdlen.(dd) - 1 in
+      sc.sdlen.(dd) <- l;
+      let x = sc.sdial.(dd).(l) in
+      if settled.(x) <> ep then begin
+        settled.(x) <- ep;
+        touched.(!nt) <- x;
+        incr nt;
+        for i = off.(x) to off.(x + 1) - 1 do
+          let y = dst.(i) in
+          if settled.(y) <> ep then begin
+            let nd = dd + wgt.(i) in
+            if nd <= cap && nd < wrow.(y) then begin
+              wrow.(y) <- nd;
+              push nd y;
+              if nd > !maxd then maxd := nd
+            end
+          end
+        done
+      end
+    done;
+    incr d
+  done;
+  let nt = !nt in
+  sc.sprev_nt <- nt;
+  let queue = sc.squeue in
+  if 16 * nt < n then begin
+    (* Sparse reach: sort the packed (distance, zero-rank) keys. *)
+    for t = 0 to nt - 1 do
+      queue.(t) <- (wrow.(touched.(t)) * n) + zrank.(touched.(t))
+    done;
+    Lacr_util.Int_sort.sort_slice queue ~lo:0 ~hi:nt;
+    for t = 0 to nt - 1 do
+      queue.(t) <- zorder.(queue.(t) mod n)
+    done
+  end
+  else begin
+    (* Dense reach: one counting pass over the distance classes, then
+       one scan of the global zero order drops each reached vertex
+       into its class slot — rank order within a class for free. *)
+    let cls = sc.sdcls in
+    Array.fill cls 0 (!maxd + 2) 0;
+    for t = 0 to nt - 1 do
+      let w = wrow.(touched.(t)) in
+      cls.(w + 1) <- cls.(w + 1) + 1
+    done;
+    for w = 1 to !maxd + 1 do
+      cls.(w) <- cls.(w) + cls.(w - 1)
+    done;
+    for r = 0 to n - 1 do
+      let v = zorder.(r) in
+      if settled.(v) = ep then begin
+        let w = wrow.(v) in
+        queue.(cls.(w)) <- v;
+        cls.(w) <- cls.(w) + 1
+      end
+    done
+  end;
+  nt
+
+(* Sources are swept in contiguous chunks of about a quarter of a
+   worker's share (capped so chunk arenas stay small), and each worker
+   domain keeps one scratch for all of its chunks. *)
+let row_chunk pool n =
+  let parts = 4 * Lacr_util.Pool.size pool in
+  max 1 (min 8192 ((n + parts - 1) / parts))
+
+let worker_scratch scratches n =
+  let slot = Lacr_util.Pool.worker_slot () in
+  match scratches.(slot) with
+  | Some sc -> sc
+  | None ->
+    let sc = make_stream_scratch n in
+    scratches.(slot) <- Some sc;
+    sc
 
 (* Per-chunk growable arena of frontier triples plus per-source
    counts.  Exactly one worker writes a given arena (chunks are
@@ -542,6 +575,71 @@ let arena_push a v w d =
   a.adly.(a.alen) <- d;
   a.alen <- a.alen + 1
 
+(* One frontier row on the shared sweep kernel: W from [tight_sweep],
+   then a single pass over its tight-DAG topological order that relaxes
+   the longest delay, decides retention and propagates far dominance —
+   when x is reached in that order its delay and its dominance mark
+   are final, since both only read tight-DAG ancestors.  Returns the
+   retained count; targets are in [sc.scand] (ascending), their W/D
+   read back from [sc.swrow]/[sc.sdrow].  Values are bit-identical to
+   the dense row kernels: the distances are the unique shortest-path
+   values and the tight-DAG maximum over identical float candidate
+   sets is order-independent.
+
+   Retention is split at [far_cut] (the initial clock period plus
+   1e-9 of float noise, plus the constraint-test tolerance).
+   Feasibility never probes a period above the initial clock period
+   plus that noise — the identity retiming makes T_init feasible, so
+   the min-period search is capped there — which makes a "far" pair
+   (D beyond the cut) one that violates *every* probed period.  The near band [threshold, far_cut] is kept in full; a far
+   target is kept only when it has no far tight-DAG ancestor, i.e.
+   only the first crossing shell of the far cut survives.  Soundness:
+   a far ancestor x of y lies on a minimum-weight path, so
+   W(u,x) + W(x,y) = W(u,y) and y's constraint is implied by x's plus
+   the tight-edge constraints; x is a candidate at every probed
+   period, and the justification chains terminate because the tight
+   graph is acyclic (a tight cycle would be a zero-weight cycle), so
+   Bellman-Ford distance vectors — hence every feasibility verdict
+   and label set — are unchanged.  The reduction is invisible to
+   probe outcomes, and constraint generation is graph-direct (see
+   [source_pass_flat]; the frontier only gates which sources it
+   sweeps), so both backends emit bit-identical systems. *)
+let frontier_row sc ~off ~dst ~wgt ~delays ~zorder ~zrank ~threshold ~far_cut u =
+  let nt = tight_sweep sc ~off ~dst ~wgt ~zorder ~zrank u in
+  let ep = sc.sepoch in
+  let wrow = sc.swrow
+  and drow = sc.sdrow
+  and settled = sc.ssettled
+  and queue = sc.squeue
+  and drop = sc.sdrop
+  and cand = sc.scand in
+  for t = 0 to nt - 1 do
+    drow.(queue.(t)) <- neg_infinity
+  done;
+  drow.(u) <- delays.(u);
+  let nc = ref 0 in
+  for t = 0 to nt - 1 do
+    let x = queue.(t) in
+    let wx = wrow.(x) and dx = drow.(x) in
+    let far = dx > far_cut in
+    let dominated = drop.(x) = ep in
+    if dx >= threshold && ((not far) || not dominated) then begin
+      cand.(!nc) <- x;
+      incr nc
+    end;
+    let mark = far || dominated in
+    for i = off.(x) to off.(x + 1) - 1 do
+      let y = dst.(i) in
+      if settled.(y) = ep && wx + wgt.(i) = wrow.(y) then begin
+        let c = dx +. delays.(y) in
+        if c > drow.(y) then drow.(y) <- c;
+        if mark then drop.(y) <- ep
+      end
+    done
+  done;
+  Lacr_util.Int_sort.sort_slice cand ~lo:0 ~hi:!nc;
+  !nc
+
 let compute_streamed ~pool ~trace g =
   let n = Graph.num_vertices g in
   let off = Graph.csr_offsets g
@@ -556,14 +654,12 @@ let compute_streamed ~pool ~trace g =
      other end, no consumer probes a period above the initial clock
      period (the identity retiming already achieves it), so pairs
      beyond [far_cut] violate every probe uniformly and are kept only
-     up to dominance — see [stream_row].  Without that reduction the
+     up to dominance — see [frontier_row].  Without that reduction the
      frontier is Theta(n^2) on deep registered pipelines (path delay
      grows with register distance, so nearly every ordered pair
      clears the threshold) and the memory wall this backend exists to
-     break comes straight back. *)
-  let bound = cycle_ratio_lower_bound g in
-  let threshold = bound -. 1e-9 in
-  let far_cut = Graph.clock_period g +. 1e-9 in
+     break comes straight back.  Probes outside that window are
+     answered graph-direct instead (see [in_window]). *)
   let traced = Lacr_obs.Trace.enabled trace in
   let c_rows = Lacr_obs.Trace.counter trace "paths.rows" in
   let c_front = Lacr_obs.Trace.counter trace "paths.frontier_pairs" in
@@ -571,22 +667,20 @@ let compute_streamed ~pool ~trace g =
     ~attrs:[ ("vertices", Lacr_obs.Trace.Int n); ("mode", Lacr_obs.Trace.Str "stream") ]
     "paths.compute"
     (fun () ->
-      let chunk =
-        max 1 (min 8192 ((n + (4 * Lacr_util.Pool.size pool) - 1) / (4 * Lacr_util.Pool.size pool)))
-      in
+      let bound = cycle_ratio_lower_bound g in
+      let threshold = bound -. 1e-9 in
+      (* Min-period candidates reach T_init + 1e-9 (D values equal to
+         T_init up to float noise) and the constraint test adds its own
+         1e-9; computing the cut as that same sum puts every candidate
+         inside [in_window], since rounding is monotone. *)
+      let far_cut = Graph.clock_period g +. 1e-9 +. 1e-9 in
+      let zorder, zrank = zero_topo_order ~off ~dst ~wgt n in
+      let chunk = row_chunk pool n in
       let n_chunks = (n + chunk - 1) / chunk in
       let arenas = Array.make n_chunks None in
       let scratches = Array.make Lacr_util.Pool.max_slots None in
       Lacr_util.Pool.parallel_for_chunks ~chunk pool n (fun lo hi ->
-          let slot = Lacr_util.Pool.worker_slot () in
-          let sc =
-            match scratches.(slot) with
-            | Some sc -> sc
-            | None ->
-              let sc = make_stream_scratch n in
-              scratches.(slot) <- Some sc;
-              sc
-          in
+          let sc = worker_scratch scratches n in
           let a =
             {
               adst = Array.make 256 0;
@@ -598,7 +692,9 @@ let compute_streamed ~pool ~trace g =
             }
           in
           for u = lo to hi - 1 do
-            let nc = stream_row sc ~off ~dst ~wgt ~delays ~threshold ~far_cut u in
+            let nc =
+              frontier_row sc ~off ~dst ~wgt ~delays ~zorder ~zrank ~threshold ~far_cut u
+            in
             a.acounts.(u - lo) <- nc;
             for i = 0 to nc - 1 do
               let v = sc.scand.(i) in
@@ -641,17 +737,21 @@ let compute_streamed ~pool ~trace g =
         arenas;
       Streamed { fn = n; threshold; fbound = bound; ffar = far_cut; row_off; fdst; fwgt; fdly })
 
-let auto_cutoff = 4096
+let auto_cutoff = 0
 
-let compute ?(mode = Mode.Dense) ?(pool = Lacr_util.Pool.sequential)
+let compute ?(mode = Mode.Auto) ?(pool = Lacr_util.Pool.sequential)
     ?(trace = Lacr_obs.Trace.disabled) g =
-  let n = Graph.num_vertices g in
-  let stream =
-    match mode with Mode.Dense -> false | Mode.Stream -> true | Mode.Auto -> n > auto_cutoff
-  in
-  if stream then compute_streamed ~pool ~trace g else compute_dense ~pool ~trace g
+  match mode with
+  | Mode.Dense -> compute_dense ~pool ~trace g
+  | Mode.Auto | Mode.Stream -> compute_streamed ~pool ~trace g
 
 let num_vertices = function Dense { w; _ } -> Array.length w | Streamed fr -> fr.fn
+
+(* The probe window the frontier answers exactly: at or above the
+   retention threshold (the near band is complete there) and at most
+   the min-period search's top candidate, T_init + 1e-9 (far dominance
+   holds there). *)
+let in_window fr ~period = period >= fr.threshold && period +. 1e-9 <= fr.ffar
 
 let frontier_weight fr u v =
   let lo = ref fr.row_off.(u) and hi = ref (fr.row_off.(u + 1) - 1) in
@@ -662,11 +762,6 @@ let frontier_weight fr u v =
     if vm = v then found := mid else if vm < v then lo := mid + 1 else hi := mid - 1
   done;
   if !found < 0 then None else Some fr.fwgt.(!found)
-
-let reachable wd u v =
-  match wd with
-  | Dense { w; _ } -> w.(u).(v) <> max_int
-  | Streamed _ -> invalid_arg "Paths.reachable: dense backend only"
 
 let iter_pairs wd f =
   match wd with
@@ -726,35 +821,6 @@ let distinct_delays wd =
     if i = !len - 1 || Float.compare sub.(i) sub.(i + 1) <> 0 then out := sub.(i) :: !out
   done;
   !out
-
-(* On-demand W rows with a small FIFO-evicting cache, for consumers
-   (dominance pruning on the streamed backend) that need random
-   W(x,v) access without the dense matrix.  Rows are exact Dijkstra
-   rows — pure functions of (g, x) — so cache policy cannot affect
-   any result, only speed.  Returned rows are shared: do not mutate. *)
-let weight_rows g =
-  let n = Graph.num_vertices g in
-  let off = Graph.csr_offsets g
-  and dst = Graph.csr_dst g
-  and wgt = Graph.csr_weight g in
-  let scratch = make_scratch n in
-  let slots = max 2 (min 64 (4_000_000 / max 1 n)) in
-  let keys = Array.make slots (-1) in
-  let rows = Array.make slots [||] in
-  let next = ref 0 in
-  fun u ->
-    let hit = ref (-1) in
-    for i = 0 to slots - 1 do
-      if !hit < 0 && keys.(i) = u then hit := i
-    done;
-    if !hit >= 0 then rows.(!hit)
-    else begin
-      let r = dijkstra_row ~off ~dst ~wgt ~n scratch u in
-      keys.(!next) <- u;
-      rows.(!next) <- r;
-      next := (!next + 1) mod slots;
-      r
-    end
 
 (* --- graph-direct dominance pruning ------------------------------- *)
 
@@ -1031,169 +1097,6 @@ let prune_target_pass ?(pool = Lacr_util.Pool.sequential) g (pr : prune_rows) =
 
 (* --- flat (zero-list) constraint passes --------------------------- *)
 
-(* Global topological order of the zero-weight subgraph (well-defined:
-   a legal circuit has no zero-weight cycle).  The point: an edge that
-   is tight for SOME source either has positive weight — then the
-   endpoints' distances from that source strictly increase — or zero
-   weight — then it is a zero-subgraph edge and this order covers it.
-   So for every source, sorting the reached set by
-   (distance, zero-rank) is a valid topological order of that source's
-   tight DAG, and the per-source Kahn passes disappear.  Returns
-   [(zorder, zrank)]: rank-to-vertex and vertex-to-rank. *)
-let zero_topo_order ~off ~dst ~wgt n =
-  let indeg = Array.make n 0 in
-  for x = 0 to n - 1 do
-    for i = off.(x) to off.(x + 1) - 1 do
-      if wgt.(i) = 0 then indeg.(dst.(i)) <- indeg.(dst.(i)) + 1
-    done
-  done;
-  let zorder = Array.make n 0 in
-  let tail = ref 0 in
-  for v = 0 to n - 1 do
-    if indeg.(v) = 0 then begin
-      zorder.(!tail) <- v;
-      incr tail
-    end
-  done;
-  let head = ref 0 in
-  while !head < !tail do
-    let x = zorder.(!head) in
-    incr head;
-    for i = off.(x) to off.(x + 1) - 1 do
-      if wgt.(i) = 0 then begin
-        let y = dst.(i) in
-        indeg.(y) <- indeg.(y) - 1;
-        if indeg.(y) = 0 then begin
-          zorder.(!tail) <- y;
-          incr tail
-        end
-      end
-    done
-  done;
-  if !tail < n then failwith "Paths.zero_topo_order: zero-weight cycle";
-  let zrank = Array.make n 0 in
-  for r = 0 to n - 1 do
-    zrank.(zorder.(r)) <- r
-  done;
-  (zorder, zrank)
-
-(* [tight_topo] with the heap replaced by a Dial bucket queue and the
-   two Kahn passes replaced by one counting pass over the reached set:
-   vertices are laid into [squeue] grouped by ascending distance and,
-   within a distance class, by ascending zero-subgraph rank — a valid
-   topological order of the tight DAG (see [zero_topo_order]).  The
-   distances are the same unique shortest-path values, and every
-   downstream quantity ([drow], [spos], [smax]) is an
-   order-independent DAG fixpoint, so swapping engines cannot change
-   any emitted constraint.  [cap] truncates the exploration at a
-   distance bound: every retained distance, and the tight sub-DAG over
-   the retained set, are unchanged (prefixes of shortest paths are
-   shortest), which is what the target pass exploits — dominance
-   verdicts for a survivor slice only ever read vertices no farther
-   than the slice's largest weight. *)
-let tight_sweep ?(cap = max_int) sc ~off ~dst ~wgt ~zorder ~zrank root =
-  sc.sepoch <- sc.sepoch + 1;
-  let ep = sc.sepoch in
-  let n = Array.length zorder in
-  let wrow = sc.swrow and settled = sc.ssettled in
-  (* Restore the rest state ([max_int] everywhere) from the previous
-     sweep's touched set, so relaxation needs no per-edge stamp check:
-     an untouched vertex simply reads as unreachable. *)
-  let touched = sc.stouched in
-  for t = 0 to sc.sprev_nt - 1 do
-    wrow.(touched.(t)) <- max_int
-  done;
-  let push d v =
-    if d >= Array.length sc.sdlen then begin
-      let ncap = max (2 * Array.length sc.sdlen) (d + 1) in
-      let ndial = Array.make ncap [||] and nlen = Array.make ncap 0 in
-      Array.blit sc.sdial 0 ndial 0 (Array.length sc.sdial);
-      Array.blit sc.sdlen 0 nlen 0 (Array.length sc.sdlen);
-      sc.sdial <- ndial;
-      sc.sdlen <- nlen;
-      sc.sdcls <- Array.make (ncap + 2) 0
-    end;
-    let b = sc.sdial.(d) in
-    let l = sc.sdlen.(d) in
-    let b =
-      if l < Array.length b then b
-      else begin
-        let nb = Array.make (max 16 (2 * l)) 0 in
-        Array.blit b 0 nb 0 l;
-        sc.sdial.(d) <- nb;
-        nb
-      end
-    in
-    b.(l) <- v;
-    sc.sdlen.(d) <- l + 1
-  in
-  wrow.(root) <- 0;
-  push 0 root;
-  let nt = ref 0 in
-  let maxd = ref 0 in
-  let d = ref 0 in
-  while !d <= !maxd do
-    let dd = !d in
-    while sc.sdlen.(dd) > 0 do
-      let l = sc.sdlen.(dd) - 1 in
-      sc.sdlen.(dd) <- l;
-      let x = sc.sdial.(dd).(l) in
-      if settled.(x) <> ep then begin
-        settled.(x) <- ep;
-        touched.(!nt) <- x;
-        incr nt;
-        for i = off.(x) to off.(x + 1) - 1 do
-          let y = dst.(i) in
-          if settled.(y) <> ep then begin
-            let nd = dd + wgt.(i) in
-            if nd <= cap && nd < wrow.(y) then begin
-              wrow.(y) <- nd;
-              push nd y;
-              if nd > !maxd then maxd := nd
-            end
-          end
-        done
-      end
-    done;
-    incr d
-  done;
-  let nt = !nt in
-  sc.sprev_nt <- nt;
-  let queue = sc.squeue in
-  if 16 * nt < n then begin
-    (* Sparse reach: sort the packed (distance, zero-rank) keys. *)
-    for t = 0 to nt - 1 do
-      queue.(t) <- (wrow.(touched.(t)) * n) + zrank.(touched.(t))
-    done;
-    Lacr_util.Int_sort.sort_slice queue ~lo:0 ~hi:nt;
-    for t = 0 to nt - 1 do
-      queue.(t) <- zorder.(queue.(t) mod n)
-    done
-  end
-  else begin
-    (* Dense reach: one counting pass over the distance classes, then
-       one scan of the global zero order drops each reached vertex
-       into its class slot — rank order within a class for free. *)
-    let cls = sc.sdcls in
-    Array.fill cls 0 (!maxd + 2) 0;
-    for t = 0 to nt - 1 do
-      let w = wrow.(touched.(t)) in
-      cls.(w + 1) <- cls.(w + 1) + 1
-    done;
-    for w = 1 to !maxd + 1 do
-      cls.(w) <- cls.(w) + cls.(w - 1)
-    done;
-    for r = 0 to n - 1 do
-      let v = zorder.(r) in
-      if settled.(v) = ep then begin
-        let w = wrow.(v) in
-        queue.(cls.(w)) <- v;
-        cls.(w) <- cls.(w) + 1
-      end
-    done
-  end;
-  nt
-
 type flat_rows = {
   sr_off : int array;
   sr_dst : int array;
@@ -1214,7 +1117,7 @@ type flat_rows = {
    retention threshold or above the far cut) the gate abstains and
    every source is swept. *)
 let frontier_gate fr ~period =
-  if period >= fr.threshold && period +. 1e-9 <= fr.ffar then begin
+  if in_window fr ~period then begin
     let n = fr.fn in
     let act = Bytes.make n '\000' in
     for u = 0 to n - 1 do
@@ -1248,24 +1151,14 @@ let source_pass_flat ?(pool = Lacr_util.Pool.sequential) ?frontier ~prune g ~per
     match frontier with None -> None | Some fr -> frontier_gate fr ~period
   in
   let zorder, zrank = zero_topo_order ~off ~dst ~wgt n in
-  let chunk =
-    max 1 (min 8192 ((n + (4 * Lacr_util.Pool.size pool) - 1) / (4 * Lacr_util.Pool.size pool)))
-  in
+  let chunk = row_chunk pool n in
   let n_chunks = (n + chunk - 1) / chunk in
   let arenas = Array.make n_chunks None in
   let chunk_cand = Array.make n_chunks 0 in
   let chunk_scanned = Array.make n_chunks 0 in
   let scratches = Array.make Lacr_util.Pool.max_slots None in
   Lacr_util.Pool.parallel_for_chunks ~chunk pool n (fun lo hi ->
-      let slot = Lacr_util.Pool.worker_slot () in
-      let sc =
-        match scratches.(slot) with
-        | Some sc -> sc
-        | None ->
-          let sc = make_stream_scratch n in
-          scratches.(slot) <- Some sc;
-          sc
-      in
+      let sc = worker_scratch scratches n in
       let a = Lacr_arena.Chunked.make_pairs ~lo ~rows:(hi - lo) in
       let cands = ref 0 and scanned = ref 0 in
       for u = lo to hi - 1 do
@@ -1420,15 +1313,7 @@ let prune_target_pass_flat ?(pool = Lacr_util.Pool.sequential) g (sr : flat_rows
            so a source cannot be its own proper ancestor. *)
         if len = 1 then kcount.(v) <- 1
         else if len > 1 then begin
-          let slot = Lacr_util.Pool.worker_slot () in
-          let sc =
-            match scratches.(slot) with
-            | Some sc -> sc
-            | None ->
-              let sc = make_stream_scratch n in
-              scratches.(slot) <- Some sc;
-              sc
-          in
+          let sc = worker_scratch scratches n in
           (* Dominance verdicts for this slice only read vertices no
              farther than the slice's largest weight, so the reverse
              sweep is capped there. *)

@@ -3,44 +3,42 @@
     For a path [p : u ~> v], [w(p)] is the sum of edge weights and
     [d(p)] the sum of vertex delays including both endpoints.  Then
     [W(u,v) = min w(p)] and [D(u,v) = max d(p)] over minimum-weight
-    paths.  Computed per source as a Dijkstra on weights (CSR adjacency
-    + monomorphic int heap) followed by a longest-delay pass over the
-    tight-edge DAG (tight edges cannot form a cycle because the circuit
-    has no zero-weight cycle).
+    paths.  Computed per source as a shortest-path sweep on weights
+    followed by a longest-delay pass over the tight-edge DAG (tight
+    edges cannot form a cycle because the circuit has no zero-weight
+    cycle).
 
-    The {e dense} backend materializes the full [n x n] matrices —
-    exact, supports {!iter_pairs} and brute-force cross-checks, and
-    costs O(n^2) memory (~1.6 GB at n = 10^4, impossible at 10^5).
-    The {e streamed} backend keeps only the probe-relevant frontier.
-    Probed periods always lie in [[bound - 1e-9, clock_period]]: the
-    cycle-ratio bound caps them from below, and the identity retiming
-    makes the initial clock period feasible, capping the min-period
-    search from above.  So the frontier stores the {e near} band
-    ([D] within the probe window) in full, and {e far} pairs ([D]
-    beyond every probe, hence violating all of them uniformly) only
-    after an exact dominance reduction: a far pair dominated by a far
-    tight-DAG predecessor that precedes it in the dense prune's
-    candidate order is implied by the survivor plus edge constraints
-    and is dropped by the dense prune at every probed period, so
-    removing it changes no pruned constraint list, no feasibility
-    verdict and no label vector.  Constraint generation does not read
-    the frontier at all: both the pruned and the unpruned streamed
-    lists are re-enumerated directly from the graph per source
-    ({!prune_source_pass} / {!candidate_rows}), so every constraint
-    system a caller can hold is bit-identical between the backends —
-    as are min-period results and plans (QCheck-enforced in the test
-    suite).  Only the throwaway probe systems inside the min-period
-    search read the frontier, and there the far reduction is
-    implication-equivalent: same verdicts, same labels. *)
+    The {e streamed} backend is the planner's engine at every size.
+    It keeps only the probe-relevant frontier.  Probed periods always
+    lie in [[bound - 1e-9, clock_period + 1e-9]]: the cycle-ratio bound
+    caps them from below, and the identity retiming makes the initial
+    clock period feasible, capping the min-period search from above
+    (the [1e-9] admits D values equal to it up to float noise).  So the
+    frontier stores the {e near} band ([D] within the probe window) in
+    full, and {e far} pairs ([D] beyond every probe, hence violating
+    all of them uniformly) only after an exact dominance reduction: a
+    far pair dominated by a far tight-DAG predecessor is implied by
+    the survivor plus edge constraints at every probed period, so
+    removing it changes no feasibility verdict and no label vector.
+    Periods outside that window ({!in_window}) are answered
+    graph-direct by the callers.  Constraint generation does not read
+    the frontier at all: systems are enumerated directly from the
+    graph per source ({!source_pass_flat} / {!prune_target_pass_flat}),
+    so every constraint system a caller can hold is the same for both
+    backends — as are min-period results and plans (QCheck-enforced
+    in the test suite).
+
+    The {e dense} backend materializes the full [n x n] matrices with
+    its own Dijkstra and Kahn row kernels.  It costs O(n^2) memory
+    (~1.6 GB at n = 10^4, impossible at 10^5) and is kept as the
+    independent oracle the tests compare the streamed engine against
+    ({!iter_pairs}, brute-force cross-checks). *)
 
 module Mode : sig
   type t =
-    | Auto  (** dense for small graphs, streamed past {!auto_cutoff} vertices *)
-    | Dense
+    | Auto  (** the default: streamed at every size *)
+    | Dense  (** the full matrices, kept as the test oracle *)
     | Stream
-
-  val to_string : t -> string
-  val of_string : string -> t option
 end
 
 type dense = {
@@ -52,7 +50,11 @@ type frontier = {
   fn : int;  (** vertex count *)
   threshold : float;  (** near pairs with [D >= threshold] are retained *)
   fbound : float;  (** the cycle-ratio lower bound ([threshold + 1e-9] before rounding) *)
-  ffar : float;  (** near/far cut: initial clock period [+ 1e-9]; far pairs ([D > ffar]) are retained only up to dominance *)
+  ffar : float;
+      (** near/far cut: initial clock period [+ 1e-9 + 1e-9] (the
+          highest min-period candidate plus the constraint-test
+          tolerance); far pairs ([D > ffar]) are retained only up to
+          dominance *)
   row_off : int array;  (** [fn + 1] CSR offsets, grouped by source *)
   fdst : int array;  (** target per retained pair, ascending within a row *)
   fwgt : int array;  (** W(u,v) per retained pair *)
@@ -62,8 +64,8 @@ type frontier = {
 type wd = Dense of dense | Streamed of frontier
 
 val auto_cutoff : int
-(** Vertex count above which [Mode.Auto] switches to the streamed
-    backend (the dense matrices cross ~270 MB there). *)
+(** Vertex count above which [Mode.Auto] uses the streamed backend:
+    0, so [Auto] streams at every size. *)
 
 val compute :
   ?mode:Mode.t -> ?pool:Lacr_util.Pool.t -> ?trace:Lacr_obs.Trace.ctx -> Graph.t -> wd
@@ -75,9 +77,9 @@ val compute :
     frontier is stored canonically (sources ascending, targets
     ascending), so the result is bit-identical for every pool size.
 
-    [mode] defaults to [Mode.Dense] — the seed behaviour — so
-    existing callers are unchanged; the planner passes
-    [Config.paths_mode] through.
+    [mode] defaults to [Mode.Auto] (streamed); the planner passes
+    [Config.paths_mode] through, and callers that read the matrices
+    ask for [Mode.Dense].
 
     [trace] (default disabled) wraps the computation in a
     [paths.compute] span and accumulates [paths.rows] plus
@@ -102,9 +104,6 @@ val cycle_ratio_lower_bound : Graph.t -> float
     pruner (re-exported by [Feasibility]) and the streamed frontier's
     retention threshold. *)
 
-val reachable : wd -> int -> int -> bool
-(** Dense backend only; @raise Invalid_argument on [Streamed]. *)
-
 val iter_pairs : wd -> (int -> int -> int -> float -> unit) -> unit
 (** [iter_pairs wd f] calls [f u v w_uv d_uv] on every reachable pair.
     Self pairs use the trivial single-vertex path ([W(u,u) = 0],
@@ -120,6 +119,14 @@ val iter_frontier : wd -> (int -> int -> int -> float -> unit) -> unit
 val frontier_weight : frontier -> int -> int -> int option
 (** [W(u,v)] if the pair is retained (binary search within the row). *)
 
+val in_window : frontier -> period:float -> bool
+(** Whether the frontier answers probes at [period] exactly:
+    [period >= threshold] and [period + 1e-9 <= ffar], which holds for
+    every min-period candidate.  Outside the window the near band may
+    be incomplete (below the threshold) or a dominance-dropped far pair
+    may lack a violating ancestor (above the initial clock period), so
+    callers enumerate graph-direct there. *)
+
 val distinct_delays : wd -> float list
 (** Sorted distinct [D] values — the candidate clock periods for
     min-period binary search.  Dense: over all reachable pairs;
@@ -129,14 +136,6 @@ val distinct_delays : wd -> float list
     candidate list (the near band is retained in full).  Streams
     through a flat float buffer with in-place sort and adjacent
     dedup — no intermediate cons list. *)
-
-val weight_rows : Graph.t -> int -> int array
-(** [weight_rows g] is an on-demand W-row oracle with a small
-    FIFO-evicting row cache: [(weight_rows g) x] returns the exact
-    Dijkstra row of source [x] (shared — do not mutate).  Cache policy
-    cannot affect results, only speed; exposed for cross-checks and
-    consumers that need occasional random W access without the dense
-    matrices. *)
 
 type prune_rows = { rows : (int * int) array array; n_candidates : int }
 (** Source-side prune survivors: [rows.(u)] lists the surviving
@@ -148,9 +147,10 @@ val candidate_rows : ?pool:Lacr_util.Pool.t -> Graph.t -> period:float -> prune_
     {e every} period-violating [(v, W(u,v))] pair of source [u]
     (targets ascending), recomputed directly from the graph with the
     same per-source Dijkstra + tight-DAG sweep and no dominance
-    marking.  This is how the streamed backend emits the full
-    enumeration — bit-identical to the dense scan at every period —
-    without dense matrices and without consulting the frontier. *)
+    marking — bit-identical to the dense scan at every period, without
+    dense matrices and without consulting the frontier.  One of the
+    list passes behind [Constraints.reference_list], the oracle the
+    flat pipeline is tested against. *)
 
 val prune_source_pass :
   ?pool:Lacr_util.Pool.t -> Graph.t -> period:float -> prune_rows
@@ -175,10 +175,10 @@ val prune_target_pass :
     The arena-backed mirrors of {!candidate_rows} /
     {!prune_source_pass} / {!prune_target_pass}: identical kept sets
     and orders, written straight into merged CSR arrays
-    ([Lacr_arena.Chunked]) with no per-row lists — the backbone of the
-    flat [Constraints.generate] pipeline.  The list passes above
-    remain as the reference implementation that the flat path is
-    equivalence-tested against. *)
+    ([Lacr_arena.Chunked]) with no per-row lists — how
+    [Constraints.generate] builds every system, whatever the backend.
+    The list passes above remain as the reference implementation that
+    the flat path is equivalence-tested against. *)
 
 type flat_rows = {
   sr_off : int array;  (** [n + 1] CSR offsets, grouped by source *)
@@ -198,15 +198,15 @@ val source_pass_flat :
 (** [prune:false] is {!candidate_rows} and [prune:true] is
     {!prune_source_pass}, emitted as one flat CSR (per-worker chunk
     arenas merged in source order — bit-identical for every pool and
-    chunk size).
+    chunk size).  Without [frontier] every source is swept, which is
+    exact at every period.
 
     [frontier] enables the {e active-source gate}: when [period] lies
-    inside the frontier's retention window ([period >= threshold] and
-    [period + 1e-9 <= ffar]), a source whose frontier row holds no
-    pair with [D > period + 1e-9] provably has no period-violating
-    pair — the near band is retained in full, and every
-    dominance-dropped far pair has a retained far ancestor in the same
-    row — so its Dijkstra sweep is skipped outright.  Skipped rows are
+    inside the frontier's retention window ({!in_window}), a source
+    whose frontier row holds no pair with [D > period + 1e-9] provably
+    has no period-violating pair — the near band is retained in full,
+    and every dominance-dropped far pair has a retained far ancestor in
+    the same row — so its sweep is skipped outright.  Skipped rows are
     exactly the empty rows, so the output is unchanged; only
     [sr_scanned] (and the wall clock) reflects the gate.  Outside the
     window the gate abstains and every source is swept. *)

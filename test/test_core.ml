@@ -304,6 +304,42 @@ let test_s1423_stream_pin () =
       check_int "s1423 n_fn" 90 outcome.Lac.n_fn;
       check_int "s1423 n_wr" 6 outcome.Lac.n_wr)
 
+(* The planner's default (W,D) engine is the streamed frontier at
+   every size; the dense matrices stay as the oracle.  Whole plans —
+   periods, both labellings, the violation counts and the expansion
+   re-plan — must not depend on which one ran. *)
+let test_default_plan_matches_dense () =
+  List.iter
+    (fun name ->
+      let netlist = Option.get (Suite.by_name name) in
+      let plan config =
+        match Planner.plan ~config netlist with
+        | Ok run -> run
+        | Error msg -> Alcotest.failf "%s plan: %s" name msg
+      in
+      let auto = plan Config.default in
+      let dense = plan { Config.default with Config.paths_mode = Paths.Mode.Dense } in
+      let label what = Printf.sprintf "%s %s" name what in
+      check (label "t_min") true (Float.equal auto.Planner.t_min dense.Planner.t_min);
+      check (label "t_clk") true (Float.equal auto.Planner.t_clk dense.Planner.t_clk);
+      let same_outcome stage (a : Lac.outcome) (b : Lac.outcome) =
+        check (label (stage ^ " labels")) true (a.Lac.labels = b.Lac.labels);
+        check_int (label (stage ^ " N_FOA")) b.Lac.n_foa a.Lac.n_foa;
+        check_int (label (stage ^ " N_F")) b.Lac.n_f a.Lac.n_f;
+        check_int (label (stage ^ " N_FN")) b.Lac.n_fn a.Lac.n_fn
+      in
+      same_outcome "min-area" auto.Planner.minarea dense.Planner.minarea;
+      same_outcome "lac" auto.Planner.lac dense.Planner.lac;
+      let second (r : Planner.run) =
+        match r.Planner.second with
+        | None -> "none"
+        | Some (Error msg) -> "build failed: " ^ msg
+        | Some (Ok { Planner.lac2 = Error msg; _ }) -> "lac failed: " ^ msg
+        | Some (Ok { Planner.lac2 = Ok o; _ }) -> Printf.sprintf "N_FOA %d" o.Lac.n_foa
+      in
+      Alcotest.(check string) (label "second iteration") (second dense) (second auto))
+    [ "s27"; "s386"; "s1423" ]
+
 let test_figures_render () =
   let flow = Report.render_flow_figure () in
   check "flow mentions retiming" true
@@ -570,4 +606,5 @@ let suite =
   @ [
       Alcotest.test_case "injected clock drives exec_seconds" `Quick test_injected_clock;
       Alcotest.test_case "growth table sorted by name" `Slow test_growth_table_sorted_by_name;
+      Alcotest.test_case "default plan matches dense plan" `Slow test_default_plan_matches_dense;
     ]

@@ -218,9 +218,9 @@ let test_paths_wd_simple_chain () =
   let e src dst weight = { Graph.src; dst; weight } in
   let g = Graph.create ~delays ~edges:[ e 0 1 1; e 1 2 0; e 2 0 1 ] ~host:0 in
   let dn =
-    match Paths.compute g with
+    match Paths.compute ~mode:Paths.Mode.Dense g with
     | Paths.Dense dn -> dn
-    | Paths.Streamed _ -> Alcotest.fail "default compute must be dense"
+    | Paths.Streamed _ -> Alcotest.fail "Dense mode must produce dense matrices"
   in
   check_int "W(0,2)" 1 dn.Paths.w.(0).(2);
   check_float "D(1,2)" 5.0 dn.Paths.d.(1).(2);
@@ -523,17 +523,24 @@ let wd_equal (a : Paths.wd) (b : Paths.wd) =
     && Float.compare a.Paths.threshold b.Paths.threshold = 0
   | _ -> false
 
+(* Both backends: the streamed frontier the planner runs and the dense
+   matrices the tests compare against. *)
+let modes = [ Paths.Mode.Dense; Paths.Mode.Stream ]
+
 let prop_parallel_wd_bit_identical =
   QCheck2.Test.make ~count:40
     ~name:"parallel Paths.compute (2 and 4 domains) is bit-identical to sequential" graph_gen
     (fun params ->
       let g = make_graph params in
-      let sequential = Paths.compute g in
       List.for_all
-        (fun domains ->
-          Lacr_util.Pool.with_pool ~size:domains (fun pool ->
-              wd_equal sequential (Paths.compute ~pool g)))
-        [ 2; 4 ])
+        (fun mode ->
+          let sequential = Paths.compute ~mode g in
+          List.for_all
+            (fun domains ->
+              Lacr_util.Pool.with_pool ~size:domains (fun pool ->
+                  wd_equal sequential (Paths.compute ~mode ~pool g)))
+            [ 2; 4 ])
+        modes)
 
 let prop_parallel_wd_odd_pool =
   (* An odd pool size (uneven chunking, one worker more than cores on
@@ -541,9 +548,12 @@ let prop_parallel_wd_odd_pool =
   QCheck2.Test.make ~count:20 ~name:"parallel Paths.compute with an odd pool size" graph_gen
     (fun params ->
       let g = make_graph params in
-      let sequential = Paths.compute g in
-      Lacr_util.Pool.with_pool ~size:3 (fun pool ->
-          wd_equal sequential (Paths.compute ~pool g)))
+      List.for_all
+        (fun mode ->
+          let sequential = Paths.compute ~mode g in
+          Lacr_util.Pool.with_pool ~size:3 (fun pool ->
+              wd_equal sequential (Paths.compute ~mode ~pool g)))
+        modes)
 
 let test_pooled_constraints_identical () =
   (* Constraints.generate must return the same list — contents AND
@@ -570,9 +580,9 @@ let test_min_weights_row () =
   (* The exported single-row kernel must agree with the full matrix. *)
   let g = make_graph (8, 4242) in
   let dn =
-    match Paths.compute g with
+    match Paths.compute ~mode:Paths.Mode.Dense g with
     | Paths.Dense dn -> dn
-    | Paths.Streamed _ -> Alcotest.fail "default compute must be dense"
+    | Paths.Streamed _ -> Alcotest.fail "Dense mode must produce dense matrices"
   in
   for u = 0 to Graph.num_vertices g - 1 do
     check (Printf.sprintf "row %d" u) true (Paths.min_weights g u = dn.Paths.w.(u))
@@ -665,6 +675,66 @@ let prop_stream_dense_identical =
                      | _ -> false)
                    periods))
         [ 1; 2; 4 ])
+
+(* The frontier answers probes exactly only inside its window; below
+   the cycle-ratio bound (near-band pairs under the retention
+   threshold are missing) and above the initial clock period (a
+   dominance-dropped far pair may have no violating ancestor) the
+   streamed [compile] must fall back to the graph-direct enumeration.
+   That enumeration lists the dense oracle's pairs in the dense order,
+   so verdicts and witness labels must match bit for bit.  The random
+   extra constraint can rule out the identity retiming, which keeps
+   the probes above T_init from being trivially feasible. *)
+let prop_stream_probes_outside_window =
+  QCheck.Test.make ~name:"streamed probes outside the frontier window match dense verdicts"
+    ~count:200
+    QCheck.(pair (int_range 4 24) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let rng = Rng.create seed in
+      let g = random_graph rng n in
+      let dense = Paths.compute ~mode:Paths.Mode.Dense g in
+      let stream = Paths.compute ~mode:Paths.Mode.Stream g in
+      let bound = Paths.cycle_ratio_lower_bound g in
+      let t_init = Graph.clock_period g in
+      let below = List.init 8 (fun i -> bound *. (1.0 -. (float_of_int (i + 1) /. 40.0))) in
+      let above = [ t_init +. 1e-6; t_init +. 0.5; t_init *. 1.5 ] in
+      let extra =
+        [ { Lacr_mcmf.Difference.a = Rng.int rng n; b = Rng.int rng n; bound = Rng.int rng 3 - 2 } ]
+      in
+      List.for_all
+        (fun extra ->
+          List.for_all
+            (fun period ->
+              Feasibility.feasible ~extra g dense ~period
+              = Feasibility.feasible ~extra g stream ~period)
+            (below @ above))
+        [ []; extra ])
+
+let test_min_period_candidates_in_window () =
+  (* On the hier family the critical path's own D values sit a few
+     ulps above T_init, and the min-period search probes them.  The
+     far cut must leave room for them: a probe outside the window is
+     still exact, but it enumerates every far pair graph-direct, which
+     is the memory wall the frontier exists to avoid. *)
+  match Lacr_circuits.Suite.resolve "hier:500" with
+  | Error msg -> Alcotest.fail msg
+  | Ok netlist -> (
+    match Lacr_core.Build.build netlist with
+    | Error msg -> Alcotest.failf "hier:500 build: %s" msg
+    | Ok inst -> (
+      let g = inst.Lacr_core.Build.graph in
+      match Paths.compute g with
+      | Paths.Dense _ -> Alcotest.fail "the default backend must stream"
+      | Paths.Streamed fr as wd ->
+        let t_init = Graph.clock_period g in
+        let candidates =
+          List.filter
+            (fun d -> d >= fr.Paths.fbound -. 1e-9 && d <= t_init +. 1e-9)
+            (Paths.distinct_delays wd)
+        in
+        check "a candidate lies above T_init" true (List.exists (fun d -> d > t_init) candidates);
+        check "every candidate is in the window" true
+          (List.for_all (fun period -> Paths.in_window fr ~period) candidates)))
 
 let test_stream_distinct_delays_candidates () =
   (* The streamed candidate list after the min-period bound filter must
@@ -824,4 +894,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_flat_matches_reference_list;
       Alcotest.test_case "flat == reference list on ISCAS pins" `Slow
         test_flat_matches_reference_on_iscas;
+      QCheck_alcotest.to_alcotest prop_stream_probes_outside_window;
+      Alcotest.test_case "min-period candidates inside the frontier window" `Quick
+        test_min_period_candidates_in_window;
     ]
