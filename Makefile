@@ -58,9 +58,12 @@ smoke-route:
 # The dense (W,D) matrices alone would need hundreds of GiB at this
 # size (2 x n^2 x 8 bytes at ~220k retiming-graph vertices), so only
 # the memory-bounded streamed engine and the flat constraint pipeline
-# fit through the ulimit.  The second step re-generates the constraint
-# system through both the flat arena pipeline and the seed's list
-# assembly and hard-fails unless counts and content agree.
+# fit through the ulimit.  The second step checks, at the same rung and
+# the planner's T_clk, that the streamed frontier's active-source gate
+# changes nothing: the gated and the full constraint source pass must
+# give identical rows and candidate counts, and with pruning identical
+# target-pass columns.  The dense reference the tests use cannot be
+# built at this size.
 smoke-scale: build
 	bash -c 'ulimit -v 16777216; exec ./_build/default/bin/lacr_cli.exe \
 	  plan hier:200000 --domains 2 --second-iteration=false'

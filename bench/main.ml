@@ -2,10 +2,11 @@
    plus the ablations called out in DESIGN.md.
 
    Sections
-     P      (W,D) engine scaling: seed baseline vs CSR engine vs pool
+     P      dense (W,D) matrices: sequential vs domain pool
      S      streamed path engine at scale: the 10^5-unit hierarchical family
+     U      end-to-end plan of hier:300000 (full mode only)
      Q      warm-started MCMF engine vs per-round cold compiles
-     R      global router: seed Dijkstra vs epoch-stamped A* vs pool
+     R      global router: A* engine, sequential vs domain pool
      T      observability: traced per-stage breakdown, trace-off guard
      E1/E2  Table 1 (min-area vs LAC-retiming, second iteration)
      E3     flip-flops-in-interconnect summary (paper 5)
@@ -33,9 +34,7 @@ module Feasibility = Lacr_retime.Feasibility
 module Constraints = Lacr_retime.Constraints
 module Min_area = Lacr_retime.Min_area
 module Trace = Lacr_obs.Trace
-module Tilegraph = Lacr_tilegraph.Tilegraph
 module Gr = Lacr_routing.Global_router
-module Steiner = Lacr_routing.Steiner
 module Pool = Lacr_util.Pool
 
 let section title =
@@ -66,21 +65,19 @@ let want section =
 
 (* --- machine-readable timing log (--json FILE) ---
 
-   Schema 4: FILE holds {schema: 4, timings: [...], stages: [...],
+   Schema 5: FILE holds {schema: 5, timings: [...], stages: [...],
    router: [...], scale: [...]}.  [timings] keeps the schema-1 {name,
    circuit, domains, ms} objects; [stages] adds the per-stage
    breakdown of a traced planning run ({name, circuit, depth, count,
    ms} per pipeline span); [router] (schema 3) records section R's
    global-router runs as {circuit, engine, domains, ms, wirelength,
-   overflow}; [scale] (schema 4) records section S's large-family
-   runs as {circuit, units, vertices, stage, mode, domains, ms,
+   overflow}; [scale] records the large-family runs of sections S and
+   U as {circuit, units, vertices, stage, mode, domains, ms,
    minor_words, major_words, top_heap_words, peak_rss_kb, pairs} —
    one row per pipeline stage per scale rung, so BENCH_*.json carries
-   the memory trajectory (peak RSS and Gc heap words) of the streamed
-   path engine alongside wall time.  Schema 5 adds [minor_words] to
-   the scale rows: the flat constraint pipeline's claim is precisely
-   that generation stops churning the minor heap with list cells, so
-   the per-stage allocation pressure is now part of the record. *)
+   the memory trajectory (peak RSS and Gc heap words) and the minor-heap
+   allocation pressure of the streamed path engine alongside wall
+   time. *)
 
 let json_path =
   let path = ref None in
@@ -295,89 +292,7 @@ let constraint_setup ?(prune = true) (inst : Build.instance) =
   let t_clk = mp.Feasibility.period +. (0.2 *. (t_init -. mp.Feasibility.period)) in
   (wd, t_clk, Constraints.generate ~prune ~extra g wd ~period:t_clk)
 
-(* --- P: (W,D) engine scaling --- *)
-
-(* The growth seed's (W,D) implementation, kept verbatim as the
-   speedup baseline: per-source Dijkstra over fanout edge *lists* with
-   the polymorphic float-priority heap, and a tight-edge pass that
-   rebuilds list adjacency for every source.  The dense backend
-   (Paths.compute ~mode:Dense) replaces this with CSR arrays, a
-   monomorphic int heap, reusable scratch and a domain pool. *)
-module Seed_paths = struct
-  let min_weights g source =
-    let n = Graph.num_vertices g in
-    let dist = Array.make n max_int in
-    let settled = Array.make n false in
-    let heap = Lacr_util.Heap.create () in
-    dist.(source) <- 0;
-    Lacr_util.Heap.push heap 0.0 source;
-    let rec loop () =
-      match Lacr_util.Heap.pop heap with
-      | None -> ()
-      | Some (_, u) ->
-        if not settled.(u) then begin
-          settled.(u) <- true;
-          let relax (e : Graph.edge) =
-            let v = e.Graph.dst in
-            if (not settled.(v)) && dist.(u) <> max_int then begin
-              let nd = dist.(u) + e.Graph.weight in
-              if nd < dist.(v) then begin
-                dist.(v) <- nd;
-                Lacr_util.Heap.push heap (float_of_int nd) v
-              end
-            end
-          in
-          List.iter relax (Graph.fanout_edges g u)
-        end;
-        loop ()
-    in
-    loop ();
-    dist
-
-  let max_delays g source wrow =
-    let n = Graph.num_vertices g in
-    let tight_out = Array.make n [] in
-    let indeg = Array.make n 0 in
-    let record (e : Graph.edge) =
-      let x = e.Graph.src and y = e.Graph.dst in
-      if wrow.(x) <> max_int && wrow.(y) <> max_int && wrow.(x) + e.Graph.weight = wrow.(y)
-      then begin
-        tight_out.(x) <- y :: tight_out.(x);
-        indeg.(y) <- indeg.(y) + 1
-      end
-    in
-    Array.iter record (Graph.edges g);
-    let drow = Array.make n neg_infinity in
-    drow.(source) <- Graph.delay g source;
-    let queue = Queue.create () in
-    for v = 0 to n - 1 do
-      if indeg.(v) = 0 then Queue.add v queue
-    done;
-    while not (Queue.is_empty queue) do
-      let x = Queue.pop queue in
-      let relax y =
-        if drow.(x) > neg_infinity then begin
-          let cand = drow.(x) +. Graph.delay g y in
-          if cand > drow.(y) then drow.(y) <- cand
-        end;
-        indeg.(y) <- indeg.(y) - 1;
-        if indeg.(y) = 0 then Queue.add y queue
-      in
-      List.iter relax tight_out.(x)
-    done;
-    drow
-
-  let compute g =
-    let n = Graph.num_vertices g in
-    let w = Array.make n [||] and d = Array.make n [||] in
-    for u = 0 to n - 1 do
-      let wrow = min_weights g u in
-      let drow = max_delays g u wrow in
-      w.(u) <- wrow;
-      d.(u) <- drow
-    done;
-    Paths.Dense { Paths.w; d }
-end
+(* --- P: dense (W,D) matrices --- *)
 
 let retime_graph_of name =
   let netlist = Option.get (Suite.by_name name) in
@@ -406,20 +321,17 @@ let best_of_runs reps f =
   (Option.get !result, !best)
 
 let run_wd_scaling () =
-  section "P   (W,D) path-matrix engine: seed baseline vs CSR engine vs domain pool";
+  section "P   dense (W,D) matrices: sequential vs domain pool";
   let circuits = if fast_mode then [ "s526" ] else [ "s526"; "s953"; "s1423" ] in
   let reps = if fast_mode then 3 else 5 in
   let domain_counts = [ 2; 4 ] in
-  Printf.printf "%-8s %6s %6s | %10s %10s %s | %8s %10s\n" "circuit" "n" "edges" "seed(ms)"
-    "csr(ms)"
+  Printf.printf "%-8s %6s %6s | %10s %s | %8s %10s\n" "circuit" "n" "edges" "csr(ms)"
     (String.concat " " (List.map (fun d -> Printf.sprintf "%8s" (Printf.sprintf "%dd(ms)" d)) domain_counts))
-    "speedup" "identical";
+    "par-spd" "identical";
   List.iter
     (fun name ->
       let g = retime_graph_of name in
       let n = Graph.num_vertices g and m = Graph.num_edges g in
-      let seed_wd, seed_dt = best_of_runs reps (fun () -> Seed_paths.compute g) in
-      log_timing ~name:"wd-seed" ~circuit:name ~domains:1 seed_dt;
       let seq_wd, seq_dt = best_of_runs reps (fun () -> Paths.compute ~mode:Paths.Mode.Dense g) in
       log_timing ~name:"wd-csr" ~circuit:name ~domains:1 seq_dt;
       let pool_results =
@@ -433,20 +345,17 @@ let run_wd_scaling () =
                 (wd, dt)))
           domain_counts
       in
-      let identical =
-        wd_equal seed_wd seq_wd && List.for_all (fun (wd, _) -> wd_equal seq_wd wd) pool_results
-      in
+      let identical = List.for_all (fun (wd, _) -> wd_equal seq_wd wd) pool_results in
       let best_parallel = List.fold_left (fun acc (_, dt) -> min acc dt) seq_dt pool_results in
-      Printf.printf "%-8s %6d %6d | %10.2f %10.2f %s | %7.2fx %10s\n%!" name n m
-        (1000.0 *. seed_dt) (1000.0 *. seq_dt)
+      Printf.printf "%-8s %6d %6d | %10.2f %s | %7.2fx %10s\n%!" name n m (1000.0 *. seq_dt)
         (String.concat " " (List.map (fun (_, dt) -> Printf.sprintf "%8.2f" (1000.0 *. dt)) pool_results))
-        (seed_dt /. best_parallel)
+        (seq_dt /. best_parallel)
         (if identical then "yes" else "NO!");
       if not identical then failwith (name ^ ": parallel (W,D) differs from sequential"))
     circuits;
   Printf.printf
-    "\n(speedup = seed baseline / best engine time; 'identical' checks the w and d\n\
-     matrices cell for cell across all engines and pool sizes)\n"
+    "\n(par-spd = sequential / best pooled time; 'identical' checks the w and d\n\
+     matrices cell for cell across all pool sizes)\n"
 
 (* --- S: streamed path engine at scale --- *)
 
@@ -584,76 +493,16 @@ let run_scale () =
      frontier vs the dense n^2.  Stream rungs run before the dense comparison so\n\
      their RSS high-water marks are their own.)\n"
 
-(* --- U: flat zero-list constraint pipeline --- *)
+(* --- U: end-to-end plan at hier:300000 --- *)
 
 let run_scale_u () =
-  section "U   flat constraint pipeline: zero-list generation vs the legacy list assembly";
+  section "U   end-to-end plan of hier:300000 (full mode only)";
   let domains = 4 in
-  let units = if fast_mode then 5_000 else 100_000 in
-  let name = Printf.sprintf "hier:%d" units in
-  let spec = Synth.hier_spec ~units name in
-  let netlist = Synth.generate_hier spec in
-  let config = { Config.default with Config.paths_mode = Paths.Mode.Stream } in
-  Pool.with_pool ~size:domains (fun pool ->
-      let inst =
-        match Build.build ~config ~pool netlist with
-        | Ok inst -> inst
-        | Error msg -> failwith (name ^ ": " ^ msg)
-      in
-      let g = inst.Build.graph in
-      let wd = Paths.compute ~mode:Paths.Mode.Stream ~pool g in
-      let extra = inst.Build.pin_constraints in
-      let mp = Feasibility.min_period ~extra g wd in
-      let t_init = Graph.clock_period g in
-      let t_clk = mp.Feasibility.period +. (0.2 *. (t_init -. mp.Feasibility.period)) in
-      let gc_timed f =
-        let g0 = Gc.quick_stat () in
-        let r, dt = timed f in
-        let g1 = Gc.quick_stat () in
-        (r, dt, g1.Gc.minor_words -. g0.Gc.minor_words, g1.Gc.major_words -. g0.Gc.major_words)
-      in
-      Printf.printf "%-12s %-9s %-7s %10s %12s %12s %12s\n" "circuit" "variant" "prune" "ms"
-        "minor(Mw)" "major(Mw)" "constraints";
-      let speedups = ref [] in
-      List.iter
-        (fun prune ->
-          let reference, list_s, list_minor, list_major =
-            gc_timed (fun () ->
-                Constraints.reference_list ~prune ~extra ~pool g wd ~period:t_clk)
-          in
-          let cs, flat_s, flat_minor, flat_major =
-            gc_timed (fun () -> Constraints.generate ~prune ~extra ~pool g wd ~period:t_clk)
-          in
-          let row variant s minor major m =
-            Printf.printf "%-12s %-9s %-7b %10.1f %12.1f %12.1f %12d\n%!" name variant prune
-              (1000.0 *. s) (minor /. 1e6) (major /. 1e6) m
-          in
-          row "list" list_s list_minor list_major (List.length reference);
-          row "flat" flat_s flat_minor flat_major cs.Constraints.system.Constraints.m;
-          (* The non-negotiable contract: same constraints, same order,
-             term for term.  A mismatch is a correctness bug, not a
-             performance regression, so the whole bench run fails. *)
-          if Constraints.to_list cs <> reference then
-            failwith
-              (Printf.sprintf "U: flat pipeline differs from the list assembly at %s (prune=%b)"
-                 name prune);
-          speedups := (prune, list_s /. flat_s) :: !speedups;
-          log_timing
-            ~name:(Printf.sprintf "constraints.list.prune=%b" prune)
-            ~circuit:name ~domains list_s;
-          log_timing
-            ~name:(Printf.sprintf "constraints.flat.prune=%b" prune)
-            ~circuit:name ~domains flat_s)
-        [ false; true ];
-      List.iter
-        (fun (prune, x) ->
-          Printf.printf "flat speedup over list assembly (prune=%b): %.2fx%s\n" prune x
-            (if x >= 2.0 then "  (meets the 2x bar)" else ""))
-        (List.rev !speedups));
   (* The axis the flat pipeline opens: an end-to-end plan three times
      past the 10^5 rung, streamed backend, flat constraints all the
      way into the LAC loop.  Fast mode skips it (minutes of work). *)
-  if not fast_mode then begin
+  if fast_mode then print_endline "(skipped in fast mode)"
+  else begin
     let units = 300_000 in
     let name = Printf.sprintf "hier:%d" units in
     let spec = Synth.hier_spec ~units name in
@@ -779,223 +628,6 @@ let run_warm_engine () =
 
 (* --- R: negotiated-congestion global router --- *)
 
-(* The growth seed's global router, kept verbatim as the speedup
-   baseline: per-query float Dijkstra on the polymorphic heap with
-   fresh O(cells) arrays per source/sink pair, Hashtbl-adjacency BFS
-   for sink-path recovery, and a sequential rip-up loop that re-routes
-   every net crossing an overflowed boundary.  The live engine
-   (Global_router.route_all) replaces this with epoch-stamped integer
-   A*/bidirectional search, CSR sink recovery, PathFinder history and
-   speculative parallel negotiation over a domain pool. *)
-module Seed_router = struct
-  module Smaze = struct
-    type usage = { tg : Tilegraph.t; h : float array; v : float array }
-
-    let create tg =
-      let nx, ny = Tilegraph.grid_dims tg in
-      { tg; h = Array.make ((nx - 1) * ny) 0.0; v = Array.make (nx * (ny - 1)) 0.0 }
-
-    let boundary u a b =
-      let nx, _ = Tilegraph.grid_dims u.tg in
-      let ra = a / nx and ca = a mod nx in
-      let rb = b / nx and cb = b mod nx in
-      if ra = rb && abs (ca - cb) = 1 then `H ((ra * (nx - 1)) + min ca cb)
-      else if ca = cb && abs (ra - rb) = 1 then `V ((min ra rb * nx) + ca)
-      else invalid_arg "Seed_router: cells not adjacent"
-
-    let demand u a b = match boundary u a b with `H i -> u.h.(i) | `V i -> u.v.(i)
-
-    let bump u a b delta =
-      match boundary u a b with
-      | `H i -> u.h.(i) <- max 0.0 (u.h.(i) +. delta)
-      | `V i -> u.v.(i) <- max 0.0 (u.v.(i) +. delta)
-
-    let rec iter_steps f = function
-      | a :: (b :: _ as rest) ->
-        f a b;
-        iter_steps f rest
-      | [ _ ] | [] -> ()
-
-    let add_path u path = iter_steps (fun a b -> bump u a b 1.0) path
-    let remove_path u path = iter_steps (fun a b -> bump u a b (-1.0)) path
-    let capacity u = (Tilegraph.config u.tg).Tilegraph.edge_capacity
-
-    let overflow u =
-      let cap = capacity u in
-      let over acc d = if d > cap then acc +. (d -. cap) else acc in
-      Array.fold_left over (Array.fold_left over 0.0 u.h) u.v
-
-    let congestion_penalty ~after_cap ~cap =
-      let ratio = after_cap /. cap in
-      if ratio <= 0.7 then 0.1 *. ratio
-      else if ratio <= 1.0 then 0.1 +. (3.0 *. (ratio -. 0.7))
-      else 1.0 +. ((ratio -. 1.0) *. (ratio -. 1.0) *. 20.0)
-
-    let route u ~congestion_weight ~src ~dst =
-      if src = dst then [ src ]
-      else begin
-        let tg = u.tg in
-        let n = Tilegraph.num_cells tg in
-        let pitch_x, pitch_y = Tilegraph.cell_pitch tg in
-        let cap = capacity u in
-        let dist = Array.make n infinity in
-        let prev = Array.make n (-1) in
-        let settled = Array.make n false in
-        let heap = Lacr_util.Heap.create () in
-        dist.(src) <- 0.0;
-        Lacr_util.Heap.push heap 0.0 src;
-        let nx, _ = Tilegraph.grid_dims tg in
-        (try
-           let rec loop () =
-             match Lacr_util.Heap.pop heap with
-             | None -> ()
-             | Some (d, cell) ->
-               if not settled.(cell) then begin
-                 settled.(cell) <- true;
-                 if cell = dst then raise Exit;
-                 let relax next =
-                   if not settled.(next) then begin
-                     let pitch = if cell / nx = next / nx then pitch_x else pitch_y in
-                     let after_cap = demand u cell next +. 1.0 in
-                     let penalty = congestion_penalty ~after_cap ~cap in
-                     let blockage =
-                       match
-                         (Tilegraph.tiles tg).(Tilegraph.tile_of_cell tg next).Tilegraph.kind
-                       with
-                       | Tilegraph.Hard_cell _ -> 1.6
-                       | Tilegraph.Soft_merged _ -> 1.2
-                       | Tilegraph.Channel -> 1.0
-                     in
-                     let step = pitch *. blockage *. (1.0 +. (congestion_weight *. penalty)) in
-                     let nd = d +. step in
-                     if nd < dist.(next) -. 1e-12 then begin
-                       dist.(next) <- nd;
-                       prev.(next) <- cell;
-                       Lacr_util.Heap.push heap nd next
-                     end
-                   end
-                 in
-                 List.iter relax (Tilegraph.cell_neighbors tg cell)
-               end;
-               loop ()
-           in
-           loop ()
-         with Exit -> ());
-        let rec walk cell acc =
-          if cell = src then src :: acc else walk prev.(cell) (cell :: acc)
-        in
-        if prev.(dst) < 0 && dst <> src then [ src ] else walk dst []
-      end
-  end
-
-  type routed_net = { net : Gr.net; segments : int list list; wirelength : float }
-
-  let path_length tg path =
-    let pitch_x, pitch_y = Tilegraph.cell_pitch tg in
-    let nx, _ = Tilegraph.grid_dims tg in
-    let rec go acc = function
-      | a :: (b :: _ as rest) ->
-        let step = if a / nx = b / nx then pitch_x else pitch_y in
-        go (acc +. step) rest
-      | [ _ ] | [] -> acc
-    in
-    go 0.0 path
-
-  let route_net tg usage ~congestion_weight (net : Gr.net) =
-    let terminals =
-      Array.to_list (Array.append [| net.Gr.source_cell |] net.Gr.sink_cells)
-      |> List.sort_uniq Int.compare
-    in
-    match terminals with
-    | [] | [ _ ] -> { net; segments = []; wirelength = 0.0 }
-    | _ ->
-      let term_arr = Array.of_list terminals in
-      let centers = Array.map (Tilegraph.cell_center tg) term_arr in
-      let tree = Steiner.build centers in
-      let cell_of_tree_point i =
-        if i < Array.length term_arr then term_arr.(i)
-        else Tilegraph.cell_of_point tg tree.Steiner.points.(i)
-      in
-      let segments =
-        List.filter_map
-          (fun (a, b) ->
-            let ca = cell_of_tree_point a and cb = cell_of_tree_point b in
-            if ca = cb then None
-            else begin
-              let path = Smaze.route usage ~congestion_weight ~src:ca ~dst:cb in
-              Smaze.add_path usage path;
-              Some path
-            end)
-          tree.Steiner.edges
-      in
-      (* The seed recovered per-sink paths by BFS over a Hashtbl
-         adjacency of the union of segments; that work is part of the
-         baseline cost being measured. *)
-      let adj = Hashtbl.create 64 in
-      let link a b =
-        Hashtbl.replace adj a (b :: (try Hashtbl.find adj a with Not_found -> []));
-        Hashtbl.replace adj b (a :: (try Hashtbl.find adj b with Not_found -> []))
-      in
-      List.iter (fun path -> Smaze.iter_steps link path) segments;
-      let bfs_path target =
-        if target = net.Gr.source_cell then [ net.Gr.source_cell ]
-        else begin
-          let parent = Hashtbl.create 64 in
-          let queue = Queue.create () in
-          Queue.add net.Gr.source_cell queue;
-          Hashtbl.replace parent net.Gr.source_cell net.Gr.source_cell;
-          let found = ref false in
-          while (not !found) && not (Queue.is_empty queue) do
-            let cell = Queue.pop queue in
-            if cell = target then found := true
-            else
-              List.iter
-                (fun next ->
-                  if not (Hashtbl.mem parent next) then begin
-                    Hashtbl.replace parent next cell;
-                    Queue.add next queue
-                  end)
-                (try Hashtbl.find adj cell with Not_found -> [])
-          done;
-          if not !found then [ net.Gr.source_cell; target ]
-          else begin
-            let rec back cell acc =
-              if cell = net.Gr.source_cell then net.Gr.source_cell :: acc
-              else back (Hashtbl.find parent cell) (cell :: acc)
-            in
-            back target []
-          end
-        end
-      in
-      Array.iter (fun sink -> ignore (bfs_path sink)) net.Gr.sink_cells;
-      let wirelength = List.fold_left (fun acc p -> acc +. path_length tg p) 0.0 segments in
-      { net; segments; wirelength }
-
-  let crosses_overflow usage routed =
-    let cap = Smaze.capacity usage in
-    let rec over_path = function
-      | a :: (b :: _ as rest) -> Smaze.demand usage a b > cap || over_path rest
-      | [ _ ] | [] -> false
-    in
-    List.exists over_path routed.segments
-
-  let route_all ?(passes = 2) ?(congestion_weight = 1.0) ?(reroute_weight = 4.0) tg nets =
-    let usage = Smaze.create tg in
-    let routed = Array.map (route_net tg usage ~congestion_weight) nets in
-    for _pass = 1 to passes do
-      if Smaze.overflow usage > 0.0 then
-        Array.iteri
-          (fun i r ->
-            if crosses_overflow usage r then begin
-              List.iter (Smaze.remove_path usage) r.segments;
-              routed.(i) <- route_net tg usage ~congestion_weight:reroute_weight r.net
-            end)
-          routed
-    done;
-    let total_wirelength = Array.fold_left (fun acc r -> acc +. r.wirelength) 0.0 routed in
-    (total_wirelength, Smaze.overflow usage)
-end
-
 (* Bit-identity across pool sizes: the full routed outcome, not just
    the aggregates — per-net segments, sink paths and wirelengths, the
    usage arrays and the per-pass overflow trajectory. *)
@@ -1013,25 +645,20 @@ let router_outcome_equal (a : Gr.result) (b : Gr.result) =
   && a.Gr.pass_overflow = b.Gr.pass_overflow
 
 let run_router_scaling () =
-  section "R   global router: seed Dijkstra baseline vs epoch-stamped A* vs domain pool";
+  section "R   global router: A* engine, sequential vs domain pool";
   let circuits = if fast_mode then [ "s526" ] else [ "s1269"; "s1423" ] in
   let reps = if fast_mode then 3 else 7 in
   let domain_counts = [ 2; 4 ] in
-  Printf.printf "%-8s %6s | %10s %10s %s | %7s %7s %10s\n" "circuit" "nets" "seed(ms)" "astar(ms)"
+  Printf.printf "%-8s %6s | %10s %s | %7s %10s\n" "circuit" "nets" "astar(ms)"
     (String.concat " "
        (List.map (fun d -> Printf.sprintf "%8s" (Printf.sprintf "%dd(ms)" d)) domain_counts))
-    "1d-spd" "par-spd" "identical";
+    "par-spd" "identical";
   List.iter
     (fun name ->
       let netlist = Option.get (Suite.by_name name) in
       let inst = match Build.build netlist with Ok i -> i | Error msg -> failwith msg in
       let tg = inst.Build.tilegraph in
       let nets = Array.map (fun (r : Gr.routed_net) -> r.Gr.net) inst.Build.routing.Gr.nets in
-      let (seed_wl, seed_ov), seed_dt =
-        best_of_runs reps (fun () -> Seed_router.route_all tg nets)
-      in
-      log_router ~circuit:name ~engine:"seed" ~domains:1 ~wirelength:seed_wl ~overflow:seed_ov
-        seed_dt;
       let base, base_dt = best_of_runs reps (fun () -> Gr.route_all tg nets) in
       log_router ~circuit:name ~engine:"astar" ~domains:1 ~wirelength:base.Gr.total_wirelength
         ~overflow:base.Gr.overflow base_dt;
@@ -1049,30 +676,21 @@ let run_router_scaling () =
       let best_parallel =
         List.fold_left (fun acc (_, dt) -> min acc dt) infinity pool_results
       in
-      Printf.printf "%-8s %6d | %10.2f %10.2f %s | %6.2fx %6.2fx %10s\n%!" name
-        (Array.length nets) (1000.0 *. seed_dt) (1000.0 *. base_dt)
+      Printf.printf "%-8s %6d | %10.2f %s | %6.2fx %10s\n%!" name (Array.length nets)
+        (1000.0 *. base_dt)
         (String.concat " "
            (List.map (fun (_, dt) -> Printf.sprintf "%8.2f" (1000.0 *. dt)) pool_results))
-        (seed_dt /. base_dt) (seed_dt /. best_parallel)
+        (base_dt /. best_parallel)
         (if identical then "yes" else "NO!");
       if not identical then failwith (name ^ ": parallel routing differs from single-domain");
-      Printf.printf "%-8s          wirelength seed %.4f / astar %.4f mm, overflow seed %.2f / \
-                     astar %.2f\n%!"
-        "" seed_wl base.Gr.total_wirelength seed_ov base.Gr.overflow)
+      Printf.printf "%-8s          wirelength %.4f mm, overflow %.2f\n%!" ""
+        base.Gr.total_wirelength base.Gr.overflow)
     circuits;
   Printf.printf
-    "\n(seed = per-query float Dijkstra + Hashtbl BFS sink recovery, sequential rip-up;\n\
-     astar = epoch-stamped integer A*/bidirectional engine with CSR sink recovery and\n\
-     PathFinder history, negotiated speculatively across the pool; 'identical' checks\n\
-     segments, sink paths, wirelengths, overflow and the per-pass trajectory across\n\
-     all pool sizes.  Seed and astar wirelengths may differ: the engines are\n\
-     cost-identical per query, but history-driven negotiation legitimately picks\n\
-     different equal-quality or better trees.  Measured quality delta vs the seed:\n\
-     identical wirelength and zero overflow on s27/s386; on s1269/s1423 the astar\n\
-     schedule lands within ~2%% / ~0.4%% of the seed wirelength at the same zero\n\
-     overflow — equal-cost tie-break differences, not congestion losses.  On this\n\
-     single-CPU reference container extra domains cannot beat 1d wall-clock; the\n\
-     par-spd column shows the pool tax stays small while results stay identical.)\n"
+    "\n(astar = epoch-stamped integer A*/bidirectional engine with CSR sink recovery and\n\
+     PathFinder history, negotiated speculatively across the pool; par-spd = sequential /\n\
+     best pooled time; 'identical' checks segments, sink paths, wirelengths, overflow and\n\
+     the per-pass trajectory across all pool sizes)\n"
 
 (* --- T: observability — traced stage breakdown and overhead guard --- *)
 

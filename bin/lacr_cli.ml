@@ -17,26 +17,9 @@ module Lac = Lacr_core.Lac
 module Build = Lacr_core.Build
 module Suite = Lacr_circuits.Suite
 
-(* "hier:UNITS" or "hier:UNITS:SEED" — the synthetic hierarchical
-   family for scale runs (10^5+ units; see Synth.hier_spec). *)
-let parse_hier name =
-  match String.split_on_char ':' name with
-  | [ "hier"; units ] ->
-    (match int_of_string_opt units with
-    | Some u -> Some (Lacr_circuits.Synth.hier_spec ~units:u name)
-    | None -> None)
-  | [ "hier"; units; seed ] ->
-    (match (int_of_string_opt units, int_of_string_opt seed) with
-    | Some u, Some s -> Some (Lacr_circuits.Synth.hier_spec ~seed:s ~units:u name)
-    | _ -> None)
-  | _ -> None
-
+(* A .bench/.blif file, else any name [Suite.resolve] knows: the suite
+   circuits and the synthetic hier:UNITS[:SEED] scale family. *)
 let load_circuit name_or_path =
-  match parse_hier name_or_path with
-  | Some hier ->
-    (try Ok (Lacr_circuits.Synth.generate_hier hier)
-     with Invalid_argument msg -> Error msg)
-  | None ->
   if Sys.file_exists name_or_path then begin
     let parse =
       if Filename.extension name_or_path = ".blif" then Lacr_netlist.Blif_io.parse_file
@@ -46,14 +29,7 @@ let load_circuit name_or_path =
     | Ok n -> Ok n
     | Error msg -> Error (Printf.sprintf "cannot parse %s: %s" name_or_path msg)
   end
-  else
-    match Suite.by_name name_or_path with
-    | Some n -> Ok n
-    | None ->
-      Error
-        (Printf.sprintf
-           "unknown circuit %s (not a file, not hier:UNITS, not one of: s27 %s)" name_or_path
-           (String.concat " " Suite.table1_names))
+  else Suite.resolve name_or_path
 
 let config_with ?seed ?alpha ?grid ?domains ?sanitize ?router () =
   let c = Config.default in
@@ -355,8 +331,13 @@ let run_verify_route circuit seed =
         end
       | _ -> 1))
 
-(* --- verify-constraints: flat pipeline vs the seed list assembly --- *)
+(* --- verify-constraints: the frontier gate at scale --- *)
 
+(* The test suite checks the constraint passes against the dense
+   reference on small circuits; what only a scale run can check is the
+   frontier gate: at the planner's T_clk, skipping the sources the
+   frontier proves constraint-free must not change a row, a candidate
+   count or (pruned) a target-pass column. *)
 let run_verify_constraints circuit seed domains =
   match load_circuit circuit with
   | Error msg ->
@@ -369,56 +350,70 @@ let run_verify_constraints circuit seed domains =
       prerr_endline msg;
       1
     | Ok inst ->
+      let module P = Lacr_retime.Paths in
+      (* Only the graph and the pin constraints are read from here on,
+         so the rest of the instance can be collected before the
+         passes run. *)
+      let name = inst.Build.circuit in
       let g = inst.Build.graph in
       let extra = inst.Build.pin_constraints in
       Lacr_util.Pool.with_pool
         ~size:(Lacr_util.Pool.resolve_size ~requested:config.Config.domains)
         (fun pool ->
-          let wd = Lacr_retime.Paths.compute ~mode:config.Config.paths_mode ~pool g in
-          let mp = Lacr_retime.Feasibility.min_period ~extra g wd in
-          let t_init = Lacr_retime.Graph.clock_period g in
-          let t_clk =
-            mp.Lacr_retime.Feasibility.period
-            +. (config.Config.clk_fraction *. (t_init -. mp.Lacr_retime.Feasibility.period))
-          in
-          let module C = Lacr_retime.Constraints in
-          let failures = ref 0 in
-          List.iter
-            (fun prune ->
-              let cs = C.generate ~prune ~extra ~pool g wd ~period:t_clk in
-              let reference = C.reference_list ~prune ~extra ~pool g wd ~period:t_clk in
-              let m_flat = cs.C.system.C.m and m_list = List.length reference in
-              let counts_ok = m_flat = m_list in
-              let content_ok = counts_ok && C.to_list cs = reference in
-              Printf.printf
-                "verify-constraints %s: prune=%b flat m=%d (edge=%d period=%d, %d bytes) list \
-                 m=%d -> %s\n"
-                inst.Build.circuit prune m_flat cs.C.n_edge cs.C.n_period
-                (C.system_bytes cs.C.system) m_list
-                (if content_ok then "identical"
-                 else if counts_ok then "COUNT OK, CONTENT MISMATCH"
-                 else "COUNT MISMATCH");
-              if not content_ok then incr failures)
-            [ false; true ];
-          if !failures = 0 then begin
-            print_endline
-              "verify-constraints: flat pipeline bit-identical to the seed list assembly";
-            0
-          end
-          else begin
-            prerr_endline "verify-constraints: flat pipeline diverged from the seed list";
+          match P.compute ~pool g with
+          | P.Dense _ ->
+            prerr_endline "verify-constraints: expected the streamed (W,D) frontier";
             1
-          end))
+          | P.Streamed fr as wd ->
+            let mp = Lacr_retime.Feasibility.min_period ~extra g wd in
+            let t_init = Lacr_retime.Graph.clock_period g in
+            let t_clk =
+              mp.Lacr_retime.Feasibility.period
+              +. (config.Config.clk_fraction *. (t_init -. mp.Lacr_retime.Feasibility.period))
+            in
+            let failures = ref 0 in
+            List.iter
+              (fun prune ->
+                let full = P.source_pass_flat ~pool ~prune g ~period:t_clk in
+                let gated = P.source_pass_flat ~pool ~frontier:fr ~prune g ~period:t_clk in
+                let rows_ok =
+                  gated.P.sr_off = full.P.sr_off
+                  && gated.P.sr_dst = full.P.sr_dst
+                  && gated.P.sr_wgt = full.P.sr_wgt
+                  && gated.P.sr_candidates = full.P.sr_candidates
+                in
+                let cols_ok =
+                  (not prune)
+                  || P.prune_target_pass_flat ~pool g gated = P.prune_target_pass_flat ~pool g full
+                in
+                Printf.printf
+                  "verify-constraints %s: prune=%b T_clk=%.6f rows=%d candidates=%d swept \
+                   gated/full=%d/%d -> %s\n%!"
+                  name prune t_clk
+                  full.P.sr_off.(P.num_vertices wd)
+                  full.P.sr_candidates gated.P.sr_scanned full.P.sr_scanned
+                  (if not rows_ok then "ROW MISMATCH"
+                   else if not cols_ok then "COLUMN MISMATCH"
+                   else "identical");
+                if not (rows_ok && cols_ok) then incr failures)
+              [ false; true ];
+            if !failures = 0 then begin
+              print_endline "verify-constraints: frontier-gated passes identical to the full passes";
+              0
+            end
+            else begin
+              prerr_endline "verify-constraints: the frontier gate changed the constraint rows";
+              1
+            end))
 
 (* --- retime: export a retimed .bench --- *)
 
-let run_retime circuit seed slack output =
+let run_retime circuit slack output =
   match load_circuit circuit with
   | Error msg ->
     prerr_endline msg;
     1
   | Ok netlist ->
-    let config = config_with ?seed () in
     (match Lacr_netlist.Seqview.of_netlist netlist with
     | Error msg ->
       prerr_endline msg;
@@ -459,7 +454,6 @@ let run_retime circuit seed slack output =
               (Lacr_netlist.Netlist.num_dffs netlist)
               (Lacr_netlist.Netlist.num_dffs rebuilt)
           | None -> print_string text);
-          ignore config;
           0)))
 
 (* --- export-dot --- *)
@@ -748,9 +742,9 @@ let verify_route_cmd =
 
 let verify_constraints_cmd =
   let doc =
-    "Generate the constraint system through the flat arena pipeline and through the seed's \
-     list assembly (pruned and unpruned) and require identical counts and content (exits \
-     non-zero on any divergence)."
+    "At the planner's T_clk, run the constraint source pass with and without the streamed \
+     frontier's active-source gate (pruned and unpruned) and require identical rows, \
+     candidate counts and pruned target-pass columns (exits non-zero on any divergence)."
   in
   Cmd.v (Cmd.info "verify-constraints" ~doc)
     Term.(const run_verify_constraints $ circuit_arg $ seed_arg $ domains_arg)
@@ -758,7 +752,7 @@ let verify_constraints_cmd =
 let retime_cmd =
   let doc = "Min-area retime a circuit and emit the retimed .bench netlist." in
   Cmd.v (Cmd.info "retime" ~doc)
-    Term.(const run_retime $ circuit_arg $ seed_arg $ slack_arg $ output_arg)
+    Term.(const run_retime $ circuit_arg $ slack_arg $ output_arg)
 
 let dot_cmd =
   let doc = "Export the sequential view as Graphviz DOT." in

@@ -5,12 +5,10 @@
    header (extra, then edge constraints in edge-array order), then the
    period part (unpruned: sources descending with targets descending
    inside a source; pruned: targets descending with each target's kept
-   pairs in reverse consider order) — so the flat pipeline is
-   bit-identical to the historical list pipeline for every backend,
-   period, pool size and --domains.  The list pipeline itself is kept
-   below, verbatim, as the reference implementation ([reference_list])
-   that the equivalence tests, the verify-constraints CLI check and
-   bench section U compare against. *)
+   pairs in reverse consider order) — so the system is the same for
+   every backend, period, pool size and --domains.  The test suite
+   keeps the seed's dense-matrix scan and greedy prune as the
+   reference it is compared against. *)
 
 type system = {
   ca : int array;
@@ -45,137 +43,6 @@ let to_list t =
 let satisfied_by t r =
   let s = t.system in
   Lacr_mcmf.Difference.check_arrays ~a:s.ca ~b:s.cb ~bound:s.cbound ~m:s.m r
-
-(* --- reference list pipeline (seed semantics, for equivalence checks) --- *)
-
-let edge_constraints g =
-  Array.fold_right
-    (fun (e : Graph.edge) acc ->
-      { Lacr_mcmf.Difference.a = e.Graph.src; b = e.Graph.dst; bound = e.Graph.weight } :: acc)
-    (Graph.edges g) []
-
-(* Rows are scanned in parallel (each source u fills its own slot) and
-   folded back in source order, reproducing exactly the list the
-   sequential prepend-as-you-go scan builds.  The streamed arm does
-   not read the frontier: it re-enumerates every violating pair
-   directly from the graph ([Paths.candidate_rows]), so the emitted
-   list is the dense enumeration bit for bit at every period. *)
-let period_constraints ?(pool = Lacr_util.Pool.sequential) g (wd : Paths.wd) ~period =
-  let n = Paths.num_vertices wd in
-  let rows = Array.make n [] in
-  (match wd with
-  | Paths.Dense dn ->
-    Lacr_util.Pool.parallel_for pool n (fun u ->
-        let wrow = dn.Paths.w.(u) and drow = dn.Paths.d.(u) in
-        let acc = ref [] in
-        for v = n - 1 downto 0 do
-          (* Self pairs carry W(u,u) = 0, so a too-slow vertex produces the
-             infeasible bound -1; other self constraints are trivial and
-             skipped. *)
-          if wrow.(v) <> max_int && drow.(v) > period +. epsilon && (u <> v || wrow.(v) = 0)
-          then acc := { Lacr_mcmf.Difference.a = u; b = v; bound = wrow.(v) - 1 } :: !acc
-        done;
-        rows.(u) <- !acc)
-  | Paths.Streamed _ ->
-    let pr = Paths.candidate_rows ~pool g ~period in
-    Array.iteri
-      (fun u row ->
-        rows.(u) <-
-          Array.fold_right
-            (fun (v, wuv) acc -> { Lacr_mcmf.Difference.a = u; b = v; bound = wuv - 1 } :: acc)
-            row [])
-      pr.Paths.rows);
-  Array.fold_left (fun acc row -> List.rev_append row acc) [] rows
-
-(* Per-source dominance pruning (Maheshwari-Sapatnekar flavour): a
-   period constraint r(u) - r(v) <= W(u,v) - 1 is implied by a kept
-   constraint r(u) - r(x) <= W(u,x) - 1 together with the edge-derived
-   bound r(x) - r(v) <= W(x,v) whenever
-   W(u,x) + W(x,v) <= W(u,v).  Scanning targets by ascending W keeps
-   the retained set small (typically the W-frontier of each source). *)
-let pruned_period_constraints_dense ?(pool = Lacr_util.Pool.sequential) (dn : Paths.dense)
-    ~period =
-  let n = Array.length dn.Paths.w in
-  let survivors = Array.make n [] in
-  Lacr_util.Pool.parallel_for pool n (fun u ->
-      let wrow = dn.Paths.w.(u) and drow = dn.Paths.d.(u) in
-      let candidates = ref [] in
-      for v = 0 to n - 1 do
-        if wrow.(v) <> max_int && drow.(v) > period +. epsilon && (u <> v || wrow.(v) = 0) then
-          candidates := v :: !candidates
-      done;
-      let sorted = List.sort (fun a b -> Int.compare wrow.(a) wrow.(b)) !candidates in
-      let kept = ref [] in
-      let consider v =
-        let implied =
-          List.exists
-            (fun x ->
-              let wxv = dn.Paths.w.(x).(v) in
-              wxv <> max_int && wrow.(x) + wxv <= wrow.(v))
-            !kept
-        in
-        if not implied then kept := v :: !kept
-      in
-      List.iter consider sorted;
-      survivors.(u) <- !kept);
-  (* Target-side pass over the survivors: for fixed v (scanning sources
-     by ascending W(u,v)), drop (u, v) when a kept (x, v) gives
-     W(u,x) + W(x,v) <= W(u,v). *)
-  let by_target = Array.make n [] in
-  Array.iteri (fun u vs -> List.iter (fun v -> by_target.(v) <- u :: by_target.(v)) vs) survivors;
-  let acc = ref [] in
-  for v = 0 to n - 1 do
-    let sorted =
-      List.sort
-        (fun u1 u2 -> Int.compare dn.Paths.w.(u1).(v) dn.Paths.w.(u2).(v))
-        by_target.(v)
-    in
-    let kept = ref [] in
-    let consider u =
-      let wuv = dn.Paths.w.(u).(v) in
-      let implied =
-        u <> v
-        && List.exists
-             (fun x ->
-               let wux = dn.Paths.w.(u).(x) in
-               wux <> max_int && wux + dn.Paths.w.(x).(v) <= wuv)
-             !kept
-      in
-      if not implied then begin
-        kept := u :: !kept;
-        acc := { Lacr_mcmf.Difference.a = u; b = v; bound = wuv - 1 } :: !acc
-      end
-    in
-    List.iter consider sorted
-  done;
-  !acc
-
-(* The streamed mirror, recomputed directly from the graph (see
-   paths.ml): same verdicts as the dense greedy, streaming memory. *)
-let pruned_period_constraints_stream ?pool g ~period =
-  let n = Graph.num_vertices g in
-  let pr = Paths.prune_source_pass ?pool g ~period in
-  let cols = Paths.prune_target_pass ?pool g pr in
-  let acc = ref [] in
-  for v = 0 to n - 1 do
-    List.iter
-      (fun (u, wuv) -> acc := { Lacr_mcmf.Difference.a = u; b = v; bound = wuv - 1 } :: !acc)
-      cols.(v)
-  done;
-  !acc
-
-let pruned_period_constraints ?pool g (wd : Paths.wd) ~period =
-  match wd with
-  | Paths.Dense dn -> pruned_period_constraints_dense ?pool dn ~period
-  | Paths.Streamed _ -> pruned_period_constraints_stream ?pool g ~period
-
-let reference_list ?(prune = false) ?(extra = []) ?pool g wd ~period =
-  let ecs = extra @ edge_constraints g in
-  let pcs =
-    if prune then pruned_period_constraints ?pool g wd ~period
-    else period_constraints ?pool g wd ~period
-  in
-  ecs @ pcs
 
 (* --- flat emitters ------------------------------------------------- *)
 

@@ -16,9 +16,7 @@
     consumers ([Lacr_mcmf.Difference.compile_arrays], feasibility
     probes, the LAC re-weighting loop) never materialize a
     [constr list] or pay [List.length] on a million-constraint system.
-    {!to_list} remains as a thin view for tests and small consumers,
-    and {!reference_list} re-runs the seed's list pipeline verbatim
-    for equivalence checking.
+    {!to_list} remains as a thin view for tests and small consumers.
 
     The paper generates this system {e once} per planning run and
     reuses it across all weighted min-area iterations; callers hold on
@@ -65,7 +63,8 @@ val generate :
     prune passes (including the target-side pass, sequential in the
     seed) and the arena-to-system assembly; the emitted system —
     content {e and} order — is identical for every pool size, and
-    bit-identical to the seed's list assembly ({!reference_list}).
+    bit-identical to the seed's list assembly over the dense matrices
+    (the reference the test suite compares against).
 
     Generation reads the graph, not the (W,D) matrices: both backends
     run the same per-source sweeps ([Paths.source_pass_flat], and
@@ -97,21 +96,6 @@ val system_bytes : system -> int
 (** Approximate resident payload of the system's arrays in bytes
     (3 words per slot, including any over-allocated capacity) — the
     arena-footprint number surfaced by the serve metrics. *)
-
-val reference_list :
-  ?prune:bool ->
-  ?extra:Lacr_mcmf.Difference.constr list ->
-  ?pool:Lacr_util.Pool.t ->
-  Graph.t ->
-  Paths.wd ->
-  period:float ->
-  Lacr_mcmf.Difference.constr list
-(** The seed's list pipeline, kept verbatim: the constraint list the
-    historical [generate] returned, against which the flat pipeline is
-    equivalence-tested (QCheck suites, [lacr verify-constraints],
-    bench section U).  [generate] must satisfy
-    [to_list (generate ...) = reference_list ...] for every backend,
-    period, prune flag and pool size. *)
 
 (** {1 Throwaway compiled systems for feasibility probes} *)
 

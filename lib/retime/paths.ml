@@ -311,13 +311,10 @@ let compute_dense ~pool ~trace g =
    reaches: no O(n) clearing between rows, which is what keeps the
    whole pass O(sum of reached set sizes) instead of O(n^2). *)
 type stream_scratch = {
-  swrow : int array;
-  swstamp : int array;  (* epoch when swrow holds a tentative distance *)
+  swrow : int array;  (* [max_int] outside the active sweep (see [tight_sweep]) *)
   sdrow : float array;
   ssettled : int array;  (* epoch when settled; doubles as "reached" *)
-  sindeg : int array;
-  sheap : Lacr_util.Int_heap.t;
-  squeue : int array;
+  squeue : int array;  (* the current sweep's tight-DAG topological order *)
   stouched : int array;  (* reached vertices in settle order *)
   scand : int array;  (* kept targets of the current row *)
   sdrop : int array;  (* epoch when dominated by a far tight predecessor *)
@@ -333,21 +330,14 @@ type stream_scratch = {
   mutable sdial : int array array;
   mutable sdlen : int array;
   mutable sdcls : int array;  (* per-distance class offsets for the topo build *)
-  (* [tight_sweep] keeps [swrow] at [max_int] outside the active sweep
-     (resetting the previous sweep's touched set on entry), which
-     drops the per-relaxation stamp check [tight_topo] needs.  A
-     scratch must not be shared between the two engines. *)
-  mutable sprev_nt : int;
+  mutable sprev_nt : int;  (* touched-set size of the previous sweep *)
 }
 
 let make_stream_scratch n =
   {
     swrow = Array.make n max_int;
-    swstamp = Array.make n 0;
     sdrow = Array.make n neg_infinity;
     ssettled = Array.make n 0;
-    sindeg = Array.make n 0;
-    sheap = Lacr_util.Int_heap.create ~capacity:(max 16 n) ();
     squeue = Array.make n 0;
     stouched = Array.make n 0;
     scand = Array.make n 0;
@@ -409,21 +399,21 @@ let zero_topo_order ~off ~dst ~wgt n =
   (zorder, zrank)
 
 (* The per-source sweep behind the streamed frontier and the flat
-   constraint passes: [tight_topo] (the list oracle's kernel below)
-   with the heap replaced by a Dial bucket queue and the two Kahn
-   passes replaced by one counting pass over the reached set:
-   vertices are laid into [squeue] grouped by ascending distance and,
-   within a distance class, by ascending zero-subgraph rank — a valid
-   topological order of the tight DAG (see [zero_topo_order]).  The
-   distances are the same unique shortest-path values, and every
-   downstream quantity ([drow], [spos], [smax]) is an
-   order-independent DAG fixpoint, so swapping engines cannot change
-   any emitted constraint.  [cap] truncates the exploration at a
-   distance bound: every retained distance, and the tight sub-DAG over
-   the retained set, are unchanged (prefixes of shortest paths are
-   shortest), which is what the target pass exploits — dominance
-   verdicts for a survivor slice only ever read vertices no farther
-   than the slice's largest weight. *)
+   constraint passes: a Dial bucket-queue Dijkstra on edge weights,
+   then one counting pass over the reached set instead of a Kahn pass
+   over the tight DAG: vertices are laid into [squeue] grouped by
+   ascending distance and, within a distance class, by ascending
+   zero-subgraph rank — a valid topological order of the tight DAG
+   (see [zero_topo_order]).  The distances are the unique
+   shortest-path values, and every downstream quantity ([drow],
+   [spos], [smax]) is an order-independent DAG fixpoint, so the
+   results match the dense [dijkstra_row]/[delay_row] kernels bit for
+   bit.  [cap] truncates the exploration at a distance bound: every
+   retained distance, and the tight sub-DAG over the retained set, are
+   unchanged (prefixes of shortest paths are shortest), which is what
+   the target pass exploits — dominance verdicts for a survivor slice
+   only ever read vertices no farther than the slice's largest
+   weight. *)
 let tight_sweep ?(cap = max_int) sc ~off ~dst ~wgt ~zorder ~zrank root =
   sc.sepoch <- sc.sepoch + 1;
   let ep = sc.sepoch in
@@ -824,9 +814,10 @@ let distinct_delays wd =
 
 (* --- graph-direct dominance pruning ------------------------------- *)
 
-(* The dense prune (constraints.ml) processes each row's candidates in
-   ascending W with equal-W groups in descending index order and drops
-   a candidate implied by a kept earlier one:
+(* The dense greedy prune (the reference the test suite keeps over the
+   [Dense] matrices) processes each row's candidates in ascending W
+   with equal-W groups in descending index order and drops a candidate
+   implied by a kept earlier one:
    W(u,x) + W(x,v) <= W(u,v).  By the triangle inequality that is an
    equality, i.e. x lies on some minimum-weight u ~> v path; and the
    greedy has a history-free characterization (drop v iff ANY
@@ -836,8 +827,8 @@ let distinct_delays wd =
    reaches v from it (every edge of a minimum-weight path is tight,
    and any tight path is minimum-weight), so the whole prune for one
    row reduces to reachability marking over the tight DAG — no W
-   oracle, no second Dijkstra per implication test.  [tight_topo] runs
-   the row Dijkstra and topologically orders the tight DAG;
+   oracle, no second Dijkstra per implication test.  [tight_sweep]
+   runs the row Dijkstra and topologically orders the tight DAG;
    [mark_dominated] then propagates, in one sweep,
      - [spos]: some candidate ancestor precedes the vertex through a
        positive-weight tight path (strictly smaller W, hence earlier
@@ -846,79 +837,9 @@ let distinct_delays wd =
        zero-weight tight path (equal W, earlier only when its index is
        larger).
    A candidate v is dropped iff [spos] is set or [smax] > v — exactly
-   the dense greedy's verdict. *)
-let tight_topo sc ~off ~dst ~wgt root =
-  sc.sepoch <- sc.sepoch + 1;
-  let ep = sc.sepoch in
-  let wrow = sc.swrow and settled = sc.ssettled and wstamp = sc.swstamp in
-  let heap = sc.sheap in
-  Lacr_util.Int_heap.clear heap;
-  wrow.(root) <- 0;
-  wstamp.(root) <- ep;
-  Lacr_util.Int_heap.push heap ~prio:0 root;
-  let touched = sc.stouched in
-  let nt = ref 0 in
-  while not (Lacr_util.Int_heap.is_empty heap) do
-    let x = Lacr_util.Int_heap.pop_min heap in
-    if settled.(x) <> ep then begin
-      settled.(x) <- ep;
-      touched.(!nt) <- x;
-      incr nt;
-      let wx = wrow.(x) in
-      for i = off.(x) to off.(x + 1) - 1 do
-        let y = dst.(i) in
-        if settled.(y) <> ep then begin
-          let nd = wx + wgt.(i) in
-          if wstamp.(y) <> ep || nd < wrow.(y) then begin
-            wrow.(y) <- nd;
-            wstamp.(y) <- ep;
-            Lacr_util.Int_heap.push heap ~prio:nd y
-          end
-        end
-      done
-    end
-  done;
-  let nt = !nt in
-  let indeg = sc.sindeg in
-  for t = 0 to nt - 1 do
-    indeg.(touched.(t)) <- 0
-  done;
-  for t = 0 to nt - 1 do
-    let x = touched.(t) in
-    let wx = wrow.(x) in
-    for i = off.(x) to off.(x + 1) - 1 do
-      let y = dst.(i) in
-      if settled.(y) = ep && wx + wgt.(i) = wrow.(y) then indeg.(y) <- indeg.(y) + 1
-    done
-  done;
-  let queue = sc.squeue in
-  let head = ref 0 and tail = ref 0 in
-  for t = 0 to nt - 1 do
-    let v = touched.(t) in
-    if indeg.(v) = 0 then begin
-      queue.(!tail) <- v;
-      incr tail
-    end
-  done;
-  while !head < !tail do
-    let x = queue.(!head) in
-    incr head;
-    let wx = wrow.(x) in
-    for i = off.(x) to off.(x + 1) - 1 do
-      let y = dst.(i) in
-      if settled.(y) = ep && wx + wgt.(i) = wrow.(y) then begin
-        indeg.(y) <- indeg.(y) - 1;
-        if indeg.(y) = 0 then begin
-          queue.(!tail) <- y;
-          incr tail
-        end
-      end
-    done
-  done;
-  nt
-
-(* Candidate membership in [scmem] (current epoch); [squeue] must hold
-   the tight-DAG topological order from [tight_topo]. *)
+   the dense greedy's verdict.  Candidate membership is read from
+   [scmem] (current epoch); [squeue] must hold the tight-DAG
+   topological order from [tight_sweep]. *)
 let mark_dominated sc ~off ~dst ~wgt ~nt =
   let ep = sc.sepoch in
   let wrow = sc.swrow and settled = sc.ssettled in
@@ -945,155 +866,6 @@ let mark_dominated sc ~off ~dst ~wgt ~nt =
         end
     done
   done
-
-type prune_rows = { rows : (int * int) array array; n_candidates : int }
-
-let source_pass ~prune ~pool g ~period =
-  let n = Graph.num_vertices g in
-  let off = Graph.csr_offsets g
-  and dst = Graph.csr_dst g
-  and wgt = Graph.csr_weight g
-  and delays = Graph.delays g in
-  let rows = Array.make n [||] in
-  let cand_counts = Array.make n 0 in
-  let scratches = Array.make Lacr_util.Pool.max_slots None in
-  Lacr_util.Pool.parallel_for_chunks pool n (fun lo hi ->
-      let slot = Lacr_util.Pool.worker_slot () in
-      let sc =
-        match scratches.(slot) with
-        | Some sc -> sc
-        | None ->
-          let sc = make_stream_scratch n in
-          scratches.(slot) <- Some sc;
-          sc
-      in
-      for u = lo to hi - 1 do
-        let nt = tight_topo sc ~off ~dst ~wgt u in
-        let ep = sc.sepoch in
-        let wrow = sc.swrow
-        and drow = sc.sdrow
-        and settled = sc.ssettled
-        and touched = sc.stouched
-        and queue = sc.squeue in
-        (* Longest delay over minimum-weight paths, relaxed in the
-           tight-DAG topological order — the same values the dense
-           [delay_row] computes. *)
-        for t = 0 to nt - 1 do
-          drow.(touched.(t)) <- neg_infinity
-        done;
-        drow.(u) <- delays.(u);
-        for t = 0 to nt - 1 do
-          let x = queue.(t) in
-          let wx = wrow.(x) and dx = drow.(x) in
-          if dx > neg_infinity then
-            for i = off.(x) to off.(x + 1) - 1 do
-              let y = dst.(i) in
-              if settled.(y) = ep && wx + wgt.(i) = wrow.(y) then begin
-                let c = dx +. delays.(y) in
-                if c > drow.(y) then drow.(y) <- c
-              end
-            done
-        done;
-        let cmem = sc.scmem in
-        let nc = ref 0 in
-        for t = 0 to nt - 1 do
-          let v = touched.(t) in
-          if drow.(v) > period +. 1e-9 && (u <> v || wrow.(v) = 0) then begin
-            cmem.(v) <- ep;
-            incr nc
-          end
-        done;
-        cand_counts.(u) <- !nc;
-        let pos = sc.spos and mx = sc.smax in
-        if prune then mark_dominated sc ~off ~dst ~wgt ~nt;
-        let kept = ref [] in
-        let nk = ref 0 in
-        for t = 0 to nt - 1 do
-          let v = touched.(t) in
-          if cmem.(v) = ep && ((not prune) || (pos.(v) <> ep && mx.(v) <= v)) then begin
-            kept := (v, wrow.(v)) :: !kept;
-            incr nk
-          end
-        done;
-        let arr = Array.make !nk (0, 0) in
-        List.iter
-          (fun p ->
-            decr nk;
-            arr.(!nk) <- p)
-          !kept;
-        Array.sort (fun (a, _) (b, _) -> Int.compare a b) arr;
-        rows.(u) <- arr
-      done);
-  { rows; n_candidates = Array.fold_left ( + ) 0 cand_counts }
-
-let prune_source_pass ?(pool = Lacr_util.Pool.sequential) g ~period =
-  source_pass ~prune:true ~pool g ~period
-
-let candidate_rows ?(pool = Lacr_util.Pool.sequential) g ~period =
-  source_pass ~prune:false ~pool g ~period
-
-let prune_target_pass ?(pool = Lacr_util.Pool.sequential) g (pr : prune_rows) =
-  let n = Graph.num_vertices g in
-  (* Reverse CSR: the target pass asks which survivor sources of a
-     fixed target lie on each other's minimum-weight paths to it,
-     which is tight-DAG ancestry from the target in the reversed
-     graph (W is path weight either way round). *)
-  let edges = Graph.edges g in
-  let roff = Array.make (n + 1) 0 in
-  Array.iter (fun (e : Graph.edge) -> roff.(e.Graph.dst + 1) <- roff.(e.Graph.dst + 1) + 1) edges;
-  for v = 1 to n do
-    roff.(v) <- roff.(v) + roff.(v - 1)
-  done;
-  let m = roff.(n) in
-  let rdst = Array.make (max 1 m) 0 in
-  let rwgt = Array.make (max 1 m) 0 in
-  let fill = Array.copy roff in
-  Array.iter
-    (fun (e : Graph.edge) ->
-      let i = fill.(e.Graph.dst) in
-      rdst.(i) <- e.Graph.src;
-      rwgt.(i) <- e.Graph.weight;
-      fill.(e.Graph.dst) <- i + 1)
-    edges;
-  let by_target = Array.make n [] in
-  Array.iteri
-    (fun u vs -> Array.iter (fun (v, wuv) -> by_target.(v) <- (u, wuv) :: by_target.(v)) vs)
-    pr.rows;
-  let cols = Array.make n [] in
-  let scratches = Array.make Lacr_util.Pool.max_slots None in
-  Lacr_util.Pool.parallel_for_chunks pool n (fun lo hi ->
-      for v = lo to hi - 1 do
-        match by_target.(v) with
-        | [] -> ()
-        | [ single ] -> cols.(v) <- [ single ]
-        | sources ->
-          let slot = Lacr_util.Pool.worker_slot () in
-          let sc =
-            match scratches.(slot) with
-            | Some sc -> sc
-            | None ->
-              let sc = make_stream_scratch n in
-              scratches.(slot) <- Some sc;
-              sc
-          in
-          let nt = tight_topo sc ~off:roff ~dst:rdst ~wgt:rwgt v in
-          let ep = sc.sepoch in
-          let cmem = sc.scmem in
-          List.iter (fun (u, _) -> cmem.(u) <- ep) sources;
-          mark_dominated sc ~off:roff ~dst:rdst ~wgt:rwgt ~nt;
-          let pos = sc.spos and mx = sc.smax in
-          let kept =
-            List.filter (fun (u, _) -> pos.(u) <> ep && mx.(u) <= u) sources
-          in
-          (* Emission replays the dense consider order: ascending
-             W(u,v), equal weights by descending source index. *)
-          cols.(v) <-
-            List.sort
-              (fun (u1, w1) (u2, w2) ->
-                if w1 <> w2 then Int.compare w1 w2 else Int.compare u2 u1)
-              kept
-      done);
-  cols
 
 (* --- flat (zero-list) constraint passes --------------------------- *)
 
@@ -1135,10 +907,10 @@ let frontier_gate fr ~period =
   end
   else None
 
-(* The flat mirror of [source_pass]: per-source candidate enumeration
-   (and optional dominance pruning) written straight into per-chunk
-   arenas and merged into one CSR — same kept sets, same ascending
-   target order within each row, no per-row lists or pair arrays.
+(* Per-source candidate enumeration (and optional dominance pruning)
+   written straight into per-chunk arenas and merged into one CSR,
+   targets ascending within each row — no per-row lists or pair
+   arrays.
    [frontier] enables the activity gate above; [sr_scanned] counts the
    sources actually swept (equal to n when the gate abstains). *)
 let source_pass_flat ?(pool = Lacr_util.Pool.sequential) ?frontier ~prune g ~period =
@@ -1186,8 +958,8 @@ let source_pass_flat ?(pool = Lacr_util.Pool.sequential) ?frontier ~prune g ~per
              state are all final (they only read ancestors), so the
              delay relaxation, the candidate test and the
              [mark_dominated] recurrences ride the same edge scan.
-             Verdicts are the DAG fixpoints the legacy three-pass
-             version computes — identical by order-independence. *)
+             Verdicts are the same DAG fixpoints as three separate
+             passes — identical by order-independence. *)
           let nc = ref 0 in
           for t = 0 to nt - 1 do
             let x = queue.(t) in
@@ -1260,8 +1032,11 @@ let source_pass_flat ?(pool = Lacr_util.Pool.sequential) ?frontier ~prune g ~per
 
 type flat_cols = { tc_off : int array; tc_src : int array; tc_wgt : int array }
 
-(* The flat mirror of [prune_target_pass], parallel over targets with
-   in-place slice compaction instead of per-target lists.  Surviving
+(* The mirrored target-side pass over the source-pass survivors: for a
+   fixed target, which surviving sources lie on each other's
+   minimum-weight paths to it is tight-DAG ancestry from the target in
+   the reversed graph (W is path weight either way round).  Parallel
+   over targets with in-place slice compaction.  Surviving
    (source, W) pairs are packed as [W * n + (n - 1 - source)] so an
    ascending int sort of a slice is exactly the dense consider order:
    W ascending, equal weights by descending source index. *)

@@ -137,48 +137,13 @@ val distinct_delays : wd -> float list
     through a flat float buffer with in-place sort and adjacent
     dedup — no intermediate cons list. *)
 
-type prune_rows = { rows : (int * int) array array; n_candidates : int }
-(** Source-side prune survivors: [rows.(u)] lists the surviving
-    [(v, W(u,v))] pairs of source [u], targets ascending;
-    [n_candidates] counts the period-violating pairs before pruning. *)
+(** {1 Graph-direct constraint passes}
 
-val candidate_rows : ?pool:Lacr_util.Pool.t -> Graph.t -> period:float -> prune_rows
-(** The unpruned variant of {!prune_source_pass}: [rows.(u)] lists
-    {e every} period-violating [(v, W(u,v))] pair of source [u]
-    (targets ascending), recomputed directly from the graph with the
-    same per-source Dijkstra + tight-DAG sweep and no dominance
-    marking — bit-identical to the dense scan at every period, without
-    dense matrices and without consulting the frontier.  One of the
-    list passes behind [Constraints.reference_list], the oracle the
-    flat pipeline is tested against. *)
-
-val prune_source_pass :
-  ?pool:Lacr_util.Pool.t -> Graph.t -> period:float -> prune_rows
-(** The dense prune's source-side pass recomputed directly from the
-    graph, one Dijkstra + tight-DAG marking sweep per source
-    (pool-parallel, bit-deterministic): a period-violating candidate
-    is dropped exactly when an earlier-ordered candidate (smaller W,
-    or equal W from a larger index) lies on a minimum-weight path to
-    it — tight-DAG ancestry, the same verdicts as the dense greedy's
-    implication tests, at streaming memory cost. *)
-
-val prune_target_pass :
-  ?pool:Lacr_util.Pool.t -> Graph.t -> prune_rows -> (int * int) list array
-(** The mirrored target-side pass over the source-pass survivors, one
-    reverse-graph sweep per target with two or more surviving sources.
-    [cols.(v)] lists the kept [(u, W(u,v))] pairs in the dense pass's
-    consider order (ascending W, equal weights by descending source
-    index), ready for constraint emission. *)
-
-(** {1 Flat (zero-list) constraint passes}
-
-    The arena-backed mirrors of {!candidate_rows} /
-    {!prune_source_pass} / {!prune_target_pass}: identical kept sets
-    and orders, written straight into merged CSR arrays
-    ([Lacr_arena.Chunked]) with no per-row lists — how
-    [Constraints.generate] builds every system, whatever the backend.
-    The list passes above remain as the reference implementation that
-    the flat path is equivalence-tested against. *)
+    How [Constraints.generate] builds every system, whatever the
+    backend: per-source sweeps over the graph written straight into
+    merged CSR arrays ([Lacr_arena.Chunked]) with no per-row lists.
+    The test suite checks them against a dense-matrix scan and greedy
+    prune. *)
 
 type flat_rows = {
   sr_off : int array;  (** [n + 1] CSR offsets, grouped by source *)
@@ -195,11 +160,22 @@ val source_pass_flat :
   Graph.t ->
   period:float ->
   flat_rows
-(** [prune:false] is {!candidate_rows} and [prune:true] is
-    {!prune_source_pass}, emitted as one flat CSR (per-worker chunk
-    arenas merged in source order — bit-identical for every pool and
-    chunk size).  Without [frontier] every source is swept, which is
-    exact at every period.
+(** Row [u] lists the period-violating [(v, W(u,v))] pairs of source
+    [u] ([D(u,v) > period + 1e-9]; the self pair only when
+    [W(u,u) = 0]), targets ascending, recomputed per source with a
+    Dijkstra + tight-DAG sweep: the dense scan's rows at every period,
+    without dense matrices.  [sr_candidates] counts them.
+
+    [prune:true] keeps only the source-side dominance survivors: a
+    candidate is dropped exactly when an earlier-ordered candidate
+    (smaller W, or equal W from a larger index) lies on a
+    minimum-weight path to it — tight-DAG ancestry, the same verdicts
+    as the dense greedy's implication tests.
+
+    Sources are swept pool-parallel into per-worker chunk arenas
+    merged in source order, so the result is bit-identical for every
+    pool and chunk size.  Without [frontier] every source is swept,
+    which is exact at every period.
 
     [frontier] enables the {e active-source gate}: when [period] lies
     inside the frontier's retention window ({!in_window}), a source
@@ -218,7 +194,9 @@ type flat_cols = {
 }
 
 val prune_target_pass_flat : ?pool:Lacr_util.Pool.t -> Graph.t -> flat_rows -> flat_cols
-(** {!prune_target_pass} as a flat target-major CSR: the same kept
-    pairs per target in the same consider order (ascending W, equal
-    weights by descending source index), computed pool-parallel over
-    targets with in-place slice compaction — no per-target lists. *)
+(** The mirrored target-side prune over the source-pass survivors, as
+    a target-major CSR: one capped reverse-graph sweep per target with
+    two or more surviving sources.  Each target's kept sources are in
+    the dense greedy's consider order (ascending W, equal weights by
+    descending source index), computed pool-parallel over targets with
+    in-place slice compaction — no per-target lists. *)

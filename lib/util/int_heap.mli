@@ -1,11 +1,11 @@
 (** Monomorphic binary min-heap with [int] priorities and [int]
     values, stored as two flat arrays.
 
-    The allocation-free counterpart of {!Heap} for hot integer
-    Dijkstra loops (the (W,D) path engine): [push]/[pop_min] never
+    For hot integer Dijkstra and A* loops (the dense (W,D) rows, the
+    min-cost-flow engine, the maze router): [push]/[pop_min] never
     allocate once capacity is reached, and there is no float
-    conversion on the priority path.  Like {!Heap} it has no
-    decrease-key; push duplicates and skip stale pops. *)
+    conversion on the priority path.  There is no decrease-key; push
+    duplicates and skip stale pops. *)
 
 type t
 

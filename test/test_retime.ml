@@ -807,24 +807,120 @@ let test_stream_frontier_shape () =
 
 (* --- flat pipeline == seed reference list ---------------------------- *)
 
+(* The seed's list assembly over the dense (W,D) matrices, kept as the
+   reference the graph-direct flat pipeline is compared against: a
+   dense scan of every period-violating pair and a greedy dominance
+   prune with explicit W implication tests, sharing no code with the
+   [Paths] sweep passes. *)
+
+let dense_of g =
+  match Paths.compute ~mode:Paths.Mode.Dense g with
+  | Paths.Dense dn -> dn
+  | Paths.Streamed _ -> Alcotest.fail "Mode.Dense returned a streamed wd"
+
+let violates (dn : Paths.dense) ~period u v =
+  let wuv = dn.Paths.w.(u).(v) in
+  (* Self pairs carry W(u,u) = 0, so a too-slow vertex produces the
+     infeasible bound -1; other self constraints are trivial and
+     skipped. *)
+  wuv <> max_int && dn.Paths.d.(u).(v) > period +. 1e-9 && (u <> v || wuv = 0)
+
+let constr u v bound = { Lacr_mcmf.Difference.a = u; b = v; bound }
+
+(* Prepend-as-you-go: sources descending, targets descending inside a
+   source. *)
+let reference_period_constraints (dn : Paths.dense) ~period =
+  let n = Array.length dn.Paths.w in
+  let acc = ref [] in
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      if violates dn ~period u v then acc := constr u v (dn.Paths.w.(u).(v) - 1) :: !acc
+    done
+  done;
+  !acc
+
+(* Per-source dominance pruning: a period constraint
+   r(u) - r(v) <= W(u,v) - 1 is implied by a kept constraint
+   r(u) - r(x) <= W(u,x) - 1 together with the edge-derived bound
+   r(x) - r(v) <= W(x,v) whenever W(u,x) + W(x,v) <= W(u,v).  Targets
+   are considered by ascending W, equal weights by descending index
+   (a stable sort of the descending-index candidate list); the
+   mirrored target-side pass then runs over the survivors. *)
+let reference_pruned_constraints (dn : Paths.dense) ~period =
+  let w = dn.Paths.w in
+  let n = Array.length w in
+  let survivors = Array.make n [] in
+  for u = 0 to n - 1 do
+    let candidates = ref [] in
+    for v = 0 to n - 1 do
+      if violates dn ~period u v then candidates := v :: !candidates
+    done;
+    let kept = ref [] in
+    List.iter
+      (fun v ->
+        let implied =
+          List.exists
+            (fun x -> w.(x).(v) <> max_int && w.(u).(x) + w.(x).(v) <= w.(u).(v))
+            !kept
+        in
+        if not implied then kept := v :: !kept)
+      (List.stable_sort (fun a b -> Int.compare w.(u).(a) w.(u).(b)) !candidates);
+    survivors.(u) <- !kept
+  done;
+  let by_target = Array.make n [] in
+  Array.iteri (fun u vs -> List.iter (fun v -> by_target.(v) <- u :: by_target.(v)) vs) survivors;
+  let acc = ref [] in
+  for v = 0 to n - 1 do
+    let kept = ref [] in
+    List.iter
+      (fun u ->
+        let implied =
+          u <> v
+          && List.exists
+               (fun x -> w.(u).(x) <> max_int && w.(u).(x) + w.(x).(v) <= w.(u).(v))
+               !kept
+        in
+        if not implied then begin
+          kept := u :: !kept;
+          acc := constr u v (w.(u).(v) - 1) :: !acc
+        end)
+      (List.stable_sort (fun u1 u2 -> Int.compare w.(u1).(v) w.(u2).(v)) by_target.(v))
+  done;
+  !acc
+
+let reference_list ~prune ~extra g dn ~period =
+  let edges =
+    Array.fold_right
+      (fun (e : Graph.edge) acc -> constr e.Graph.src e.Graph.dst e.Graph.weight :: acc)
+      (Graph.edges g) []
+  in
+  extra @ edges
+  @
+  if prune then reference_pruned_constraints dn ~period
+  else reference_period_constraints dn ~period
+
 (* The tentpole contract: the arena-backed flat pipeline must emit the
    exact constraint sequence — same (a, b, bound) triples, same order —
    the seed's list assembly produced, for every backend, prune flag and
-   pool size.  [Constraints.reference_list] is that seed pipeline kept
-   verbatim; [to_list] is the flat system viewed as a list. *)
+   pool size.  [reference_list] is that assembly over the dense
+   matrices; [to_list] is the flat system viewed as a list. *)
 let prop_flat_matches_reference_list =
   QCheck.Test.make ~name:"flat generate == seed reference list (backends x pools x prune)"
     ~count:30
     QCheck.(pair (int_range 4 20) (int_range 0 1_000_000))
     (fun (n, seed) ->
       let g = random_graph (Rng.create seed) n in
-      let dense = Paths.compute ~mode:Paths.Mode.Dense g in
+      let dn = dense_of g in
+      let dense = Paths.Dense dn in
       let mp = Feasibility.min_period g dense in
       let t_min = mp.Feasibility.period in
       let t_init = Graph.clock_period g in
       let period = t_min +. (0.2 *. (t_init -. t_min)) in
       (* An extra caller constraint exercises the header merge order. *)
-      let extra = [ { Lacr_mcmf.Difference.a = 0; b = n - 1; bound = 2 } ] in
+      let extra = [ constr 0 (n - 1) 2 ] in
+      let references =
+        List.map (fun prune -> (prune, reference_list ~prune ~extra g dn ~period)) [ false; true ]
+      in
       List.for_all
         (fun size ->
           Lacr_util.Pool.with_pool ~size (fun pool ->
@@ -832,11 +928,11 @@ let prop_flat_matches_reference_list =
               List.for_all
                 (fun wd ->
                   List.for_all
-                    (fun prune ->
+                    (fun (prune, reference) ->
                       Constraints.to_list
                         (Constraints.generate ~prune ~extra ~pool g wd ~period)
-                      = Constraints.reference_list ~prune ~extra ~pool g wd ~period)
-                    [ false; true ])
+                      = reference)
+                    references)
                 [ dense; stream ]))
         [ 1; 2; 4 ])
 
@@ -852,6 +948,7 @@ let test_flat_matches_reference_on_iscas () =
       | Ok inst ->
         let g = inst.Lacr_core.Build.graph in
         let extra = inst.Lacr_core.Build.pin_constraints in
+        let dn = dense_of g in
         List.iter
           (fun mode ->
             Lacr_util.Pool.with_pool ~size:4 (fun pool ->
@@ -864,9 +961,7 @@ let test_flat_matches_reference_on_iscas () =
                 List.iter
                   (fun prune ->
                     let cs = Constraints.generate ~prune ~extra ~pool g wd ~period:t_clk in
-                    let reference =
-                      Constraints.reference_list ~prune ~extra ~pool g wd ~period:t_clk
-                    in
+                    let reference = reference_list ~prune ~extra g dn ~period:t_clk in
                     check
                       (Printf.sprintf "%s flat == reference (prune=%b)" name prune)
                       true
@@ -877,6 +972,38 @@ let test_flat_matches_reference_on_iscas () =
                   [ false; true ]))
           [ Paths.Mode.Dense; Paths.Mode.Stream ])
     [ "s27"; "s386"; "s1423" ]
+
+let test_frontier_gate_skips_sources () =
+  (* The active-source gate must skip sources without changing a row:
+     at s298's T_clk about half of its sources have no period-violating
+     pair, and the gate must prove so from the frontier alone. *)
+  let netlist = Option.get (Lacr_circuits.Suite.by_name "s298") in
+  match Lacr_core.Build.build netlist with
+  | Error msg -> Alcotest.failf "s298 build: %s" msg
+  | Ok inst -> (
+    let g = inst.Lacr_core.Build.graph in
+    match Paths.compute g with
+    | Paths.Dense _ -> Alcotest.fail "the default backend must stream"
+    | Paths.Streamed fr as wd ->
+      let extra = inst.Lacr_core.Build.pin_constraints in
+      let mp = Feasibility.min_period ~extra g wd in
+      let t_init = Graph.clock_period g in
+      let period = mp.Feasibility.period +. (0.2 *. (t_init -. mp.Feasibility.period)) in
+      List.iter
+        (fun prune ->
+          let label what = Printf.sprintf "%s (prune=%b)" what prune in
+          let full = Paths.source_pass_flat ~prune g ~period in
+          let gated = Paths.source_pass_flat ~frontier:fr ~prune g ~period in
+          check (label "identical rows") true
+            (gated.Paths.sr_off = full.Paths.sr_off
+            && gated.Paths.sr_dst = full.Paths.sr_dst
+            && gated.Paths.sr_wgt = full.Paths.sr_wgt);
+          check_int (label "candidate count") full.Paths.sr_candidates gated.Paths.sr_candidates;
+          check_int (label "full pass sweeps every source") (Graph.num_vertices g)
+            full.Paths.sr_scanned;
+          check (label "gated pass sweeps fewer sources") true
+            (gated.Paths.sr_scanned < full.Paths.sr_scanned))
+        [ false; true ])
 
 let suite =
   suite
@@ -897,4 +1024,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_stream_probes_outside_window;
       Alcotest.test_case "min-period candidates inside the frontier window" `Quick
         test_min_period_candidates_in_window;
+      Alcotest.test_case "frontier gate skips constraint-free sources" `Quick
+        test_frontier_gate_skips_sources;
     ]

@@ -2,7 +2,6 @@
    sanity, heap ordering, union-find, statistics, table rendering. *)
 
 module Rng = Lacr_util.Rng
-module Heap = Lacr_util.Heap
 module Union_find = Lacr_util.Union_find
 module Stats = Lacr_util.Stats
 module Table = Lacr_util.Table
@@ -56,36 +55,6 @@ let test_rng_gaussian_moments () =
   check "mean close" true (abs_float (mean -. 5.0) < 0.1);
   check "stddev close" true (abs_float (sd -. 2.0) < 0.1)
 
-let test_heap_sorts () =
-  let rng = Rng.create 7 in
-  let heap = Heap.create () in
-  let values = List.init 500 (fun _ -> Rng.float rng 100.0) in
-  List.iter (fun v -> Heap.push heap v v) values;
-  check_int "size" 500 (Heap.size heap);
-  let rec drain last acc =
-    match Heap.pop heap with
-    | None -> acc
-    | Some (p, v) ->
-      check_float "priority equals value" p v;
-      check "non-decreasing" true (p >= last);
-      drain p (acc + 1)
-  in
-  check_int "drained all" 500 (drain neg_infinity 0);
-  check "empty after drain" true (Heap.is_empty heap)
-
-let test_heap_peek () =
-  let heap = Heap.create () in
-  check "peek empty" true (Heap.peek heap = None);
-  Heap.push heap 3.0 "c";
-  Heap.push heap 1.0 "a";
-  Heap.push heap 2.0 "b";
-  (match Heap.peek heap with
-  | Some (p, v) ->
-    check_float "min priority" 1.0 p;
-    Alcotest.(check string) "min value" "a" v
-  | None -> Alcotest.fail "expected peek");
-  check_int "peek does not pop" 3 (Heap.size heap)
-
 let test_union_find () =
   let uf = Union_find.create 10 in
   check_int "initial sets" 10 (Union_find.count uf);
@@ -133,8 +102,6 @@ let suite =
     Alcotest.test_case "rng split independent" `Quick test_rng_split_independent;
     Alcotest.test_case "rng shuffle permutes" `Quick test_rng_shuffle_permutes;
     Alcotest.test_case "rng gaussian moments" `Quick test_rng_gaussian_moments;
-    Alcotest.test_case "heap sorts" `Quick test_heap_sorts;
-    Alcotest.test_case "heap peek" `Quick test_heap_peek;
     Alcotest.test_case "union-find" `Quick test_union_find;
     Alcotest.test_case "stats" `Quick test_stats;
     Alcotest.test_case "table render" `Quick test_table_render;
