@@ -1,7 +1,7 @@
 # One-command gate for every PR: full build, tier-1 tests, and a
 # planner smoke run on the embedded s27 circuit.
 
-.PHONY: all build test lint lint-self smoke smoke-warm smoke-trace smoke-sanitize smoke-route smoke-scale smoke-serve check bench clean
+.PHONY: all build test lint lint-self smoke smoke-warm smoke-trace smoke-sanitize smoke-route smoke-bench smoke-scale smoke-serve check bench clean
 
 all: build
 
@@ -53,6 +53,15 @@ smoke-sanitize:
 smoke-route:
 	LACR_SANITIZE=1 dune exec bin/lacr_cli.exe -- verify-route s27
 
+# Bench smoke: the harness's cheap sections in fast mode (about 10 s).
+# P, Q, R and T fail hard on a pool-size, warm/cold or trace-off
+# allocation mismatch, and the --json log is written and closed.
+# S (its dense comparison rung needs about 4 GB) and U (full mode
+# only) stay out.
+smoke-bench:
+	LACR_BENCH_FAST=1 dune exec bench/main.exe -- --only P,Q,R,T,E,A,F \
+	  --json _build/smoke_bench.json
+
 # Scale smoke: plan a 2x10^5-unit hierarchical circuit on the default
 # streamed path backend inside a hard 16 GiB address-space ceiling.
 # The dense (W,D) matrices alone would need hundreds of GiB at this
@@ -82,7 +91,7 @@ smoke-serve: build
 	    --connections 2 --requests 24 --seed 11 --verify --shutdown; \
 	  wait $$pid'
 
-check: build test lint smoke smoke-warm smoke-trace smoke-sanitize smoke-route smoke-scale smoke-serve
+check: build test lint smoke smoke-warm smoke-trace smoke-sanitize smoke-route smoke-bench smoke-scale smoke-serve
 
 bench:
 	LACR_BENCH_FAST=1 dune exec bench/main.exe -- --json BENCH_fast.json

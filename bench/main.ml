@@ -34,16 +34,20 @@ module Feasibility = Lacr_retime.Feasibility
 module Constraints = Lacr_retime.Constraints
 module Min_area = Lacr_retime.Min_area
 module Trace = Lacr_obs.Trace
+module Jsonx = Lacr_obs.Jsonx
 module Gr = Lacr_routing.Global_router
 module Pool = Lacr_util.Pool
 
 let section title =
   Printf.printf "\n%s\n%s\n%s\n\n%!" (String.make 78 '=') title (String.make 78 '=')
 
+(* The wall clock the planner reads when it is not tracing. *)
+let now = Trace.clock_of Trace.disabled
+
 let timed f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = now () in
   let result = f () in
-  (result, Unix.gettimeofday () -. t0)
+  (result, now () -. t0)
 
 let fast_mode =
   match Sys.getenv_opt "LACR_BENCH_FAST" with Some ("1" | "true") -> true | _ -> false
@@ -77,7 +81,8 @@ let want section =
    one row per pipeline stage per scale rung, so BENCH_*.json carries
    the memory trajectory (peak RSS and Gc heap words) and the minor-heap
    allocation pressure of the streamed path engine alongside wall
-   time. *)
+   time.  Rows are {!Jsonx} values: integral numbers print without a
+   fraction, all others with six decimals. *)
 
 let json_path =
   let path = ref None in
@@ -95,179 +100,72 @@ let json_path =
    | None -> ());
   !path
 
-(* Aggregated flow-solver counters of one LAC run: number of weighted
-   retiming rounds plus the totals over every round's Mcmf.stats. *)
-type solver_totals = {
-  s_rounds : int;
-  s_phases : int;
-  s_settles : int;
-  s_pushes : int;
-  s_warm_hits : int;
-}
+(* The log's four arrays, newest row first. *)
+let timings = ref []
+let stages = ref []
+let router_rows = ref []
+let scale_rows = ref []
 
-type timing = {
-  t_name : string;
-  t_circuit : string;
-  t_domains : int;
-  t_ms : float;
-  t_solver : solver_totals option;
-}
-
-let timings : timing list ref = ref []
-
-(* One row of the traced planner's per-stage breakdown (section T). *)
-type stage = {
-  g_name : string;
-  g_circuit : string;
-  g_depth : int;
-  g_count : int;
-  g_ms : float;
-}
-
-let stages : stage list ref = ref []
-
-(* One global-router measurement of section R. *)
-type router_row = {
-  r_circuit : string;
-  r_engine : string;
-  r_domains : int;
-  r_ms : float;
-  r_wirelength : float;
-  r_overflow : float;
-}
-
-let router_rows : router_row list ref = ref []
-
-let log_router ~circuit ~engine ~domains ~wirelength ~overflow seconds =
-  router_rows :=
-    {
-      r_circuit = circuit;
-      r_engine = engine;
-      r_domains = domains;
-      r_ms = 1000.0 *. seconds;
-      r_wirelength = wirelength;
-      r_overflow = overflow;
-    }
-    :: !router_rows
-
-let log_stage ~name ~circuit ~depth ~count ms =
-  stages := { g_name = name; g_circuit = circuit; g_depth = depth; g_count = count; g_ms = ms } :: !stages
+let log rows fields = rows := Jsonx.Obj fields :: !rows
 
 let log_timing ?solver ~name ~circuit ~domains seconds =
-  timings :=
-    {
-      t_name = name;
-      t_circuit = circuit;
-      t_domains = domains;
-      t_ms = 1000.0 *. seconds;
-      t_solver = solver;
-    }
-    :: !timings
+  log timings
+    ([
+       ("name", Jsonx.Str name);
+       ("circuit", Jsonx.Str circuit);
+       ("domains", Jsonx.of_int domains);
+       ("ms", Jsonx.Num (1000.0 *. seconds));
+     ]
+    @ Option.to_list (Option.map (fun s -> ("solver", s)) solver))
 
-(* One pipeline-stage measurement of a section S scale rung.
-   [c_pairs] is the number of (W,D) pairs the paths stage retained:
-   the streamed frontier size, or n^2 for the dense backend. *)
-type scale_row = {
-  c_circuit : string;
-  c_units : int;
-  c_vertices : int;
-  c_stage : string;
-  c_mode : string;
-  c_domains : int;
-  c_ms : float;
-  c_minor_words : float;  (* words allocated on the minor heap during the stage *)
-  c_major_words : float;  (* words allocated on the major heap during the stage *)
-  c_top_heap_words : float;  (* max major-heap size so far, after the stage *)
-  c_peak_rss_kb : int;  (* process VmHWM after the stage; 0 outside Linux *)
-  c_pairs : int;
-}
+(* One global-router measurement of section R. *)
+let log_router ~circuit ~domains (r : Gr.result) seconds =
+  log router_rows
+    [
+      ("circuit", Jsonx.Str circuit);
+      ("engine", Jsonx.Str "astar");
+      ("domains", Jsonx.of_int domains);
+      ("ms", Jsonx.Num (1000.0 *. seconds));
+      ("wirelength", Jsonx.Num r.Gr.total_wirelength);
+      ("overflow", Jsonx.Num r.Gr.overflow);
+    ]
 
-let scale_rows : scale_row list ref = ref []
-
-let log_scale row = scale_rows := row :: !scale_rows
-
-(* Peak resident set size of this process, from the kernel's
-   high-water mark.  Unlike Gc counters this also sees the graph,
-   floorplan and router structures, which is the honest denominator
-   for a "fits in memory" claim. *)
-let vm_hwm_kb () =
-  match open_in "/proc/self/status" with
+(* The integer after [key] on the matching line of a /proc file of
+   "Key:  value kB" lines; 0 when the file or the line is missing
+   (outside Linux). *)
+let proc_kb file key =
+  match open_in file with
   | exception Sys_error _ -> 0
   | ic ->
     let kb = ref 0 in
+    let k = String.length key in
     (try
        while true do
          let line = input_line ic in
-         if String.length line > 6 && String.sub line 0 6 = "VmHWM:" then
-           Scanf.sscanf (String.sub line 6 (String.length line - 6)) " %d" (fun v -> kb := v)
+         if String.starts_with ~prefix:key line then
+           Scanf.sscanf (String.sub line k (String.length line - k)) " %d" (fun v -> kb := v)
        done
      with End_of_file | Scanf.Scan_failure _ | Failure _ -> ());
     close_in ic;
     !kb
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* Peak resident set size of this process, from the kernel's
+   high-water mark.  Unlike Gc counters this also sees the graph,
+   floorplan and router structures, which is the honest denominator
+   for a "fits in memory" claim. *)
+let vm_hwm_kb () = proc_kb "/proc/self/status" "VmHWM:"
 
 let write_json path =
-  let oc = open_out path in
-  output_string oc "{\n  \"schema\": 5,\n  \"timings\": [\n";
-  List.iteri
-    (fun i t ->
-      let solver =
-        match t.t_solver with
-        | None -> ""
-        | Some s ->
-          Printf.sprintf
-            ", \"solver\": {\"rounds\": %d, \"phases\": %d, \"settles\": %d, \"pushes\": %d, \
-             \"warm_hits\": %d}"
-            s.s_rounds s.s_phases s.s_settles s.s_pushes s.s_warm_hits
-      in
-      Printf.fprintf oc
-        "    {\"name\": \"%s\", \"circuit\": \"%s\", \"domains\": %d, \"ms\": %.3f%s}%s\n"
-        (json_escape t.t_name) (json_escape t.t_circuit) t.t_domains t.t_ms solver
-        (if i = List.length !timings - 1 then "" else ","))
-    (List.rev !timings);
-  output_string oc "  ],\n  \"stages\": [\n";
-  List.iteri
-    (fun i s ->
-      Printf.fprintf oc
-        "    {\"name\": \"%s\", \"circuit\": \"%s\", \"depth\": %d, \"count\": %d, \"ms\": %.3f}%s\n"
-        (json_escape s.g_name) (json_escape s.g_circuit) s.g_depth s.g_count s.g_ms
-        (if i = List.length !stages - 1 then "" else ","))
-    (List.rev !stages);
-  output_string oc "  ],\n  \"router\": [\n";
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    {\"circuit\": \"%s\", \"engine\": \"%s\", \"domains\": %d, \"ms\": %.3f, \
-         \"wirelength\": %.6f, \"overflow\": %.6f}%s\n"
-        (json_escape r.r_circuit) (json_escape r.r_engine) r.r_domains r.r_ms r.r_wirelength
-        r.r_overflow
-        (if i = List.length !router_rows - 1 then "" else ","))
-    (List.rev !router_rows);
-  output_string oc "  ],\n  \"scale\": [\n";
-  List.iteri
-    (fun i c ->
-      Printf.fprintf oc
-        "    {\"circuit\": \"%s\", \"units\": %d, \"vertices\": %d, \"stage\": \"%s\", \
-         \"mode\": \"%s\", \"domains\": %d, \"ms\": %.3f, \"minor_words\": %.0f, \
-         \"major_words\": %.0f, \"top_heap_words\": %.0f, \"peak_rss_kb\": %d, \"pairs\": %d}%s\n"
-        (json_escape c.c_circuit) c.c_units c.c_vertices (json_escape c.c_stage)
-        (json_escape c.c_mode) c.c_domains c.c_ms c.c_minor_words c.c_major_words
-        c.c_top_heap_words c.c_peak_rss_kb c.c_pairs
-        (if i = List.length !scale_rows - 1 then "" else ","))
-    (List.rev !scale_rows);
-  output_string oc "  ]\n}\n";
-  close_out oc;
+  let rows r = Jsonx.Arr (List.rev !r) in
+  Jsonx.write_file path
+    (Jsonx.Obj
+       [
+         ("schema", Jsonx.of_int 5);
+         ("timings", rows timings);
+         ("stages", rows stages);
+         ("router", rows router_rows);
+         ("scale", rows scale_rows);
+       ]);
   Printf.printf "\nwrote timing log: %s (%d timings, %d stages, %d router rows, %d scale rows)\n"
     path (List.length !timings) (List.length !stages) (List.length !router_rows)
     (List.length !scale_rows)
@@ -282,15 +180,6 @@ let ablation_instance () =
   match Build.build netlist with
   | Ok inst -> inst
   | Error msg -> failwith msg
-
-let constraint_setup ?(prune = true) (inst : Build.instance) =
-  let g = inst.Build.graph in
-  let wd = Paths.compute g in
-  let extra = inst.Build.pin_constraints in
-  let mp = Feasibility.min_period ~extra g wd in
-  let t_init = Graph.clock_period g in
-  let t_clk = mp.Feasibility.period +. (0.2 *. (t_init -. mp.Feasibility.period)) in
-  (wd, t_clk, Constraints.generate ~prune ~extra g wd ~period:t_clk)
 
 (* --- P: dense (W,D) matrices --- *)
 
@@ -357,22 +246,7 @@ let run_wd_scaling () =
     "\n(par-spd = sequential / best pooled time; 'identical' checks the w and d\n\
      matrices cell for cell across all pool sizes)\n"
 
-(* --- S: streamed path engine at scale --- *)
-
-let mem_total_kb () =
-  match open_in "/proc/meminfo" with
-  | exception Sys_error _ -> 0
-  | ic ->
-    let kb = ref 0 in
-    (try
-       while true do
-         let line = input_line ic in
-         if String.length line > 9 && String.sub line 0 9 = "MemTotal:" then
-           Scanf.sscanf (String.sub line 9 (String.length line - 9)) " %d" (fun v -> kb := v)
-       done
-     with End_of_file | Scanf.Scan_failure _ | Failure _ -> ());
-    close_in ic;
-    !kb
+(* --- S/U: the hier: scale rungs --- *)
 
 let gib bytes = bytes /. (1024.0 *. 1024.0 *. 1024.0)
 
@@ -383,103 +257,110 @@ let gib bytes = bytes /. (1024.0 *. 1024.0 *. 1024.0)
 let cs_equal (a : Constraints.t) (b : Constraints.t) =
   a.Constraints.period = b.Constraints.period && a.Constraints.system = b.Constraints.system
 
+let scale_header () =
+  Printf.printf "%-12s %-20s %-7s %10s %10s %10s %10s %9s %12s\n" "circuit" "stage" "mode" "ms"
+    "minor(Mw)" "major(Mw)" "heap(Mw)" "rss(MB)" "pairs"
+
+(* One scale rung: build hier:UNITS on a 4-domain pool, then run the
+   planner's set-up stages and one LAC solve one at a time, so each
+   gets its own bracket — wall time, minor/major words allocated, the
+   major heap's high-water mark and the process peak RSS — printed
+   and logged as a [scale] row named [prefix ^ stage].  [pairs] is the
+   number of (W,D) pairs the paths stage retained: the streamed
+   frontier size, or n^2 for the dense backend.  Returns the vertex
+   count, T_min, the constraint system and N_FOA. *)
+let scale_rung ?(prefix = "") ~mode units =
+  let domains = 4 in
+  let name = Printf.sprintf "hier:%d" units in
+  let netlist = Synth.generate_hier (Synth.hier_spec ~units name) in
+  let paths_mode = match mode with "dense" -> Paths.Mode.Dense | _ -> Paths.Mode.Stream in
+  let config = { Config.default with Config.paths_mode } in
+  Pool.with_pool ~size:domains (fun pool ->
+      let vertices = ref 0 in
+      let stage label ?(pairs_of = fun _ -> 0) f =
+        let g0 = Gc.quick_stat () in
+        let r, dt = timed f in
+        let g1 = Gc.quick_stat () in
+        let minor = g1.Gc.minor_words -. g0.Gc.minor_words in
+        let major = g1.Gc.major_words -. g0.Gc.major_words in
+        let top_heap = float_of_int g1.Gc.top_heap_words in
+        let rss_kb = vm_hwm_kb () and pairs = pairs_of r in
+        log scale_rows
+          [
+            ("circuit", Jsonx.Str name);
+            ("units", Jsonx.of_int units);
+            ("vertices", Jsonx.of_int !vertices);
+            ("stage", Jsonx.Str (prefix ^ label));
+            ("mode", Jsonx.Str mode);
+            ("domains", Jsonx.of_int domains);
+            ("ms", Jsonx.Num (1000.0 *. dt));
+            ("minor_words", Jsonx.Num minor);
+            ("major_words", Jsonx.Num major);
+            ("top_heap_words", Jsonx.Num top_heap);
+            ("peak_rss_kb", Jsonx.of_int rss_kb);
+            ("pairs", Jsonx.of_int pairs);
+          ];
+        Printf.printf "%-12s %-20s %-7s %10.1f %10.1f %10.1f %10.1f %9.1f %12d\n%!" name label mode
+          (1000.0 *. dt) (minor /. 1e6) (major /. 1e6) (top_heap /. 1e6)
+          (float_of_int rss_kb /. 1024.0)
+          pairs;
+        r
+      in
+      let inst =
+        stage "build" (fun () ->
+            match Build.build ~config ~pool netlist with
+            | Ok inst ->
+              vertices := Graph.num_vertices inst.Build.graph;
+              inst
+            | Error msg -> failwith (name ^ ": " ^ msg))
+      in
+      let g = inst.Build.graph and extra = inst.Build.pin_constraints in
+      let n = !vertices in
+      let wd =
+        stage "paths.compute"
+          ~pairs_of:(function
+            | Paths.Dense _ -> n * n
+            | Paths.Streamed fr -> Array.length fr.Paths.fdst)
+          (fun () -> Paths.compute ~mode:paths_mode ~pool g)
+      in
+      let mp = stage "min_period" (fun () -> Feasibility.min_period ~extra g wd) in
+      let t_min = mp.Feasibility.period in
+      let t_clk = Config.t_clk config ~t_init:(Graph.clock_period g) ~t_min in
+      let cs =
+        stage "constraints.generate" (fun () ->
+            Constraints.generate ~prune:true ~extra ~pool g wd ~period:t_clk)
+      in
+      let n_foa =
+        stage "lac.retime" (fun () ->
+            match Lac.retime ~pool inst cs with
+            | Ok o -> o.Lac.n_foa
+            | Error msg -> failwith (name ^ ": lac: " ^ msg))
+      in
+      (n, t_min, cs, n_foa))
+
 let run_scale () =
   section "S   streamed path engine at scale: the 10^5-unit hierarchical family";
-  let domains = 4 in
   (* Stream rungs ascending, dense comparison rung last, so each
      stream row's process-lifetime peak RSS is not polluted by the
      dense matrices. *)
   let stream_units = if fast_mode then [ 5_000 ] else [ 20_000; 100_000 ] in
   let compare_units = if fast_mode then 5_000 else 20_000 in
-  Printf.printf "%-12s %-20s %-7s %10s %10s %10s %10s %9s %12s\n" "circuit" "stage" "mode" "ms"
-    "minor(Mw)" "major(Mw)" "heap(Mw)" "rss(MB)" "pairs";
-  let measured = Hashtbl.create 8 in
-  let rung ~mode units =
-    let name = Printf.sprintf "hier:%d" units in
-    let spec = Synth.hier_spec ~units name in
-    let netlist = Synth.generate_hier spec in
-    let paths_mode = match mode with "dense" -> Paths.Mode.Dense | _ -> Paths.Mode.Stream in
-    let config = { Config.default with Config.paths_mode = paths_mode } in
-    Pool.with_pool ~size:domains (fun pool ->
-        let vertices = ref 0 in
-        let stage c_stage ?(pairs_of = fun _ -> 0) f =
-          let g0 = Gc.quick_stat () in
-          let r, dt = timed f in
-          let g1 = Gc.quick_stat () in
-          let row =
-            {
-              c_circuit = name;
-              c_units = units;
-              c_vertices = !vertices;
-              c_stage;
-              c_mode = mode;
-              c_domains = domains;
-              c_ms = 1000.0 *. dt;
-              c_minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-              c_major_words = g1.Gc.major_words -. g0.Gc.major_words;
-              c_top_heap_words = float_of_int g1.Gc.top_heap_words;
-              c_peak_rss_kb = vm_hwm_kb ();
-              c_pairs = pairs_of r;
-            }
-          in
-          log_scale row;
-          Printf.printf "%-12s %-20s %-7s %10.1f %10.1f %10.1f %10.1f %9.1f %12d\n%!" name
-            c_stage mode row.c_ms (row.c_minor_words /. 1e6) (row.c_major_words /. 1e6)
-            (row.c_top_heap_words /. 1e6)
-            (float_of_int row.c_peak_rss_kb /. 1024.0)
-            row.c_pairs;
-          r
-        in
-        let inst =
-          stage "build" (fun () ->
-              match Build.build ~config ~pool netlist with
-              | Ok inst ->
-                vertices := Graph.num_vertices inst.Build.graph;
-                inst
-              | Error msg -> failwith (name ^ ": " ^ msg))
-        in
-        let g = inst.Build.graph in
-        let n = !vertices in
-        let wd =
-          stage "paths.compute"
-            ~pairs_of:(function
-              | Paths.Dense _ -> n * n
-              | Paths.Streamed fr -> Array.length fr.Paths.fdst)
-            (fun () -> Paths.compute ~mode:paths_mode ~pool g)
-        in
-        let extra = inst.Build.pin_constraints in
-        let mp = stage "min_period" (fun () -> Feasibility.min_period ~extra g wd) in
-        let t_init = Graph.clock_period g in
-        let t_clk = mp.Feasibility.period +. (0.2 *. (t_init -. mp.Feasibility.period)) in
-        let cs =
-          stage "constraints.generate" (fun () ->
-              Constraints.generate ~prune:true ~extra ~pool g wd ~period:t_clk)
-        in
-        ignore
-          (stage "lac.retime" (fun () ->
-               match Lac.retime ~pool inst cs with
-               | Ok o -> o.Lac.n_foa
-               | Error msg -> failwith (name ^ ": lac: " ^ msg)));
-        Hashtbl.replace measured (units, mode) (n, mp.Feasibility.period, cs))
-  in
-  List.iter (rung ~mode:"stream") stream_units;
-  rung ~mode:"dense" compare_units;
+  scale_header ();
+  let stream = List.map (fun units -> (units, scale_rung ~mode:"stream" units)) stream_units in
+  let _, p_d, cs_d, _ = scale_rung ~mode:"dense" compare_units in
   (* Backend identity on the comparison rung. *)
-  let n_cmp, p_s, cs_s = Hashtbl.find measured (compare_units, "stream") in
-  let _, p_d, cs_d = Hashtbl.find measured (compare_units, "dense") in
+  let _, p_s, cs_s, _ = List.assoc compare_units stream in
   let identical = p_s = p_d && cs_equal cs_s cs_d in
   Printf.printf "\nbackend identity at hier:%d: min period %s, constraint system %s\n"
     compare_units
     (if p_s = p_d then "identical" else "DIFFERS!")
     (if cs_equal cs_s cs_d then "identical" else "DIFFERS!");
   if not identical then failwith "scale: streamed backend differs from dense";
-  ignore n_cmp;
   (* The memory-wall arithmetic: what the dense matrices alone would
      cost at the largest stream rung, against this machine's RAM. *)
-  let top_units = List.fold_left max 0 stream_units in
-  let top_n, _, _ = Hashtbl.find measured (top_units, "stream") in
+  let top_n, _, _, _ = List.assoc (List.fold_left max 0 stream_units) stream in
   let dense_bytes = 2.0 *. float_of_int top_n *. float_of_int top_n *. 8.0 in
-  let ram_kb = mem_total_kb () in
+  let ram_kb = proc_kb "/proc/meminfo" "MemTotal:" in
   Printf.printf
     "dense (W,D) at n=%d: 2 x n^2 x 8 = %.0f GiB of matrices alone%s\n" top_n
     (gib dense_bytes)
@@ -493,98 +374,36 @@ let run_scale () =
      frontier vs the dense n^2.  Stream rungs run before the dense comparison so\n\
      their RSS high-water marks are their own.)\n"
 
-(* --- U: end-to-end plan at hier:300000 --- *)
-
 let run_scale_u () =
   section "U   end-to-end plan of hier:300000 (full mode only)";
-  let domains = 4 in
   (* The axis the flat pipeline opens: an end-to-end plan three times
      past the 10^5 rung, streamed backend, flat constraints all the
      way into the LAC loop.  Fast mode skips it (minutes of work). *)
   if fast_mode then print_endline "(skipped in fast mode)"
   else begin
     let units = 300_000 in
-    let name = Printf.sprintf "hier:%d" units in
-    let spec = Synth.hier_spec ~units name in
-    let netlist = Synth.generate_hier spec in
-    let config = { Config.default with Config.paths_mode = Paths.Mode.Stream } in
-    Printf.printf "\n%-12s %-20s %10s %12s %9s\n" "circuit" "stage" "ms" "minor(Mw)" "rss(MB)";
-    Pool.with_pool ~size:domains (fun pool ->
-        let vertices = ref 0 in
-        let stage c_stage f =
-          let g0 = Gc.quick_stat () in
-          let r, dt = timed f in
-          let g1 = Gc.quick_stat () in
-          let row =
-            {
-              c_circuit = name;
-              c_units = units;
-              c_vertices = !vertices;
-              c_stage = "u." ^ c_stage;
-              c_mode = "stream";
-              c_domains = domains;
-              c_ms = 1000.0 *. dt;
-              c_minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-              c_major_words = g1.Gc.major_words -. g0.Gc.major_words;
-              c_top_heap_words = float_of_int g1.Gc.top_heap_words;
-              c_peak_rss_kb = vm_hwm_kb ();
-              c_pairs = 0;
-            }
-          in
-          log_scale row;
-          Printf.printf "%-12s %-20s %10.1f %12.1f %9.1f\n%!" name c_stage row.c_ms
-            (row.c_minor_words /. 1e6)
-            (float_of_int row.c_peak_rss_kb /. 1024.0);
-          r
-        in
-        let inst =
-          stage "build" (fun () ->
-              match Build.build ~config ~pool netlist with
-              | Ok inst ->
-                vertices := Graph.num_vertices inst.Build.graph;
-                inst
-              | Error msg -> failwith (name ^ ": " ^ msg))
-        in
-        let g = inst.Build.graph in
-        let wd = stage "paths.compute" (fun () -> Paths.compute ~mode:Paths.Mode.Stream ~pool g) in
-        let extra = inst.Build.pin_constraints in
-        let mp = stage "min_period" (fun () -> Feasibility.min_period ~extra g wd) in
-        let t_init = Graph.clock_period g in
-        let t_clk = mp.Feasibility.period +. (0.2 *. (t_init -. mp.Feasibility.period)) in
-        let cs =
-          stage "constraints.generate" (fun () ->
-              Constraints.generate ~prune:true ~extra ~pool g wd ~period:t_clk)
-        in
-        let n_foa =
-          stage "lac.retime" (fun () ->
-              match Lac.retime ~pool inst cs with
-              | Ok o -> o.Lac.n_foa
-              | Error msg -> failwith (name ^ ": lac: " ^ msg))
-        in
-        Printf.printf "\nhier:%d planned end-to-end: %d vertices, %d constraints, N_FOA = %d\n"
-          units !vertices cs.Constraints.system.Constraints.m n_foa)
+    print_newline ();
+    scale_header ();
+    let n, _, cs, n_foa = scale_rung ~prefix:"u." ~mode:"stream" units in
+    Printf.printf "\nhier:%d planned end-to-end: %d vertices, %d constraints, N_FOA = %d\n" units n
+      cs.Constraints.system.Constraints.m n_foa
   end
 
 (* --- Q: warm-started successive-instance MCMF engine --- *)
 
-let solver_totals (outcome : Lac.outcome) =
-  List.fold_left
-    (fun acc (s : Lacr_mcmf.Mcmf.stats) ->
-      {
-        acc with
-        s_phases = acc.s_phases + s.Lacr_mcmf.Mcmf.phases;
-        s_settles = acc.s_settles + s.Lacr_mcmf.Mcmf.settles;
-        s_pushes = acc.s_pushes + s.Lacr_mcmf.Mcmf.pushes;
-        s_warm_hits = (acc.s_warm_hits + if s.Lacr_mcmf.Mcmf.warm_start then 1 else 0);
-      })
-    {
-      s_rounds = List.length outcome.Lac.solver;
-      s_phases = 0;
-      s_settles = 0;
-      s_pushes = 0;
-      s_warm_hits = 0;
-    }
-    outcome.Lac.solver
+(* The flow-solver counters of one LAC run for the timing log: the
+   number of weighted retiming rounds plus the totals over every
+   round's Mcmf.stats. *)
+let solver_json (outcome : Lac.outcome) =
+  let total f = Jsonx.of_int (List.fold_left (fun acc s -> acc + f s) 0 outcome.Lac.solver) in
+  Jsonx.Obj
+    [
+      ("rounds", Jsonx.of_int (List.length outcome.Lac.solver));
+      ("phases", total (fun s -> s.Lacr_mcmf.Mcmf.phases));
+      ("settles", total (fun s -> s.Lacr_mcmf.Mcmf.settles));
+      ("pushes", total (fun s -> s.Lacr_mcmf.Mcmf.pushes));
+      ("warm_hits", total (fun s -> Bool.to_int s.Lacr_mcmf.Mcmf.warm_start));
+    ]
 
 let lac_outcome_equal (a : Lac.outcome) (b : Lac.outcome) =
   a.Lac.labels = b.Lac.labels && a.Lac.n_foa = b.Lac.n_foa && a.Lac.n_f = b.Lac.n_f
@@ -600,23 +419,26 @@ let run_warm_engine () =
     (fun name ->
       let netlist = Option.get (Suite.by_name name) in
       let inst = match Build.build netlist with Ok i -> i | Error msg -> failwith msg in
-      let _, _, cs = constraint_setup inst in
+      let _, _, _, cs = Planner.retiming_setup inst in
       let run ?reuse ?pool () =
         match Lac.retime ?reuse ?pool inst cs with Ok o -> o | Error msg -> failwith (name ^ ": " ^ msg)
       in
       let cold, cold_dt = best_of_runs reps (fun () -> run ~reuse:false ()) in
-      log_timing ~name:"lac-cold" ~circuit:name ~domains:1 ~solver:(solver_totals cold) cold_dt;
+      log_timing ~name:"lac-cold" ~circuit:name ~domains:1 ~solver:(solver_json cold) cold_dt;
       let warm, warm_dt = best_of_runs reps (fun () -> run ()) in
-      log_timing ~name:"lac-warm" ~circuit:name ~domains:1 ~solver:(solver_totals warm) warm_dt;
+      log_timing ~name:"lac-warm" ~circuit:name ~domains:1 ~solver:(solver_json warm) warm_dt;
       let warm2, warm2_dt =
         Lacr_util.Pool.with_pool ~size:2 (fun pool -> best_of_runs reps (fun () -> run ~pool ()))
       in
-      log_timing ~name:"lac-warm" ~circuit:name ~domains:2 ~solver:(solver_totals warm2) warm2_dt;
+      log_timing ~name:"lac-warm" ~circuit:name ~domains:2 ~solver:(solver_json warm2) warm2_dt;
       let identical = lac_outcome_equal cold warm && lac_outcome_equal cold warm2 in
-      let totals = solver_totals warm in
-      Printf.printf "%-8s %6d | %10.2f %10.2f %10.2f | %7.2fx %6d/%-3d %10s\n%!" name
-        totals.s_rounds (1000.0 *. cold_dt) (1000.0 *. warm_dt) (1000.0 *. warm2_dt)
-        (cold_dt /. warm_dt) totals.s_warm_hits totals.s_rounds
+      let rounds = List.length warm.Lac.solver in
+      let warm_hits =
+        List.length (List.filter (fun s -> s.Lacr_mcmf.Mcmf.warm_start) warm.Lac.solver)
+      in
+      Printf.printf "%-8s %6d | %10.2f %10.2f %10.2f | %7.2fx %6d/%-3d %10s\n%!" name rounds
+        (1000.0 *. cold_dt) (1000.0 *. warm_dt) (1000.0 *. warm2_dt) (cold_dt /. warm_dt)
+        warm_hits rounds
         (if identical then "yes" else "NO!");
       if not identical then
         failwith (name ^ ": warm-started engine outcome differs from cold per-round compiles"))
@@ -660,15 +482,13 @@ let run_router_scaling () =
       let tg = inst.Build.tilegraph in
       let nets = Array.map (fun (r : Gr.routed_net) -> r.Gr.net) inst.Build.routing.Gr.nets in
       let base, base_dt = best_of_runs reps (fun () -> Gr.route_all tg nets) in
-      log_router ~circuit:name ~engine:"astar" ~domains:1 ~wirelength:base.Gr.total_wirelength
-        ~overflow:base.Gr.overflow base_dt;
+      log_router ~circuit:name ~domains:1 base base_dt;
       let pool_results =
         List.map
           (fun domains ->
             Pool.with_pool ~size:domains (fun pool ->
                 let res, dt = best_of_runs reps (fun () -> Gr.route_all ~pool tg nets) in
-                log_router ~circuit:name ~engine:"astar" ~domains
-                  ~wirelength:res.Gr.total_wirelength ~overflow:res.Gr.overflow dt;
+                log_router ~circuit:name ~domains res dt;
                 (res, dt)))
           domain_counts
       in
@@ -687,7 +507,7 @@ let run_router_scaling () =
         base.Gr.total_wirelength base.Gr.overflow)
     circuits;
   Printf.printf
-    "\n(astar = epoch-stamped integer A*/bidirectional engine with CSR sink recovery and\n\
+    "\n(astar = epoch-stamped integer A* engine with CSR sink recovery and\n\
      PathFinder history, negotiated speculatively across the pool; par-spd = sequential /\n\
      best pooled time; 'identical' checks segments, sink paths, wirelengths, overflow and\n\
      the per-pass trajectory across all pool sizes)\n"
@@ -708,7 +528,14 @@ let run_trace_observability () =
     print_string (Report.render_trace_summary ctx);
     List.iter
       (fun (depth, sname, count, total_s) ->
-        log_stage ~name:sname ~circuit:name ~depth ~count (1000.0 *. total_s))
+        log stages
+          [
+            ("name", Jsonx.Str sname);
+            ("circuit", Jsonx.Str name);
+            ("depth", Jsonx.of_int depth);
+            ("count", Jsonx.of_int count);
+            ("ms", Jsonx.Num (1000.0 *. total_s));
+          ])
       (Trace.span_summary ~max_depth:2 ctx));
   (* Guard: with tracing off (the default), the hottest kernel must run
      at its untraced speed (<= 2% tolerance) and allocate not one word
@@ -773,7 +600,7 @@ let run_table1 () =
 let run_alpha_ablation () =
   section "E4  Alpha ablation on s526 (paper 4.2: alpha ~ 0.2 typically best)";
   let inst = ablation_instance () in
-  let _, t_clk, cs = constraint_setup inst in
+  let _, _, t_clk, cs = Planner.retiming_setup inst in
   Printf.printf "T_clk = %.2f ns\n\n%8s %8s %8s %8s\n" t_clk "alpha" "N_FOA" "N_F" "N_wr";
   List.iter
     (fun alpha ->
@@ -795,8 +622,11 @@ let run_runtime () =
       match Build.build netlist with
       | Error msg -> Printf.printf "%-8s build failed: %s\n" name msg
       | Ok inst ->
-        let _, _, cs_pruned = constraint_setup ~prune:true inst in
-        let _, _, cs_full = constraint_setup ~prune:false inst in
+        let _, _, _, cs_pruned = Planner.retiming_setup inst in
+        let _, _, _, cs_full =
+          Planner.retiming_setup
+            { inst with Build.config = { inst.Build.config with Config.prune_constraints = false } }
+        in
         (match (Lac.min_area_baseline inst cs_pruned, Lac.retime inst cs_pruned) with
         | Ok ma, Ok lac ->
           log_timing ~name:"min-area" ~circuit:name ~domains:1 ma.Lac.exec_seconds;
@@ -815,7 +645,7 @@ let run_runtime () =
 let run_nmax_ablation () =
   section "A1  N_max ablation on s526 (non-improving rounds before stopping)";
   let inst = ablation_instance () in
-  let _, _, cs = constraint_setup inst in
+  let _, _, _, cs = Planner.retiming_setup inst in
   Printf.printf "%8s %8s %8s %10s\n" "N_max" "N_FOA" "N_wr" "time(s)";
   List.iter
     (fun n_max ->
@@ -933,13 +763,9 @@ let run_bechamel () =
   let open Bechamel in
   let netlist = Option.get (Suite.by_name "s298") in
   let inst = match Build.build netlist with Ok inst -> inst | Error msg -> failwith msg in
-  let g = inst.Build.graph in
+  let _, _, t_clk, cs = Planner.retiming_setup inst in
+  let g = inst.Build.graph and extra = inst.Build.pin_constraints in
   let wd = Paths.compute g in
-  let extra = inst.Build.pin_constraints in
-  let mp = Feasibility.min_period ~extra g wd in
-  let t_init = Graph.clock_period g in
-  let t_clk = mp.Feasibility.period +. (0.2 *. (t_init -. mp.Feasibility.period)) in
-  let cs = Constraints.generate ~prune:true ~extra g wd ~period:t_clk in
   let area = Array.make (Graph.num_vertices g) 1.0 in
   let tests =
     [

@@ -2,13 +2,23 @@
    planner.
 
    Sub-commands:
-     plan     — run the full pipeline on one circuit (built-in suite
-                name or a .bench file) and print its Table-1 row plus
-                planning detail;
-     table1   — reproduce the paper's Table 1 over the whole suite;
-     figures  — render ASCII versions of the paper's Figures 1 and 2;
-     alpha    — sweep the LAC weight-update coefficient (E4);
-     info     — print the benchmark suite statistics. *)
+     plan               — run the full pipeline on one circuit (suite
+                          name, hier:UNITS[:SEED] or a .bench/.blif
+                          file) and print its Table-1 row plus
+                          planning detail;
+     table1             — reproduce the paper's Table 1 over the suite;
+     figures            — render ASCII versions of the paper's Figures
+                          1 and 2;
+     alpha              — sweep the LAC weight-update coefficient (E4);
+     info               — print the benchmark suite statistics;
+     verify-warm        — warm-started vs cold per-round LAC solver;
+     verify-route       — router bit-identity across 1/2/4 domains;
+     verify-constraints — the streamed frontier's active-source gate;
+     retime             — min-area retime and emit the retimed .bench;
+     export-dot         — the sequential view as Graphviz DOT;
+     stats              — levelization and dead-logic statistics;
+     trace-check        — validate --trace/--metrics exports;
+     serve-client       — seeded load generator for lacrd. *)
 
 module Planner = Lacr_core.Planner
 module Report = Lacr_core.Report
@@ -30,6 +40,15 @@ let load_circuit name_or_path =
     | Error msg -> Error (Printf.sprintf "cannot parse %s: %s" name_or_path msg)
   end
   else Suite.resolve name_or_path
+
+(* [let*] for the subcommands: an [Error] goes to stderr and becomes
+   exit code 1. *)
+let ( let* ) r f =
+  match r with
+  | Ok x -> f x
+  | Error msg ->
+    prerr_endline msg;
+    1
 
 let config_with ?seed ?alpha ?grid ?domains ?sanitize ?router () =
   let c = Config.default in
@@ -60,71 +79,81 @@ let router_options route_passes spec_rounds spec_batch no_astar =
   in
   { r with Lacr_routing.Global_router.use_astar = not no_astar }
 
+(* The load -> build prologue of the subcommands that work on a built
+   instance. *)
+let with_instance ?seed ?domains circuit f =
+  let* netlist = load_circuit circuit in
+  let* inst = Build.build ~config:(config_with ?seed ?domains ()) netlist in
+  f inst
+
+(* The load -> sequential-view prologue of the subcommands that work
+   on the bare netlist. *)
+let with_view circuit f =
+  let* netlist = load_circuit circuit in
+  let* view = Lacr_netlist.Seqview.of_netlist netlist in
+  f netlist view
+
 (* --- plan --- *)
 
 let run_plan circuit seed domains sanitize route_passes spec_rounds spec_batch no_astar verbose
     second trace_file metrics_file =
-  match load_circuit circuit with
-  | Error msg ->
-    prerr_endline msg;
+  let* netlist = load_circuit circuit in
+  let router = router_options route_passes spec_rounds spec_batch no_astar in
+  let config = config_with ?seed ?domains ~sanitize ~router () in
+  (* The collector is only live when an output was requested, so a
+     plain `lacr plan` keeps the zero-overhead disabled path. *)
+  let trace =
+    if trace_file <> None || metrics_file <> None then Lacr_obs.Trace.create ()
+    else Lacr_obs.Trace.disabled
+  in
+  (* plan_checked: structured errors instead of escaping exceptions —
+     sanitizer violations keep their historical exit code 2, routing
+     dead ends become a clean message instead of a crash. *)
+  match Planner.plan_checked ~config ~second_iteration:second ~trace netlist with
+  | Error (Planner.Sanitizer_violation _ as err) ->
+    prerr_endline (Planner.error_message err);
+    2
+  | Error err ->
+    Printf.eprintf "planning failed: %s\n" (Planner.error_message err);
     1
-  | Ok netlist ->
-    let router = router_options route_passes spec_rounds spec_batch no_astar in
-    let config = config_with ?seed ?domains ~sanitize ~router () in
-    (* The collector is only live when an output was requested, so a
-       plain `lacr plan` keeps the zero-overhead disabled path. *)
-    let trace =
-      if trace_file <> None || metrics_file <> None then Lacr_obs.Trace.create ()
-      else Lacr_obs.Trace.disabled
-    in
-    (* plan_checked: structured errors instead of escaping exceptions —
-       sanitizer violations keep their historical exit code 2, routing
-       dead ends become a clean message instead of a crash. *)
-    (match Planner.plan_checked ~config ~second_iteration:second ~trace netlist with
-    | Error (Planner.Sanitizer_violation _ as err) ->
-      prerr_endline (Planner.error_message err);
-      2
-    | Error err ->
-      Printf.eprintf "planning failed: %s\n" (Planner.error_message err);
-      1
-    | Ok run ->
-      let name = Lacr_netlist.Netlist.name netlist in
-      let row = Report.row_of_run ~name run in
-      print_string (Report.render_table1 [ row ]);
-      if verbose then begin
-        let inst = run.Planner.instance in
-        Printf.printf
-          "\nT_init = %.2f ns, T_min = %.2f ns, T_clk = %.2f ns\n\
-           units = %d, interconnect units = %d, repeaters = %d\n\
-           routed wirelength = %.1f mm, routing overflow = %.1f tracks\n"
-          run.Planner.t_init run.Planner.t_min run.Planner.t_clk inst.Build.n_units
-          inst.Build.n_interconnect_units inst.Build.n_repeaters
-          inst.Build.routing.Lacr_routing.Global_router.total_wirelength
-          inst.Build.routing.Lacr_routing.Global_router.overflow;
-        (match run.Planner.second with
-        | Some (Ok { Planner.lac2 = Ok o2; _ }) ->
-          Printf.printf "second planning iteration: N_FOA %d -> %d\n" run.Planner.lac.Lac.n_foa
-            o2.Lac.n_foa
-        | Some (Ok { Planner.lac2 = Error msg; _ }) ->
-          Printf.printf "second planning iteration infeasible: %s\n" msg
-        | Some (Error msg) -> Printf.printf "second planning iteration build failed: %s\n" msg
-        | None -> ())
-      end;
-      if Lacr_obs.Trace.enabled trace then begin
-        print_newline ();
-        print_string (Report.render_trace_summary trace)
-      end;
-      (match trace_file with
-      | Some path ->
-        Lacr_obs.Export.write_chrome_trace trace path;
-        Printf.printf "wrote Chrome trace %s (load in chrome://tracing or Perfetto)\n" path
-      | None -> ());
-      (match metrics_file with
-      | Some path ->
-        Lacr_obs.Export.write_metrics trace path;
-        Printf.printf "wrote metrics %s\n" path
-      | None -> ());
-      0)
+  | Ok run ->
+    let name = Lacr_netlist.Netlist.name netlist in
+    let row = Report.row_of_run ~name run in
+    print_string (Report.render_table1 [ row ]);
+    if verbose then begin
+      let inst = run.Planner.instance in
+      Printf.printf
+        "\nT_init = %.2f ns, T_min = %.2f ns, T_clk = %.2f ns\n\
+         units = %d, interconnect units = %d, repeaters = %d\n\
+         routed wirelength = %.1f mm, routing overflow = %.1f tracks\n"
+        run.Planner.t_init run.Planner.t_min run.Planner.t_clk inst.Build.n_units
+        inst.Build.n_interconnect_units inst.Build.n_repeaters
+        inst.Build.routing.Lacr_routing.Global_router.total_wirelength
+        inst.Build.routing.Lacr_routing.Global_router.overflow;
+      (match run.Planner.second with
+      | Some (Ok { Planner.lac2 = Ok o2; _ }) ->
+        Printf.printf "second planning iteration: N_FOA %d -> %d\n" run.Planner.lac.Lac.n_foa
+          o2.Lac.n_foa
+      | Some (Ok { Planner.lac2 = Error msg; _ }) ->
+        Printf.printf "second planning iteration infeasible: %s\n" msg
+      | Some (Error msg) -> Printf.printf "second planning iteration build failed: %s\n" msg
+      | None -> ())
+    end;
+    if Lacr_obs.Trace.enabled trace then begin
+      print_newline ();
+      print_string (Report.render_trace_summary trace)
+    end;
+    (match trace_file with
+    | Some path ->
+      Lacr_obs.Export.write_chrome_trace trace path;
+      Printf.printf "wrote Chrome trace %s (load in chrome://tracing or Perfetto)\n" path
+    | None -> ());
+    (match metrics_file with
+    | Some path ->
+      Lacr_obs.Export.write_metrics trace path;
+      Printf.printf "wrote metrics %s\n" path
+    | None -> ());
+    0
 
 (* --- trace-check: validate exporter output --- *)
 
@@ -191,145 +220,104 @@ let run_table1 seed domains second csv =
 let run_figures circuit seed =
   print_string (Report.render_flow_figure ());
   print_newline ();
-  match load_circuit circuit with
-  | Error msg ->
-    prerr_endline msg;
-    1
-  | Ok netlist ->
-    let config = config_with ?seed () in
-    (match Build.build ~config netlist with
-    | Error msg ->
-      prerr_endline msg;
-      1
-    | Ok inst ->
-      print_string (Report.render_tile_figure inst);
-      0)
+  with_instance ?seed circuit @@ fun inst ->
+  print_string (Report.render_tile_figure inst);
+  0
 
 (* --- alpha sweep --- *)
 
 let run_alpha circuit seed values =
-  match load_circuit circuit with
-  | Error msg ->
-    prerr_endline msg;
-    1
-  | Ok netlist ->
-    let config = config_with ?seed () in
-    (match Build.build ~config netlist with
-    | Error msg ->
-      prerr_endline msg;
-      1
-    | Ok inst ->
-      let _, _, t_clk, cs = Planner.retiming_setup inst in
-      Printf.printf "alpha sweep on %s (T_clk = %.2f ns)\n" inst.Build.circuit t_clk;
-      Printf.printf "%8s %8s %8s %8s\n" "alpha" "N_FOA" "N_F" "N_wr";
-      List.iter
-        (fun alpha ->
-          match Lac.retime ~alpha inst cs with
-          | Ok o -> Printf.printf "%8.2f %8d %8d %8d\n" alpha o.Lac.n_foa o.Lac.n_f o.Lac.n_wr
-          | Error msg -> Printf.printf "%8.2f failed: %s\n" alpha msg)
-        values;
-      0)
+  with_instance ?seed circuit @@ fun inst ->
+  let _, _, t_clk, cs = Planner.retiming_setup inst in
+  Printf.printf "alpha sweep on %s (T_clk = %.2f ns)\n" inst.Build.circuit t_clk;
+  Printf.printf "%8s %8s %8s %8s\n" "alpha" "N_FOA" "N_F" "N_wr";
+  List.iter
+    (fun alpha ->
+      match Lac.retime ~alpha inst cs with
+      | Ok o -> Printf.printf "%8.2f %8d %8d %8d\n" alpha o.Lac.n_foa o.Lac.n_f o.Lac.n_wr
+      | Error msg -> Printf.printf "%8.2f failed: %s\n" alpha msg)
+    values;
+  0
 
 (* --- verify-warm: warm/cold solver cross-check --- *)
 
 let run_verify_warm circuit seed =
-  match load_circuit circuit with
-  | Error msg ->
-    prerr_endline msg;
+  with_instance ?seed circuit @@ fun inst ->
+  let _, _, _, cs = Planner.retiming_setup inst in
+  match (Lac.retime ~reuse:false inst cs, Lac.retime inst cs) with
+  | Error msg, _ | _, Error msg ->
+    Printf.eprintf "verify-warm %s: solver failed: %s\n" circuit msg;
     1
-  | Ok netlist ->
-    let config = config_with ?seed () in
-    (match Build.build ~config netlist with
-    | Error msg ->
-      prerr_endline msg;
+  | Ok cold, Ok warm ->
+    let identical =
+      cold.Lac.labels = warm.Lac.labels && cold.Lac.n_foa = warm.Lac.n_foa
+      && cold.Lac.n_f = warm.Lac.n_f && cold.Lac.n_fn = warm.Lac.n_fn
+      && cold.Lac.trace = warm.Lac.trace
+    in
+    let warm_hits =
+      List.length
+        (List.filter
+           (fun (s : Lacr_mcmf.Mcmf.stats) -> s.Lacr_mcmf.Mcmf.warm_start)
+           warm.Lac.solver)
+    in
+    Printf.printf
+      "verify-warm %s: rounds=%d warm_hits=%d cold=(N_FOA %d, N_F %d, N_FN %d) warm=(N_FOA \
+       %d, N_F %d, N_FN %d) -> %s\n"
+      inst.Build.circuit warm.Lac.n_wr warm_hits cold.Lac.n_foa cold.Lac.n_f cold.Lac.n_fn
+      warm.Lac.n_foa warm.Lac.n_f warm.Lac.n_fn
+      (if identical then "identical" else "MISMATCH");
+    if identical then 0
+    else begin
+      prerr_endline "verify-warm: warm-started engine diverged from cold per-round compiles";
       1
-    | Ok inst ->
-      let _, _, _, cs = Planner.retiming_setup inst in
-      (match (Lac.retime ~reuse:false inst cs, Lac.retime inst cs) with
-      | Error msg, _ | _, Error msg ->
-        Printf.eprintf "verify-warm %s: solver failed: %s\n" circuit msg;
-        1
-      | Ok cold, Ok warm ->
-        let identical =
-          cold.Lac.labels = warm.Lac.labels && cold.Lac.n_foa = warm.Lac.n_foa
-          && cold.Lac.n_f = warm.Lac.n_f && cold.Lac.n_fn = warm.Lac.n_fn
-          && cold.Lac.trace = warm.Lac.trace
-        in
-        let warm_hits =
-          List.length
-            (List.filter
-               (fun (s : Lacr_mcmf.Mcmf.stats) -> s.Lacr_mcmf.Mcmf.warm_start)
-               warm.Lac.solver)
-        in
-        Printf.printf
-          "verify-warm %s: rounds=%d warm_hits=%d cold=(N_FOA %d, N_F %d, N_FN %d) warm=(N_FOA \
-           %d, N_F %d, N_FN %d) -> %s\n"
-          inst.Build.circuit warm.Lac.n_wr warm_hits cold.Lac.n_foa cold.Lac.n_f cold.Lac.n_fn
-          warm.Lac.n_foa warm.Lac.n_f warm.Lac.n_fn
-          (if identical then "identical" else "MISMATCH");
-        if identical then 0
-        else begin
-          prerr_endline "verify-warm: warm-started engine diverged from cold per-round compiles";
-          1
-        end))
+    end
 
 (* --- verify-route: cross-domain router determinism check --- *)
 
 let run_verify_route circuit seed =
-  match load_circuit circuit with
-  | Error msg ->
-    prerr_endline msg;
-    1
-  | Ok netlist ->
-    let config = config_with ?seed () in
-    (* Sanitize on: exercises the post-route demand recount and the
-       Routing_error paths while cross-checking pool sizes. *)
-    Lacr_util.Sanitize.with_enabled true @@ fun () ->
-    (match Build.build ~config netlist with
-    | Error msg ->
-      prerr_endline msg;
+  (* Sanitize on: exercises the post-route demand recount and the
+     Routing_error paths while cross-checking pool sizes. *)
+  Lacr_util.Sanitize.with_enabled true @@ fun () ->
+  with_instance ?seed circuit @@ fun inst ->
+  let module Gr = Lacr_routing.Global_router in
+  let tg = inst.Build.tilegraph in
+  let nets = Array.map (fun r -> r.Gr.net) inst.Build.routing.Gr.nets in
+  let options = inst.Build.config.Config.router in
+  let route_with size =
+    Lacr_util.Pool.with_pool ~size (fun pool -> Gr.route_all ~options ~pool tg nets)
+  in
+  match List.map route_with [ 1; 2; 4 ] with
+  | exception Lacr_util.Sanitize.Violation { invariant; detail } ->
+    Printf.eprintf "verify-route %s: sanitizer violation [%s]: %s\n" circuit invariant detail;
+    2
+  | ([ r1; _; _ ] as results) ->
+    List.iteri
+      (fun i r ->
+        Printf.printf
+          "verify-route %s: domains=%d nets=%d wirelength=%.4f mm overflow=%.2f passes=%d\n"
+          inst.Build.circuit
+          (List.nth [ 1; 2; 4 ] i)
+          (Array.length r.Gr.nets) r.Gr.total_wirelength r.Gr.overflow
+          (Array.length r.Gr.pass_overflow))
+      results;
+    let identical =
+      List.for_all
+        (fun r ->
+          r.Gr.nets = r1.Gr.nets
+          && r.Gr.total_wirelength = r1.Gr.total_wirelength
+          && r.Gr.overflow = r1.Gr.overflow
+          && r.Gr.pass_overflow = r1.Gr.pass_overflow)
+        results
+    in
+    if identical then begin
+      print_endline "verify-route: routed results bit-identical across domains 1/2/4";
+      0
+    end
+    else begin
+      prerr_endline "verify-route: MISMATCH across pool sizes";
       1
-    | Ok inst ->
-      let module Gr = Lacr_routing.Global_router in
-      let tg = inst.Build.tilegraph in
-      let nets = Array.map (fun r -> r.Gr.net) inst.Build.routing.Gr.nets in
-      let options = config.Config.router in
-      let route_with size =
-        Lacr_util.Pool.with_pool ~size (fun pool -> Gr.route_all ~options ~pool tg nets)
-      in
-      (match List.map route_with [ 1; 2; 4 ] with
-      | exception Lacr_util.Sanitize.Violation { invariant; detail } ->
-        Printf.eprintf "verify-route %s: sanitizer violation [%s]: %s\n" circuit invariant
-          detail;
-        2
-      | ([ r1; _; _ ] as results) ->
-        List.iteri
-          (fun i r ->
-            Printf.printf
-              "verify-route %s: domains=%d nets=%d wirelength=%.4f mm overflow=%.2f passes=%d\n"
-              inst.Build.circuit
-              (List.nth [ 1; 2; 4 ] i)
-              (Array.length r.Gr.nets) r.Gr.total_wirelength r.Gr.overflow
-              (Array.length r.Gr.pass_overflow))
-          results;
-        let identical =
-          List.for_all
-            (fun r ->
-              r.Gr.nets = r1.Gr.nets
-              && r.Gr.total_wirelength = r1.Gr.total_wirelength
-              && r.Gr.overflow = r1.Gr.overflow
-              && r.Gr.pass_overflow = r1.Gr.pass_overflow)
-            results
-        in
-        if identical then begin
-          print_endline "verify-route: routed results bit-identical across domains 1/2/4";
-          0
-        end
-        else begin
-          prerr_endline "verify-route: MISMATCH across pool sizes";
-          1
-        end
-      | _ -> 1))
+    end
+  | _ -> 1
 
 (* --- verify-constraints: the frontier gate at scale --- *)
 
@@ -337,168 +325,112 @@ let run_verify_route circuit seed =
    reference on small circuits; what only a scale run can check is the
    frontier gate: at the planner's T_clk, skipping the sources the
    frontier proves constraint-free must not change a row, a candidate
-   count or (pruned) a target-pass column. *)
+   count or (pruned) a target-pass column.  Runs the set-up stages up
+   to T_clk only: the passes below replace constraint generation. *)
 let run_verify_constraints circuit seed domains =
-  match load_circuit circuit with
-  | Error msg ->
-    prerr_endline msg;
-    1
-  | Ok netlist ->
-    let config = config_with ?seed ?domains () in
-    (match Build.build ~config netlist with
-    | Error msg ->
-      prerr_endline msg;
-      1
-    | Ok inst ->
-      let module P = Lacr_retime.Paths in
-      (* Only the graph and the pin constraints are read from here on,
-         so the rest of the instance can be collected before the
-         passes run. *)
-      let name = inst.Build.circuit in
-      let g = inst.Build.graph in
-      let extra = inst.Build.pin_constraints in
-      Lacr_util.Pool.with_pool
-        ~size:(Lacr_util.Pool.resolve_size ~requested:config.Config.domains)
-        (fun pool ->
-          match P.compute ~pool g with
-          | P.Dense _ ->
-            prerr_endline "verify-constraints: expected the streamed (W,D) frontier";
-            1
-          | P.Streamed fr as wd ->
-            let mp = Lacr_retime.Feasibility.min_period ~extra g wd in
-            let t_init = Lacr_retime.Graph.clock_period g in
-            let t_clk =
-              mp.Lacr_retime.Feasibility.period
-              +. (config.Config.clk_fraction *. (t_init -. mp.Lacr_retime.Feasibility.period))
+  with_instance ?seed ?domains circuit @@ fun inst ->
+  let module P = Lacr_retime.Paths in
+  (* Only the config, the graph and the pin constraints are read from
+     here on, so the rest of the instance can be collected before the
+     passes run. *)
+  let config = inst.Build.config in
+  let name = inst.Build.circuit in
+  let g = inst.Build.graph in
+  let extra = inst.Build.pin_constraints in
+  Lacr_util.Pool.with_pool
+    ~size:(Lacr_util.Pool.resolve_size ~requested:config.Config.domains)
+    (fun pool ->
+      match P.compute ~pool g with
+      | P.Dense _ ->
+        prerr_endline "verify-constraints: expected the streamed (W,D) frontier";
+        1
+      | P.Streamed fr as wd ->
+        let mp = Lacr_retime.Feasibility.min_period ~extra g wd in
+        let t_min = mp.Lacr_retime.Feasibility.period in
+        let t_clk = Config.t_clk config ~t_init:(Lacr_retime.Graph.clock_period g) ~t_min in
+        let failures = ref 0 in
+        List.iter
+          (fun prune ->
+            let full = P.source_pass_flat ~pool ~prune g ~period:t_clk in
+            let gated = P.source_pass_flat ~pool ~frontier:fr ~prune g ~period:t_clk in
+            let rows_ok =
+              gated.P.sr_off = full.P.sr_off
+              && gated.P.sr_dst = full.P.sr_dst
+              && gated.P.sr_wgt = full.P.sr_wgt
+              && gated.P.sr_candidates = full.P.sr_candidates
             in
-            let failures = ref 0 in
-            List.iter
-              (fun prune ->
-                let full = P.source_pass_flat ~pool ~prune g ~period:t_clk in
-                let gated = P.source_pass_flat ~pool ~frontier:fr ~prune g ~period:t_clk in
-                let rows_ok =
-                  gated.P.sr_off = full.P.sr_off
-                  && gated.P.sr_dst = full.P.sr_dst
-                  && gated.P.sr_wgt = full.P.sr_wgt
-                  && gated.P.sr_candidates = full.P.sr_candidates
-                in
-                let cols_ok =
-                  (not prune)
-                  || P.prune_target_pass_flat ~pool g gated = P.prune_target_pass_flat ~pool g full
-                in
-                Printf.printf
-                  "verify-constraints %s: prune=%b T_clk=%.6f rows=%d candidates=%d swept \
-                   gated/full=%d/%d -> %s\n%!"
-                  name prune t_clk
-                  full.P.sr_off.(P.num_vertices wd)
-                  full.P.sr_candidates gated.P.sr_scanned full.P.sr_scanned
-                  (if not rows_ok then "ROW MISMATCH"
-                   else if not cols_ok then "COLUMN MISMATCH"
-                   else "identical");
-                if not (rows_ok && cols_ok) then incr failures)
-              [ false; true ];
-            if !failures = 0 then begin
-              print_endline "verify-constraints: frontier-gated passes identical to the full passes";
-              0
-            end
-            else begin
-              prerr_endline "verify-constraints: the frontier gate changed the constraint rows";
-              1
-            end))
+            let cols_ok =
+              (not prune)
+              || P.prune_target_pass_flat ~pool g gated = P.prune_target_pass_flat ~pool g full
+            in
+            Printf.printf
+              "verify-constraints %s: prune=%b T_clk=%.6f rows=%d candidates=%d swept \
+               gated/full=%d/%d -> %s\n%!"
+              name prune t_clk
+              full.P.sr_off.(P.num_vertices wd)
+              full.P.sr_candidates gated.P.sr_scanned full.P.sr_scanned
+              (if not rows_ok then "ROW MISMATCH"
+               else if not cols_ok then "COLUMN MISMATCH"
+               else "identical");
+            if not (rows_ok && cols_ok) then incr failures)
+          [ false; true ];
+        if !failures = 0 then begin
+          print_endline "verify-constraints: frontier-gated passes identical to the full passes";
+          0
+        end
+        else begin
+          prerr_endline "verify-constraints: the frontier gate changed the constraint rows";
+          1
+        end)
 
 (* --- retime: export a retimed .bench --- *)
 
+(* A bare netlist has no floorplan, so this runs the retiming set-up
+   stages on its sequential view, with [slack] as the clk_fraction. *)
 let run_retime circuit slack output =
-  match load_circuit circuit with
-  | Error msg ->
-    prerr_endline msg;
-    1
-  | Ok netlist ->
-    (match Lacr_netlist.Seqview.of_netlist netlist with
-    | Error msg ->
-      prerr_endline msg;
-      1
-    | Ok view ->
-      let g = Lacr_retime.Graph.of_seqview view in
-      let extra =
-        Lacr_retime.Graph.io_pin_constraints view ~host:(Lacr_retime.Graph.host g)
-      in
-      let wd = Lacr_retime.Paths.compute g in
-      let mp = Lacr_retime.Feasibility.min_period ~extra g wd in
-      let t_init = Lacr_retime.Graph.clock_period g in
-      let period =
-        mp.Lacr_retime.Feasibility.period
-        +. (slack *. (t_init -. mp.Lacr_retime.Feasibility.period))
-      in
-      let cs = Lacr_retime.Constraints.generate ~prune:true ~extra g wd ~period in
-      (match Lacr_retime.Min_area.solve g cs with
-      | Error msg ->
-        prerr_endline msg;
-        1
-      | Ok solution ->
-        let labels =
-          Array.sub solution.Lacr_retime.Min_area.labels 0
-            (Lacr_netlist.Seqview.num_units view)
-        in
-        (match Lacr_netlist.Rebuild.of_labels netlist view labels with
-        | Error msg ->
-          prerr_endline msg;
-          1
-        | Ok rebuilt ->
-          let text = Lacr_netlist.Bench_io.to_string rebuilt in
-          (match output with
-          | Some path ->
-            Lacr_netlist.Bench_io.write_file path rebuilt;
-            Printf.printf
-              "wrote %s: period %.2f -> %.2f ns, flip-flops %d -> %d\n" path t_init period
-              (Lacr_netlist.Netlist.num_dffs netlist)
-              (Lacr_netlist.Netlist.num_dffs rebuilt)
-          | None -> print_string text);
-          0)))
+  with_view circuit @@ fun netlist view ->
+  let g = Lacr_retime.Graph.of_seqview view in
+  let extra = Lacr_retime.Graph.io_pin_constraints view ~host:(Lacr_retime.Graph.host g) in
+  let wd = Lacr_retime.Paths.compute g in
+  let mp = Lacr_retime.Feasibility.min_period ~extra g wd in
+  let t_min = mp.Lacr_retime.Feasibility.period in
+  let t_init = Lacr_retime.Graph.clock_period g in
+  let period = Config.t_clk { Config.default with Config.clk_fraction = slack } ~t_init ~t_min in
+  let cs = Lacr_retime.Constraints.generate ~prune:true ~extra g wd ~period in
+  let* solution = Lacr_retime.Min_area.solve g cs in
+  let labels =
+    Array.sub solution.Lacr_retime.Min_area.labels 0 (Lacr_netlist.Seqview.num_units view)
+  in
+  let* rebuilt = Lacr_netlist.Rebuild.of_labels netlist view labels in
+  (match output with
+  | Some path ->
+    Lacr_netlist.Bench_io.write_file path rebuilt;
+    Printf.printf "wrote %s: period %.2f -> %.2f ns, flip-flops %d -> %d\n" path t_init period
+      (Lacr_netlist.Netlist.num_dffs netlist)
+      (Lacr_netlist.Netlist.num_dffs rebuilt)
+  | None -> print_string (Lacr_netlist.Bench_io.to_string rebuilt));
+  0
 
 (* --- export-dot --- *)
 
 let run_dot circuit =
-  match load_circuit circuit with
-  | Error msg ->
-    prerr_endline msg;
-    1
-  | Ok netlist ->
-    (match Lacr_netlist.Seqview.of_netlist netlist with
-    | Error msg ->
-      prerr_endline msg;
-      1
-    | Ok view ->
-      print_string (Lacr_netlist.Dot.of_seqview view);
-      0)
+  with_view circuit @@ fun _ view ->
+  print_string (Lacr_netlist.Dot.of_seqview view);
+  0
 
 (* --- stats --- *)
 
 let run_stats circuit =
-  match load_circuit circuit with
-  | Error msg ->
-    prerr_endline msg;
-    1
-  | Ok netlist ->
-    (match Lacr_netlist.Seqview.of_netlist netlist with
-    | Error msg ->
-      prerr_endline msg;
-      1
-    | Ok view ->
-      (match Lacr_netlist.Levelize.stats view with
-      | Error msg ->
-        prerr_endline msg;
-        1
-      | Ok s ->
-        Format.printf "%s: %a@." (Lacr_netlist.Netlist.name netlist)
-          Lacr_netlist.Levelize.pp_stats s;
-        (match Lacr_netlist.Sweep.sweep netlist with
-        | Ok sw when sw.Lacr_netlist.Sweep.removed_gates + sw.Lacr_netlist.Sweep.removed_dffs > 0 ->
-          Printf.printf "dead logic: %d gates and %d flip-flops are unobservable\n"
-            sw.Lacr_netlist.Sweep.removed_gates sw.Lacr_netlist.Sweep.removed_dffs
-        | Ok _ -> print_endline "no dead logic"
-        | Error msg -> prerr_endline msg);
-        0))
+  with_view circuit @@ fun netlist view ->
+  let* s = Lacr_netlist.Levelize.stats view in
+  Format.printf "%s: %a@." (Lacr_netlist.Netlist.name netlist) Lacr_netlist.Levelize.pp_stats s;
+  (match Lacr_netlist.Sweep.sweep netlist with
+  | Ok sw when sw.Lacr_netlist.Sweep.removed_gates + sw.Lacr_netlist.Sweep.removed_dffs > 0 ->
+    Printf.printf "dead logic: %d gates and %d flip-flops are unobservable\n"
+      sw.Lacr_netlist.Sweep.removed_gates sw.Lacr_netlist.Sweep.removed_dffs
+  | Ok _ -> print_endline "no dead logic"
+  | Error msg -> prerr_endline msg);
+  0
 
 (* --- serve-client: deterministic load generator for lacrd --- *)
 

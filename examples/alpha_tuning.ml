@@ -11,10 +11,7 @@
 
 module Build = Lacr_core.Build
 module Lac = Lacr_core.Lac
-module Config = Lacr_core.Config
-module Graph = Lacr_retime.Graph
-module Paths = Lacr_retime.Paths
-module Feasibility = Lacr_retime.Feasibility
+module Planner = Lacr_core.Planner
 module Constraints = Lacr_retime.Constraints
 
 let () =
@@ -24,13 +21,7 @@ let () =
   | Ok inst ->
     (* Constraint generation happens once; the sweep reuses it, the
        same reuse the LAC loop itself depends on. *)
-    let g = inst.Build.graph in
-    let wd = Paths.compute g in
-    let extra = inst.Build.pin_constraints in
-    let mp = Feasibility.min_period ~extra g wd in
-    let t_init = Graph.clock_period g in
-    let t_clk = mp.Feasibility.period +. (0.2 *. (t_init -. mp.Feasibility.period)) in
-    let constraints = Constraints.generate ~prune:true ~extra g wd ~period:t_clk in
+    let _, _, t_clk, constraints = Planner.retiming_setup inst in
     Printf.printf "%s: T_clk = %.2f ns, %d constraints\n\n" inst.Build.circuit t_clk
       constraints.Constraints.system.Constraints.m;
     Printf.printf "%8s | %6s %6s %6s | convergence (N_FOA per iteration)\n" "alpha" "N_FOA"

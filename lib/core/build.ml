@@ -346,11 +346,3 @@ let build ?(config = Config.default) ?(soft_growth = fun _ -> 0.0) ?layout
 
 let interconnect_vertex inst v =
   v >= inst.n_units && v <> Graph.host inst.graph
-
-let logic_area_of_blocks inst =
-  let k = Array.length inst.blocks in
-  let areas = Array.make k 0.0 in
-  Array.iteri
-    (fun u b -> areas.(b) <- areas.(b) +. unit_area inst.view.Seqview.units.(u))
-    inst.block_of_unit;
-  areas

@@ -73,6 +73,3 @@ val build :
 
 val interconnect_vertex : instance -> int -> bool
 (** True for interconnect-unit vertices (not units, not host). *)
-
-val logic_area_of_blocks : instance -> float array
-(** Total functional-unit area per block, FF units. *)

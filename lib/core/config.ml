@@ -64,3 +64,5 @@ let default =
 let block_count t ~n_units =
   let raw = n_units / max 1 t.units_per_block in
   max t.min_blocks (min t.max_blocks raw)
+
+let t_clk t ~t_init ~t_min = t_min +. (t.clk_fraction *. (t_init -. t_min))

@@ -77,3 +77,9 @@ val default : t
 
 val block_count : t -> n_units:int -> int
 (** Derived partition arity for a circuit size. *)
+
+val t_clk : t -> t_init:float -> t_min:float -> float
+(** The target clock period of the paper's set-up,
+    [t_min + clk_fraction * (t_init - t_min)]: the one place this rule
+    lives, shared by {!Planner.retiming_setup} and every client that
+    runs the set-up stages itself. *)

@@ -137,7 +137,7 @@ let retiming_setup ?pool ?(trace = Obs.disabled) (inst : Build.instance) =
         Feasibility.min_period ~extra g wd)
   in
   let t_min = mp.Feasibility.period in
-  let t_clk = t_min +. (cfg.Config.clk_fraction *. (t_init -. t_min)) in
+  let t_clk = Config.t_clk cfg ~t_init ~t_min in
   let constraints =
     Constraints.generate ~prune:cfg.Config.prune_constraints ~extra ?pool ~trace g wd
       ~period:t_clk

@@ -148,6 +148,3 @@ let clock_period t =
   done;
   if !processed < n then failwith "Graph.clock_period: zero-weight cycle";
   Array.fold_left max 0.0 arrival
-
-let has_zero_weight_cycle t =
-  match clock_period t with _ -> false | exception Failure _ -> true

@@ -74,5 +74,3 @@ val clock_period : t -> float
 (** Maximum combinational (zero-weight) path delay, vertex delays
     inclusive.  @raise Failure on a zero-weight cycle (malformed
     circuit). *)
-
-val has_zero_weight_cycle : t -> bool

@@ -18,11 +18,6 @@ let objective_coefficients_into g ~area coeff =
   in
   Array.iter tally (Graph.edges g)
 
-let objective_coefficients g ~area =
-  let coeff = Array.make (Graph.num_vertices g) 0.0 in
-  objective_coefficients_into g ~area coeff;
-  coeff
-
 let weighted_ff_area g ~area labels =
   Array.fold_left
     (fun acc (e : Graph.edge) ->

@@ -60,9 +60,6 @@ val solve_compiled :
     potentials).  [trace] feeds the flow-solver counters into the
     observability context. *)
 
-val objective_coefficients : Graph.t -> area:float array -> float array
-(** The [fi(v) - fo(v)] vector (exposed for tests). *)
-
 val weighted_ff_area : Graph.t -> area:float array -> int array -> float
 (** [sum_e A(src e) w_r(e)] under a labelling. *)
 

@@ -1,9 +1,9 @@
 (** Static timing analysis on (retimed) retiming graphs.
 
     Combinational arrival and required times per vertex under a target
-    period, slacks, and critical-path extraction.  Used by the planner
-    CLI to explain {e why} a circuit's period is what it is, and by
-    the examples to show the path that retiming shortened. *)
+    period, slacks, and critical-path extraction.  Only the tests use
+    it today; it is the place to explain {e why} a circuit's period
+    is what it is, or which path retiming shortened. *)
 
 type t = {
   period : float;

@@ -23,7 +23,6 @@ type options = {
   spec_rounds : int;
   spec_batch : int;
   use_astar : bool;
-  bidir_threshold : int;
 }
 
 let default_options =
@@ -35,7 +34,6 @@ let default_options =
     spec_rounds = 3;
     spec_batch = 1;
     use_astar = true;
-    bidir_threshold = 96;
   }
 
 type result = {
@@ -220,13 +218,6 @@ type net_scratch = {
 let create_net_scratch usage tg =
   { maze = Maze.create_scratch usage; csr = create_csr (Tilegraph.num_cells tg) }
 
-let manhattan_steps nx a b = abs ((a / nx) - (b / nx)) + abs ((a mod nx) - (b mod nx))
-
-let engine_for options nx a b =
-  if manhattan_steps nx a b >= options.bidir_threshold then Maze.Bidir
-  else if options.use_astar then Maze.Astar
-  else Maze.Dijkstra
-
 (* A net's routing topology is invariant across speculative attempts
    and rip-up passes: distinct terminal cells plus the Steiner tree
    edges snapped onto grid cells.  Building it once per net keeps the
@@ -266,14 +257,14 @@ let topology_of tg net =
    of (usage, net) — the property that makes the speculative parallel
    schedule deterministic.  Sink paths are recovered once per net
    after negotiation settles, not on every attempt. *)
-let route_edges usage sc ~options ~congestion_weight ~on_fallback ~nx topo =
+let route_edges usage sc ~options ~congestion_weight ~on_fallback topo =
+  let engine = if options.use_astar then Maze.Astar else Maze.Dijkstra in
   Fun.protect
     ~finally:(fun () -> Maze.overlay_clear sc.maze)
     (fun () ->
       let segments = ref [] in
       for e = 0 to Array.length topo.t_edges - 1 do
         let ca, cb = topo.t_edges.(e) in
-        let engine = engine_for options nx ca cb in
         let path = Maze.route usage sc.maze ~engine ~congestion_weight ~src:ca ~dst:cb () in
         (match path with
         | [ _ ] -> on_fallback () (* degenerate: ca <> cb unreachable *)
@@ -316,7 +307,6 @@ let route_all ?(options = default_options) ?(pool = Pool.sequential) ?(trace = T
           scratches.(slot) <- Some sc;
           sc
       in
-      let nx, _ = Tilegraph.grid_dims tg in
       (* Per-net topology, built once up front (deterministic per net,
          so the parallel fill is order-free). *)
       let topos = Array.make n_nets { t_edges = [||] } in
@@ -382,7 +372,7 @@ let route_all ?(options = default_options) ?(pool = Pool.sequential) ?(trace = T
               let sc = scratch_for () in
               let i, _ = buf.(j) in
               let s =
-                route_edges usage sc ~options ~congestion_weight ~on_fallback ~nx topos.(i)
+                route_edges usage sc ~options ~congestion_weight ~on_fallback topos.(i)
               in
               let w = List.fold_left (fun acc p -> acc +. path_length tg p) 0.0 s in
               results.(j) <- Some (s, w));

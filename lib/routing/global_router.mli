@@ -59,10 +59,7 @@ type options = {
           recovery); raise it on wide machines to trade a slightly
           staler congestion picture for speculative routing width.
           Results are bit-identical across pool sizes for every value. *)
-  use_astar : bool;  (** A* engine for short nets (default); Dijkstra off *)
-  bidir_threshold : int;
-      (** Manhattan cell distance at which long nets switch to the
-          bidirectional engine, default 96 *)
+  use_astar : bool;  (** A* engine (default); plain Dijkstra when off *)
 }
 
 val default_options : options

@@ -189,7 +189,6 @@ let assert_demand_consistent u ~segments =
 type engine =
   | Dijkstra
   | Astar
-  | Bidir
 
 (* Growable int buffer for the overlay's touched-boundary log. *)
 type intvec = {
@@ -209,8 +208,7 @@ let vec_push vec x =
 (* Reusable per-worker search state.  All visitation arrays are
    epoch-stamped: a cell's [dist]/[prev] entries are only valid when
    its stamp equals the current epoch, so starting a new query is one
-   integer increment instead of three O(n) array fills.  The [_b]
-   arrays are the backward half of the bidirectional fallback.  The
+   integer increment instead of three O(n) array fills.  The
    overlay is a private demand delta for speculative routing: a net
    being routed against an immutable usage snapshot records its own
    segments here so later segments of the same net see them. *)
@@ -224,11 +222,6 @@ type scratch = {
   dist_f : int array;
   prev_f : int array;
   heap_f : Lacr_util.Int_heap.t;
-  seen_b : int array;
-  done_b : int array;
-  dist_b : int array;
-  prev_b : int array;
-  heap_b : Lacr_util.Int_heap.t;
   h_len : int;
   h_ov : float array;
   v_ov : float array;
@@ -249,11 +242,6 @@ let create_scratch u =
     dist_f = Array.make n 0;
     prev_f = Array.make n (-1);
     heap_f = Lacr_util.Int_heap.create ~capacity:(max 16 n) ();
-    seen_b = Array.make n 0;
-    done_b = Array.make n 0;
-    dist_b = Array.make n 0;
-    prev_b = Array.make n (-1);
-    heap_b = Lacr_util.Int_heap.create ~capacity:(max 16 n) ();
     h_len = Array.length u.h;
     h_ov = Array.make (Array.length u.h) 0.0;
     v_ov = Array.make (Array.length u.v) 0.0;
@@ -301,7 +289,7 @@ let sat_add sc a b = if a >= sc.max_dist - b then sc.max_dist else a + b
 let heuristic u ~dr ~dc row col =
   (abs (col - dc) * u.unit_x) + (abs (row - dr) * u.unit_y)
 
-(* Walk one side's predecessor chain from [cell] back to its seed. *)
+(* Walk the predecessor chain from [cell] back to the search's seed. *)
 let rec walk_prev prev cell seed acc =
   if cell = seed then seed :: acc else walk_prev prev prev.(cell) seed (cell :: acc)
 
@@ -356,101 +344,6 @@ let search_uni u sc ~use_h ~congestion_weight ~src ~dst =
   done;
   if done_.(dst) = epoch then Some (walk_prev prev dst src []) else None
 
-(* Discard heap entries already settled this epoch; the minimum live
-   cost (the packed priority's high bits) drives the bidirectional
-   stop test. *)
-let live_min_cost sc heap done_ =
-  let result = ref (-1) in
-  while !result < 0 && not (Lacr_util.Int_heap.is_empty heap) do
-    let prio = Lacr_util.Int_heap.min_prio heap in
-    let cell = prio land ((1 lsl sc.cell_bits) - 1) in
-    if done_.(cell) = sc.epoch then ignore (Lacr_util.Int_heap.pop_min heap)
-    else result := prio asr sc.cell_bits
-  done;
-  !result
-
-(* Bidirectional Dijkstra with the classic early exit: alternate the
-   cheaper frontier; any cell seen from both sides bounds the optimum
-   ([mu]); once the two live frontier minima sum past [mu] no cheaper
-   connection exists, so the meet is provably on a minimum-cost path.
-   The backward search runs on reversed edges: a step from [p] onto
-   [c] prices [c]'s blockage and the (p, c) boundary, exactly as the
-   forward search entering [c] would. *)
-let search_bidir u sc ~congestion_weight ~src ~dst =
-  let nx = u.nx and ny = u.ny in
-  sc.epoch <- sc.epoch + 1;
-  let epoch = sc.epoch in
-  Lacr_util.Int_heap.clear sc.heap_f;
-  Lacr_util.Int_heap.clear sc.heap_b;
-  sc.seen_f.(src) <- epoch;
-  sc.dist_f.(src) <- 0;
-  sc.prev_f.(src) <- src;
-  Lacr_util.Int_heap.push sc.heap_f ~prio:src src;
-  sc.seen_b.(dst) <- epoch;
-  sc.dist_b.(dst) <- 0;
-  sc.prev_b.(dst) <- dst;
-  Lacr_util.Int_heap.push sc.heap_b ~prio:dst dst;
-  let mu = ref max_int and meet = ref (-1) in
-  let consider cell total =
-    if total < !mu || (total = !mu && cell < !meet) then begin
-      mu := total;
-      meet := cell
-    end
-  in
-  let expand ~forward =
-    let seen, done_, dist, prev, heap, o_seen, o_dist =
-      if forward then (sc.seen_f, sc.done_f, sc.dist_f, sc.prev_f, sc.heap_f, sc.seen_b, sc.dist_b)
-      else (sc.seen_b, sc.done_b, sc.dist_b, sc.prev_b, sc.heap_b, sc.seen_f, sc.dist_f)
-    in
-    let cell = Lacr_util.Int_heap.pop_min heap in
-    if done_.(cell) <> epoch then begin
-      done_.(cell) <- epoch;
-      if o_seen.(cell) = epoch then consider cell (sat_add sc dist.(cell) o_dist.(cell));
-      let row = cell / nx and col = cell mod nx in
-      let g = dist.(cell) in
-      let relax next ~horiz i =
-        if done_.(next) <> epoch then begin
-          (* Forward: step onto [next].  Backward: the real edge runs
-             [next] -> [cell], so the entered cell is [cell]. *)
-          let entered = if forward then next else cell in
-          let nd = sat_add sc g (step_cost u sc ~congestion_weight ~horiz i entered) in
-          if seen.(next) <> epoch || nd < dist.(next) then begin
-            seen.(next) <- epoch;
-            dist.(next) <- nd;
-            prev.(next) <- cell;
-            Lacr_util.Int_heap.push heap ~prio:(nd lsl sc.cell_bits lor next) next;
-            if o_seen.(next) = epoch then consider next (sat_add sc nd o_dist.(next))
-          end
-          else if nd = dist.(next) && cell < prev.(next) then prev.(next) <- cell
-        end
-      in
-      if col + 1 < nx then relax (cell + 1) ~horiz:true ((row * (nx - 1)) + col);
-      if col > 0 then relax (cell - 1) ~horiz:true ((row * (nx - 1)) + col - 1);
-      if row + 1 < ny then relax (cell + nx) ~horiz:false ((row * nx) + col);
-      if row > 0 then relax (cell - nx) ~horiz:false (((row - 1) * nx) + col)
-    end
-  in
-  let finished = ref false in
-  while not !finished do
-    let fmin = live_min_cost sc sc.heap_f sc.done_f in
-    let bmin = live_min_cost sc sc.heap_b sc.done_b in
-    if fmin < 0 && bmin < 0 then finished := true
-    else if !mu < max_int
-            && sat_add sc (if fmin < 0 then sc.max_dist else fmin)
-                 (if bmin < 0 then sc.max_dist else bmin)
-               >= !mu
-    then finished := true
-    else if bmin < 0 || (fmin >= 0 && fmin <= bmin) then expand ~forward:true
-    else expand ~forward:false
-  done;
-  if !meet < 0 then None
-  else begin
-    let forward = walk_prev sc.prev_f !meet src [] in
-    let rec backward cell acc = if cell = dst then List.rev (dst :: acc) else backward sc.prev_b.(cell) (cell :: acc) in
-    (* [forward] ends at the meet; the backward tail starts just after it. *)
-    Some (forward @ List.tl (backward !meet []))
-  end
-
 let route u sc ?(engine = Astar) ~congestion_weight ~src ~dst () =
   if src = dst then [ src ]
   else begin
@@ -458,7 +351,6 @@ let route u sc ?(engine = Astar) ~congestion_weight ~src ~dst () =
       match engine with
       | Dijkstra -> search_uni u sc ~use_h:false ~congestion_weight ~src ~dst
       | Astar -> search_uni u sc ~use_h:true ~congestion_weight ~src ~dst
-      | Bidir -> search_bidir u sc ~congestion_weight ~src ~dst
     in
     match found with
     | Some path -> path

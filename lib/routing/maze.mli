@@ -88,7 +88,6 @@ val assert_demand_consistent : usage -> segments:int list list -> unit
 type engine =
   | Dijkstra  (** plain label-setting search, the reference engine *)
   | Astar  (** Manhattan×pitch admissible lower bound (default) *)
-  | Bidir  (** bidirectional early-exit search for long nets *)
 
 type scratch
 (** Reusable per-worker search state: epoch-stamped visitation arrays,
@@ -116,7 +115,7 @@ val route :
   unit ->
   int list
 (** Cheapest path as an inclusive cell sequence ([[src]] when
-    [src = dst]).  All three engines return cost-identical paths; ties
+    [src = dst]).  Both engines return cost-identical paths; ties
     break deterministically on (cost, cell id).  The returned path is
     {e not} added to the usage or the overlay — callers decide.  On an
     unreachable destination (impossible via well-formed tile graphs)

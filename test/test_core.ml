@@ -390,18 +390,6 @@ let suite =
   suite
   @ [ Alcotest.test_case "slicing floorplanner pipeline" `Slow test_slicing_floorplanner_pipeline ]
 
-let test_congestion_on_planned_instance () =
-  (* The congestion reporter runs over a real planning run's usage. *)
-  let inst = build_small () in
-  let usage = inst.Build.routing.Lacr_routing.Global_router.usage in
-  let report = Lacr_routing.Congestion.analyze usage in
-  check "some boundaries used" true (report.Lacr_routing.Congestion.used_boundaries > 0);
-  check "histogram sums to used" true
-    (Array.fold_left ( + ) 0 report.Lacr_routing.Congestion.histogram
-    = report.Lacr_routing.Congestion.used_boundaries);
-  let map = Lacr_routing.Congestion.heat_map usage in
-  check "heat map rows" true (String.length map > 100)
-
 let test_table1_shape_invariants () =
   (* Loose golden test: on two small suite circuits, LAC never loses
      to min-area and both meet the target period. *)
@@ -420,7 +408,6 @@ let test_table1_shape_invariants () =
 let suite =
   suite
   @ [
-      Alcotest.test_case "congestion on planned instance" `Slow test_congestion_on_planned_instance;
       Alcotest.test_case "table1 shape invariants" `Slow test_table1_shape_invariants;
     ]
 

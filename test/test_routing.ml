@@ -1,6 +1,6 @@
 (* Routing tests: Steiner tree invariants (connectivity, length lower
    bound vs HPWL), maze-route validity on the grid, usage accounting,
-   engine equivalence (Dijkstra / A* / bidirectional), negotiated
+   engine equivalence (Dijkstra vs A* search), negotiated
    history behaviour, cross-domain determinism of the parallel
    router, and global-router end-to-end properties. *)
 
@@ -220,10 +220,10 @@ let test_checkpoint_restore () =
   check_float "restored h demand" 1.0 (Maze.demand usage 0 1);
   check_float "restored v demand" 0.0 (Maze.demand usage 0 8)
 
-(* QCheck (a): all three engines return cost-identical paths on random
+(* QCheck (a): both engines return cost-identical paths on random
    grids with random demand and history. *)
 let prop_engines_cost_identical =
-  QCheck2.Test.make ~count:60 ~name:"astar and bidir path cost = dijkstra path cost"
+  QCheck2.Test.make ~count:60 ~name:"astar path cost = dijkstra path cost"
     QCheck2.Gen.(int_range 0 1_000_000)
     (fun seed ->
       let tg = grid_fixture () in
@@ -239,12 +239,10 @@ let prop_engines_cost_identical =
       in
       let dij = Maze.route usage sc ~engine:Maze.Dijkstra ~congestion_weight:cw ~src ~dst () in
       let ast = Maze.route usage sc ~engine:Maze.Astar ~congestion_weight:cw ~src ~dst () in
-      let bid = Maze.route usage sc ~engine:Maze.Bidir ~congestion_weight:cw ~src ~dst () in
       let cost = Maze.path_cost usage ~congestion_weight:cw in
-      valid_path tg dij && valid_path tg ast && valid_path tg bid
-      && ends dij && ends ast && ends bid
+      valid_path tg dij && valid_path tg ast
+      && ends dij && ends ast
       && cost ast = cost dij
-      && cost bid = cost dij
       (* Dijkstra and A* share the tie-break, so they agree exactly. *)
       && ast = dij)
 
@@ -305,28 +303,6 @@ let test_reroute_reduces_overflow () =
   let with_reroute = Global_router.route_all tg nets in
   check "reroute not worse" true
     (with_reroute.Global_router.overflow <= no_reroute.Global_router.overflow +. 1e-9)
-
-let test_route_all_bidir_engine () =
-  (* Force every net through the bidirectional engine: routed trees
-     stay valid end to end. *)
-  let tg = grid_fixture () in
-  let rng = Rng.create 21 in
-  let nets = random_nets rng tg 12 in
-  let result =
-    Global_router.route_all
-      ~options:{ Global_router.default_options with Global_router.bidir_threshold = 1 }
-      tg nets
-  in
-  Array.iter
-    (fun routed ->
-      Array.iteri
-        (fun i path ->
-          check "bidir sink path valid" true (valid_path tg path);
-          check_int "bidir path ends at sink"
-            routed.Global_router.net.Global_router.sink_cells.(i)
-            (List.nth path (List.length path - 1)))
-        routed.Global_router.sink_paths)
-    result.Global_router.nets
 
 let prop_sink_paths_on_tree =
   QCheck2.Test.make ~count:40 ~name:"sink paths are valid and start/end correctly"
@@ -490,7 +466,6 @@ let suite =
     Alcotest.test_case "route_all basic" `Quick test_route_all_basic;
     Alcotest.test_case "route_all same-cell net" `Quick test_route_all_same_cell_net;
     Alcotest.test_case "reroute reduces overflow" `Quick test_reroute_reduces_overflow;
-    Alcotest.test_case "route_all bidir engine" `Quick test_route_all_bidir_engine;
     QCheck_alcotest.to_alcotest prop_sink_paths_on_tree;
     QCheck_alcotest.to_alcotest prop_domains_bit_identical;
     QCheck_alcotest.to_alcotest prop_overflow_non_increasing;
@@ -502,35 +477,3 @@ let suite =
     Alcotest.test_case "pin: s27 routed wirelength" `Quick test_pin_s27;
     Alcotest.test_case "pin: s386 routed wirelength" `Quick test_pin_s386;
   ]
-
-(* --- congestion reporting --------------------------------------------- *)
-
-module Congestion = Lacr_routing.Congestion
-
-let test_congestion_report () =
-  let tg = grid_fixture () in
-  let usage = Maze.create tg in
-  let empty = Congestion.analyze usage in
-  check_int "no used boundaries" 0 empty.Congestion.used_boundaries;
-  check_int "no overflow" 0 empty.Congestion.overflowed;
-  (* Saturate one corridor beyond capacity (cap = 2.0 in the fixture). *)
-  for _i = 1 to 3 do
-    Maze.add_path usage [ 0; 1; 2 ]
-  done;
-  let r = Congestion.analyze usage in
-  check_int "two used boundaries" 2 r.Congestion.used_boundaries;
-  check_int "both overflowed" 2 r.Congestion.overflowed;
-  check "max util 150%" true (abs_float (r.Congestion.max_utilization -. 1.5) < 1e-9);
-  check_int "histogram total" 2 (Array.fold_left ( + ) 0 r.Congestion.histogram);
-  let hs = Congestion.hotspots ~top:1 usage in
-  (match hs with
-  | [ (a, b, u) ] ->
-    check "hotspot on corridor" true ((a, b) = (0, 1) || (a, b) = (1, 2));
-    check "hotspot util" true (abs_float (u -. 1.5) < 1e-9)
-  | _ -> Alcotest.fail "expected one hotspot");
-  let map = Congestion.heat_map usage in
-  check "overflow marked" true (String.contains map '!');
-  check "quiet cells dotted" true (String.contains map '.');
-  check "report pp" true (String.length (Format.asprintf "%a" Congestion.pp_report r) > 10)
-
-let suite = suite @ [ Alcotest.test_case "congestion report" `Quick test_congestion_report ]
