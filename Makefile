@@ -48,10 +48,12 @@ smoke-sanitize:
 	LACR_SANITIZE=1 dune exec bin/lacr_cli.exe -- plan s27
 
 # Router determinism smoke: the negotiated A* router must produce
-# bit-identical nets/wirelength/overflow at --domains 1, 2 and 4,
-# with the sanitizer re-checking boundary demand after every pass.
+# bit-identical nets/wirelength/overflow at --domains 1, 2 and 4.
+# s1196 overflows after the initial pass and runs two rip-up passes
+# (passes=3), so the sanitizer's boundary-demand recount checks the
+# usage after re-routes, not only after the initial pass.
 smoke-route:
-	LACR_SANITIZE=1 dune exec bin/lacr_cli.exe -- verify-route s27
+	LACR_SANITIZE=1 dune exec bin/lacr_cli.exe -- verify-route s1196
 
 # Bench smoke: the harness's cheap sections in fast mode (about 10 s).
 # P, Q, R and T fail hard on a pool-size, warm/cold or trace-off

@@ -508,9 +508,10 @@ let run_router_scaling () =
     circuits;
   Printf.printf
     "\n(astar = epoch-stamped integer A* engine with CSR sink recovery and\n\
-     PathFinder history, negotiated speculatively across the pool; par-spd = sequential /\n\
-     best pooled time; 'identical' checks segments, sink paths, wirelengths, overflow and\n\
-     the per-pass trajectory across all pool sizes)\n"
+     PathFinder history, nets negotiated in order on one domain while the pool builds\n\
+     topologies and recovers sink paths; par-spd = sequential / best pooled time;\n\
+     'identical' checks segments, sink paths, wirelengths, overflow and the per-pass\n\
+     trajectory across all pool sizes)\n"
 
 (* --- T: observability — traced stage breakdown and overhead guard --- *)
 

@@ -50,34 +50,14 @@ let ( let* ) r f =
     prerr_endline msg;
     1
 
-let config_with ?seed ?alpha ?grid ?domains ?sanitize ?router () =
+let config_with ?seed ?alpha ?grid ?domains ?sanitize ?route_passes () =
   let c = Config.default in
   let c = match seed with Some s -> { c with Config.seed = s } | None -> c in
   let c = match alpha with Some a -> { c with Config.alpha = a } | None -> c in
   let c = match grid with Some g -> { c with Config.grid = g } | None -> c in
   let c = match domains with Some d -> { c with Config.domains = d } | None -> c in
-  let c = match router with Some r -> { c with Config.router = r } | None -> c in
+  let c = match route_passes with Some p -> { c with Config.route_passes = p } | None -> c in
   match sanitize with Some s -> { c with Config.sanitize = s } | None -> c
-
-(* Router options from the plan-level flags, on top of the defaults. *)
-let router_options route_passes spec_rounds spec_batch no_astar =
-  let r = Lacr_routing.Global_router.default_options in
-  let r =
-    match route_passes with
-    | Some p -> { r with Lacr_routing.Global_router.passes = p }
-    | None -> r
-  in
-  let r =
-    match spec_rounds with
-    | Some s -> { r with Lacr_routing.Global_router.spec_rounds = s }
-    | None -> r
-  in
-  let r =
-    match spec_batch with
-    | Some b -> { r with Lacr_routing.Global_router.spec_batch = b }
-    | None -> r
-  in
-  { r with Lacr_routing.Global_router.use_astar = not no_astar }
 
 (* The load -> build prologue of the subcommands that work on a built
    instance. *)
@@ -95,11 +75,9 @@ let with_view circuit f =
 
 (* --- plan --- *)
 
-let run_plan circuit seed domains sanitize route_passes spec_rounds spec_batch no_astar verbose
-    second trace_file metrics_file =
+let run_plan circuit seed domains sanitize route_passes verbose second trace_file metrics_file =
   let* netlist = load_circuit circuit in
-  let router = router_options route_passes spec_rounds spec_batch no_astar in
-  let config = config_with ?seed ?domains ~sanitize ~router () in
+  let config = config_with ?seed ?domains ~sanitize ?route_passes () in
   (* The collector is only live when an output was requested, so a
      plain `lacr plan` keeps the zero-overhead disabled path. *)
   let trace =
@@ -282,9 +260,9 @@ let run_verify_route circuit seed =
   let module Gr = Lacr_routing.Global_router in
   let tg = inst.Build.tilegraph in
   let nets = Array.map (fun r -> r.Gr.net) inst.Build.routing.Gr.nets in
-  let options = inst.Build.config.Config.router in
+  let passes = inst.Build.config.Config.route_passes in
   let route_with size =
-    Lacr_util.Pool.with_pool ~size (fun pool -> Gr.route_all ~options ~pool tg nets)
+    Lacr_util.Pool.with_pool ~size (fun pool -> Gr.route_all ~passes ~pool tg nets)
   in
   match List.map route_with [ 1; 2; 4 ] with
   | exception Lacr_util.Sanitize.Violation { invariant; detail } ->
@@ -561,40 +539,12 @@ let route_passes_arg =
     & info [ "route-passes" ] ~docv:"N"
         ~doc:"Rip-up/re-route passes after the initial routing pass (default 2).")
 
-let spec_rounds_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "spec-rounds" ] ~docv:"N"
-        ~doc:
-          "Speculative routing rounds per negotiation before residual conflicts are left to \
-           rip-up (default 3).")
-
-let spec_batch_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "route-batch" ] ~docv:"N"
-        ~doc:
-          "Nets routed speculatively per negotiation slice (default 1 = fully sequential \
-           incremental schedule; raise on wide machines). The routed result is bit-identical \
-           for every value and every $(b,--domains) setting.")
-
-let no_astar_arg =
-  Arg.(
-    value & flag
-    & info [ "no-astar" ]
-        ~doc:
-          "Route with plain Dijkstra instead of the A* engine (cost-identical paths, slower; \
-           for cross-checking).")
-
 let plan_cmd =
   let doc = "Run the interconnect planner on one circuit." in
   Cmd.v (Cmd.info "plan" ~doc)
     Term.(
       const run_plan $ circuit_arg $ seed_arg $ domains_arg $ sanitize_arg $ route_passes_arg
-      $ spec_rounds_arg $ spec_batch_arg $ no_astar_arg $ verbose_arg $ second_arg $ trace_arg
-      $ metrics_arg)
+      $ verbose_arg $ second_arg $ trace_arg $ metrics_arg)
 
 let trace_check_file_arg =
   Arg.(

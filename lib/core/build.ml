@@ -248,7 +248,7 @@ let build ?(config = Config.default) ?(soft_growth = fun _ -> 0.0) ?layout
           if remote <> [] then begin
             let sinks = Array.of_list (List.map (fun (_, v) -> unit_cell.(v)) remote) in
             nets :=
-              { Global_router.source_cell = unit_cell.(u); sink_cells = sinks; weight = 1.0 }
+              { Global_router.source_cell = unit_cell.(u); sink_cells = sinks }
               :: !nets;
             net_edge_slots := Array.of_list (List.map fst remote) :: !net_edge_slots
           end)
@@ -256,7 +256,7 @@ let build ?(config = Config.default) ?(soft_growth = fun _ -> 0.0) ?layout
       let nets = Array.of_list (List.rev !nets) in
       let net_edge_slots = Array.of_list (List.rev !net_edge_slots) in
       let routing =
-        Global_router.route_all ~options:config.Config.router ~pool ~trace tilegraph nets
+        Global_router.route_all ~passes:config.Config.route_passes ~pool ~trace tilegraph nets
       in
       (* --- repeater insertion per sink path --- *)
       let model = config.Config.delay_model in

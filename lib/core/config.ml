@@ -18,7 +18,7 @@ type t = {
   edge_capacity : float;
   whitespace : float;
   delay_model : Lacr_repeater.Delay_model.t;
-  router : Lacr_routing.Global_router.options;
+  route_passes : int;
   annealer : Lacr_floorplan.Annealer.options;
   fm : Lacr_partition.Fm.options;
   clk_fraction : float;
@@ -48,7 +48,7 @@ let default =
     edge_capacity = 24.0;
     whitespace = 0.25;
     delay_model = Lacr_repeater.Delay_model.default;
-    router = Lacr_routing.Global_router.default_options;
+    route_passes = Lacr_routing.Global_router.default_passes;
     annealer = Lacr_floorplan.Annealer.default_options;
     fm = Lacr_partition.Fm.default_options;
     clk_fraction = 0.2;

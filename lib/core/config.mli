@@ -37,7 +37,9 @@ type t = {
   whitespace : float;  (** chip outline margin around the packing *)
   (* -- engines -- *)
   delay_model : Lacr_repeater.Delay_model.t;
-  router : Lacr_routing.Global_router.options;
+  route_passes : int;
+      (** rip-up/re-route passes after the initial routing pass
+          (default {!Lacr_routing.Global_router.default_passes}) *)
   annealer : Lacr_floorplan.Annealer.options;
   fm : Lacr_partition.Fm.options;
   (* -- retiming -- *)

@@ -64,21 +64,19 @@ let chrome_trace ctx =
 
 let write_chrome_trace ctx path = Jsonx.write_file path (chrome_trace ctx)
 
+let totals_fields counters histograms =
+  let ints a = Jsonx.Arr (Array.to_list (Array.map Jsonx.of_int a)) in
+  [
+    ("counters", Jsonx.Obj (List.map (fun (name, total) -> (name, Jsonx.of_int total)) counters));
+    ( "histograms",
+      Jsonx.Obj
+        (List.map
+           (fun (name, bounds, counts) ->
+             (name, Jsonx.Obj [ ("bounds", ints bounds); ("counts", ints counts) ]))
+           histograms) );
+  ]
+
 let metrics_json ctx =
-  let counters =
-    List.map (fun (name, total) -> (name, Jsonx.of_int total)) (Trace.counter_totals ctx)
-  in
-  let histograms =
-    List.map
-      (fun (name, bounds, counts) ->
-        ( name,
-          Jsonx.Obj
-            [
-              ("bounds", Jsonx.Arr (Array.to_list (Array.map Jsonx.of_int bounds)));
-              ("counts", Jsonx.Arr (Array.to_list (Array.map Jsonx.of_int counts)));
-            ] ))
-      (Trace.histogram_totals ctx)
-  in
   let spans =
     List.map
       (fun (depth, name, count, seconds) ->
@@ -92,12 +90,9 @@ let metrics_json ctx =
       (Trace.span_summary ctx)
   in
   Jsonx.Obj
-    [
-      ("schema", Jsonx.of_int 1);
-      ("counters", Jsonx.Obj counters);
-      ("histograms", Jsonx.Obj histograms);
-      ("spans", Jsonx.Arr spans);
-    ]
+    ((("schema", Jsonx.of_int 1)
+     :: totals_fields (Trace.counter_totals ctx) (Trace.histogram_totals ctx))
+    @ [ ("spans", Jsonx.Arr spans) ])
 
 (* Flat CSV projection: one row per scalar, histograms one row per
    bucket.  Span rows carry milliseconds in the value column. *)

@@ -9,6 +9,13 @@ val chrome_trace : Trace.ctx -> Jsonx.t
 
 val write_chrome_trace : Trace.ctx -> string -> unit
 
+val totals_fields :
+  (string * int) list -> (string * int array * int array) list -> (string * Jsonx.t) list
+(** The [counters] and [histograms] members of {!metrics_json},
+    rendered from name-sorted counter totals and [(name, bounds,
+    counts)] histogram totals — the one renderer behind this dump and
+    the daemon's metrics dump and per-request echo. *)
+
 val metrics_json : Trace.ctx -> Jsonx.t
 (** Flat metrics dump: [{schema: 1, counters: {...}, histograms:
     {name: {bounds, counts}}, spans: [{name, depth, count,

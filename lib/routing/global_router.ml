@@ -5,7 +5,6 @@ module Trace = Lacr_obs.Trace
 type net = {
   source_cell : int;
   sink_cells : int array;
-  weight : float;
 }
 
 type routed_net = {
@@ -15,26 +14,15 @@ type routed_net = {
   wirelength : float;
 }
 
-type options = {
-  passes : int;
-  congestion_weight : float;
-  reroute_weight : float;
-  history_decay : float;
-  spec_rounds : int;
-  spec_batch : int;
-  use_astar : bool;
-}
+let default_passes = 2
 
-let default_options =
-  {
-    passes = 2;
-    congestion_weight = 1.0;
-    reroute_weight = 4.0;
-    history_decay = 0.7;
-    spec_rounds = 3;
-    spec_batch = 1;
-    use_astar = true;
-  }
+(* Congestion weights of the initial pass and of the rip-up passes,
+   and the per-pass decay of the PathFinder history term.  Rip-up
+   passes price congestion harder so that nets leave the boundaries
+   they overflowed. *)
+let congestion_weight = 1.0
+let reroute_weight = 4.0
+let history_decay = 0.7
 
 type result = {
   nets : routed_net array;
@@ -61,6 +49,10 @@ let rec iter_steps f = function
     f a b;
     iter_steps f rest
   | [ _ ] | [] -> ()
+
+let rec exists_step f = function
+  | a :: (b :: _ as rest) -> f a b || exists_step f rest
+  | [ _ ] | [] -> false
 
 (* --- sink-path recovery over the segment union ------------------------- *)
 
@@ -210,19 +202,10 @@ let sink_paths_of_segments tg ?fallbacks ~source ~sinks segments =
 
 (* --- per-net routing --------------------------------------------------- *)
 
-type net_scratch = {
-  maze : Maze.scratch;
-  csr : csr;
-}
-
-let create_net_scratch usage tg =
-  { maze = Maze.create_scratch usage; csr = create_csr (Tilegraph.num_cells tg) }
-
-(* A net's routing topology is invariant across speculative attempts
-   and rip-up passes: distinct terminal cells plus the Steiner tree
-   edges snapped onto grid cells.  Building it once per net keeps the
-   Steiner construction — and its allocation — out of the negotiation
-   loop. *)
+(* A net's routing topology is invariant across rip-up passes:
+   distinct terminal cells plus the Steiner tree edges snapped onto
+   grid cells.  Building it once per net keeps the Steiner
+   construction — and its allocation — out of the negotiation loop. *)
 type topology = { t_edges : (int * int) array (* maze (src, dst) cell pairs, src <> dst *) }
 
 let topology_of tg net =
@@ -250,33 +233,26 @@ let topology_of tg net =
     in
     { t_edges = Array.of_list edges }
 
-(* Route one net's tree edges against the current shared usage WITHOUT
-   committing: each edge is maze-routed into the scratch's private
-   overlay (so later edges of this net price earlier ones).  Because
-   the shared usage is read-only here, the result is a pure function
-   of (usage, net) — the property that makes the speculative parallel
-   schedule deterministic.  Sink paths are recovered once per net
-   after negotiation settles, not on every attempt. *)
-let route_edges usage sc ~options ~congestion_weight ~on_fallback topo =
-  let engine = if options.use_astar then Maze.Astar else Maze.Dijkstra in
-  Fun.protect
-    ~finally:(fun () -> Maze.overlay_clear sc.maze)
-    (fun () ->
-      let segments = ref [] in
-      for e = 0 to Array.length topo.t_edges - 1 do
-        let ca, cb = topo.t_edges.(e) in
-        let path = Maze.route usage sc.maze ~engine ~congestion_weight ~src:ca ~dst:cb () in
-        (match path with
-        | [ _ ] -> on_fallback () (* degenerate: ca <> cb unreachable *)
-        | _ -> Maze.overlay_add usage sc.maze path);
-        segments := path :: !segments
-      done;
-      List.rev !segments)
+(* Route one net's tree edges in order, committing each edge's path to
+   the shared usage as soon as it is routed, so later edges of the net
+   price the earlier ones.  Sink paths are recovered once per net
+   after negotiation settles, not on every pass. *)
+let route_edges usage sc ~congestion_weight ~on_fallback topo =
+  let segments = ref [] in
+  for e = 0 to Array.length topo.t_edges - 1 do
+    let ca, cb = topo.t_edges.(e) in
+    let path = Maze.route usage sc ~congestion_weight ~src:ca ~dst:cb () in
+    (match path with
+    | [ _ ] -> on_fallback () (* degenerate: ca <> cb unreachable *)
+    | _ -> Maze.add_path usage path);
+    segments := path :: !segments
+  done;
+  List.rev !segments
 
-(* --- negotiated parallel schedule -------------------------------------- *)
+(* --- negotiated schedule ---------------------------------------------- *)
 
-let route_all ?(options = default_options) ?(pool = Pool.sequential) ?(trace = Trace.disabled)
-    tg nets =
+let route_all ?(passes = default_passes) ?(pool = Pool.sequential) ?(trace = Trace.disabled) tg
+    nets =
   Trace.with_span trace ~cat:"routing"
     ~attrs:
       [
@@ -287,26 +263,11 @@ let route_all ?(options = default_options) ?(pool = Pool.sequential) ?(trace = T
       let traced = Trace.enabled trace in
       let c_routed = Trace.counter trace "route.nets" in
       let c_rerouted = Trace.counter trace "route.reroutes" in
-      let c_rounds = Trace.counter trace "route.spec_rounds" in
-      let c_conflicts = Trace.counter trace "route.conflicts" in
       let c_fallbacks = Trace.counter trace "route.fallbacks" in
       let on_fallback () = Trace.incr c_fallbacks in
       let usage = Maze.create tg in
       let cap = Maze.capacity usage in
       let n_nets = Array.length nets in
-      (* Per-worker-slot scratch, lazily built: each slot is only ever
-         touched by the one domain occupying it (Pool.worker_slot),
-         so initialization and reuse are race-free without locks. *)
-      let scratches = Array.make Pool.max_slots None in
-      let scratch_for () =
-        let slot = Pool.worker_slot () in
-        match scratches.(slot) with
-        | Some sc -> sc
-        | None ->
-          let sc = create_net_scratch usage tg in
-          scratches.(slot) <- Some sc;
-          sc
-      in
       (* Per-net topology, built once up front (deterministic per net,
          so the parallel fill is order-free). *)
       let topos = Array.make n_nets { t_edges = [||] } in
@@ -317,104 +278,22 @@ let route_all ?(options = default_options) ?(pool = Pool.sequential) ?(trace = T
          settles. *)
       let seg = Array.make n_nets [] in
       let wl = Array.make n_nets 0.0 in
-      (* Round-stamped conflict tracking: after each speculative round
-         we know, per boundary, whether two or more of this round's
-         nets crossed it ([multi_round]). *)
-      let nb = Maze.num_boundaries usage in
-      let owner = Array.make nb (-1) in
-      let owner_round = Array.make nb 0 in
-      let multi_round = Array.make nb 0 in
-      let round_id = ref 0 in
-      let boundaries_of segments f =
-        List.iter (iter_steps (fun a b -> f (Maze.boundary_index usage a b))) segments
-      in
-      (* Negotiate the [pending] net indices (ascending) through a
-         work queue consumed in slices of [options.spec_batch] nets:
-         (1) route one slice in parallel against the usage frozen at
-         the slice start — each result depends only on (usage, net),
-         never on domain count or scheduling; (2) commit sequentially
-         in queue order; (3) rip back out only the nets whose
-         committed paths cross a boundary that is both overflowed and
-         shared with another net of the same slice (their speculative
-         route was priced blind to that competitor) and re-enqueue
-         them to route against fresher usage, at most
-         [options.spec_rounds] attempts per net — the last attempt
-         commits as-is, leaving residual overflow to the rip-up
-         passes.  The slice bounds how stale the frozen usage can get,
-         which keeps the speculative schedule's quality at the level
-         of the fully sequential one. *)
-      let negotiate ~congestion_weight pending0 =
-        let queue = Queue.create () in
-        Array.iter (fun i -> Queue.add (i, 1) queue) pending0;
-        let batch = max 1 options.spec_batch in
-        let buf = Array.make batch (0, 0) in
-        let results = Array.make batch None in
-        let slices = ref 0 in
-        while not (Queue.is_empty queue) do
-          incr slices;
-          incr round_id;
-          let k = ref 0 in
-          while !k < batch && not (Queue.is_empty queue) do
-            buf.(!k) <- Queue.pop queue;
-            incr k
-          done;
-          let k = !k in
-          (* Rip a net's previous commit out only when its slice comes
-             up — until then its old paths keep pricing the boundaries
-             for everyone else, the same incremental picture a fully
-             sequential rip-up loop sees.  (A first-time route holds no
-             paths; the removal is a no-op.) *)
-          for j = 0 to k - 1 do
-            let i, _ = buf.(j) in
-            List.iter (Maze.remove_path usage) seg.(i)
-          done;
-          Pool.parallel_for ~chunk:1 pool k (fun j ->
-              let sc = scratch_for () in
-              let i, _ = buf.(j) in
-              let s =
-                route_edges usage sc ~options ~congestion_weight ~on_fallback topos.(i)
-              in
-              let w = List.fold_left (fun acc p -> acc +. path_length tg p) 0.0 s in
-              results.(j) <- Some (s, w));
-          for j = 0 to k - 1 do
-            let i, _ = buf.(j) in
-            match results.(j) with
-            | None -> ()
-            | Some (s, w) ->
-              seg.(i) <- s;
-              wl.(i) <- w;
-              List.iter (Maze.add_path usage) s;
-              boundaries_of s (fun idx ->
-                  if owner_round.(idx) <> !round_id then begin
-                    owner_round.(idx) <- !round_id;
-                    owner.(idx) <- i
-                  end
-                  else if owner.(idx) <> i then multi_round.(idx) <- !round_id)
-          done;
-          for j = 0 to k - 1 do
-            match results.(j) with
-            | None -> ()
-            | Some _ ->
-              let i, tries = buf.(j) in
-              if tries < options.spec_rounds then begin
-                let conflicted = ref false in
-                boundaries_of seg.(i) (fun idx ->
-                    if
-                      (not !conflicted)
-                      && multi_round.(idx) = !round_id
-                      && Maze.demand_at usage idx > cap
-                    then conflicted := true);
-                if !conflicted then begin
-                  if traced then Trace.incr c_conflicts;
-                  Queue.add (i, tries + 1) queue
-                end
-              end
-          done
-        done;
-        if traced then Trace.add c_rounds !slices
+      (* Negotiate the [pending] net indices (ascending) one at a time
+         on the calling domain: rip the net's previous commit out (a
+         no-op on its first route), then route it against the usage
+         every earlier net has already committed to. *)
+      let sc = Maze.create_scratch usage in
+      let negotiate ~congestion_weight pending =
+        Array.iter
+          (fun i ->
+            List.iter (Maze.remove_path usage) seg.(i);
+            let s = route_edges usage sc ~congestion_weight ~on_fallback topos.(i) in
+            seg.(i) <- s;
+            wl.(i) <- List.fold_left (fun acc p -> acc +. path_length tg p) 0.0 s)
+          pending
       in
       Trace.with_span trace ~cat:"routing" "route.initial" (fun () ->
-          negotiate ~congestion_weight:options.congestion_weight (Array.init n_nets (fun i -> i)));
+          negotiate ~congestion_weight (Array.init n_nets (fun i -> i)));
       if traced then Trace.add c_routed n_nets;
       (* Rip-up and re-route nets that still cross overflowed
          boundaries.  Each pass first charges negotiated-congestion
@@ -424,20 +303,17 @@ let route_all ?(options = default_options) ?(pool = Pool.sequential) ?(trace = T
          instead of replaying it) — the per-pass overflow trajectory
          is non-increasing by construction. *)
       let crosses_overflow i =
-        let hit = ref false in
-        boundaries_of seg.(i) (fun idx ->
-            if (not !hit) && Maze.demand_at usage idx > cap then hit := true);
-        !hit
+        List.exists (exists_step (fun a b -> Maze.demand usage a b > cap)) seg.(i)
       in
       let current = ref (Maze.overflow usage) in
       let trajectory = ref [ !current ] in
-      for pass = 1 to options.passes do
+      for pass = 1 to passes do
         if !current > 0.0 then
           Trace.with_span trace ~cat:"routing"
             ~attrs:[ ("pass", Trace.Int pass) ]
             "route.ripup"
             (fun () ->
-              Maze.charge_history usage ~decay:options.history_decay;
+              Maze.charge_history usage ~decay:history_decay;
               let dirty = ref [] in
               for i = n_nets - 1 downto 0 do
                 if crosses_overflow i then dirty := i :: !dirty
@@ -446,7 +322,7 @@ let route_all ?(options = default_options) ?(pool = Pool.sequential) ?(trace = T
               if Array.length dirty > 0 then begin
                 let ck = Maze.checkpoint usage in
                 let saved = Array.map (fun i -> (seg.(i), wl.(i))) dirty in
-                negotiate ~congestion_weight:options.reroute_weight dirty;
+                negotiate ~congestion_weight:reroute_weight dirty;
                 if traced then Trace.add c_rerouted (Array.length dirty);
                 let now = Maze.overflow usage in
                 if now > !current +. 1e-9 then begin
@@ -469,16 +345,28 @@ let route_all ?(options = default_options) ?(pool = Pool.sequential) ?(trace = T
       (* The negotiation settled every segment; now — and only now —
          recover the per-sink source paths over each net's segment
          union.  Each net is independent, so the fill parallelizes
-         with no effect on the result. *)
+         with no effect on the result.  CSR workspaces are per worker
+         slot, lazily built: each slot is only ever touched by the one
+         domain occupying it (Pool.worker_slot), so initialization and
+         reuse are race-free without locks. *)
+      let csrs = Array.make Pool.max_slots None in
+      let csr_for () =
+        let slot = Pool.worker_slot () in
+        match csrs.(slot) with
+        | Some csr -> csr
+        | None ->
+          let csr = create_csr (Tilegraph.num_cells tg) in
+          csrs.(slot) <- Some csr;
+          csr
+      in
       let routed =
         Array.map (fun net -> { net; segments = []; sink_paths = [||]; wirelength = 0.0 }) nets
       in
       Trace.with_span trace ~cat:"routing" "route.recover" (fun () ->
           Pool.parallel_for ~chunk:8 pool n_nets (fun i ->
-              let sc = scratch_for () in
               let net = nets.(i) in
               let sink_paths =
-                recover_sink_paths sc.csr ~on_fallback ~source:net.source_cell
+                recover_sink_paths (csr_for ()) ~on_fallback ~source:net.source_cell
                   ~sinks:net.sink_cells seg.(i)
               in
               routed.(i) <- { net; segments = seg.(i); sink_paths; wirelength = wl.(i) }));

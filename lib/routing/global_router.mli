@@ -8,27 +8,19 @@
     driver-to-sink cell paths — the chains that repeater planning
     segments into interconnect units.
 
-    {2 Parallel schedule and determinism}
+    {2 Schedule and determinism}
 
-    Negotiation consumes its work queue in fixed-order slices of
-    [spec_batch] nets.  Each slice is routed speculatively in parallel
-    across the {!Lacr_util.Pool} domains against the shared usage
-    frozen at the slice start: each net's result is a pure function of
-    (usage, net) because speculative demand lives in a per-worker
-    private overlay.  Results are then committed sequentially in queue
-    order, and only nets whose committed paths cross a boundary that
-    is both overflowed and shared with another net of the same slice
-    are ripped back out and re-enqueued (their route was priced blind
-    to that competitor).  The slice size bounds how stale the frozen
-    usage can get, so the speculative schedule matches the routing
-    quality of a fully sequential one.  Neither the routes nor the
-    aggregate outcome depend on the pool size — the routed result is
-    bit-identical for every [--domains] value. *)
+    Each pass routes its nets one at a time in ascending index order,
+    and commits each Steiner edge's path to the shared usage as soon
+    as it is routed, so every route prices everything committed before
+    it.  The {!Lacr_util.Pool} domains only build the Steiner
+    topologies and recover the sink paths, each a pure function of one
+    net, so the routed result is bit-identical for every [--domains]
+    value. *)
 
 type net = {
   source_cell : int;
   sink_cells : int array;
-  weight : float;  (** demand multiplier, usually 1.0 *)
 }
 
 type routed_net = {
@@ -40,29 +32,9 @@ type routed_net = {
   wirelength : float;  (** mm over all segments *)
 }
 
-type options = {
-  passes : int;  (** rip-up/re-route rounds after the initial pass, default 2 *)
-  congestion_weight : float;  (** initial pass, default 1.0 *)
-  reroute_weight : float;  (** later passes, default 4.0 *)
-  history_decay : float;
-      (** per-pass decay of the negotiated-congestion history term,
-          default 0.7 *)
-  spec_rounds : int;
-      (** speculative routing attempts per net before its residual
-          conflicts are left to rip-up, default 3 *)
-  spec_batch : int;
-      (** nets routed concurrently per speculative slice — the
-          staleness window of the frozen usage snapshot, and the width
-          offered to the pool.  The default 1 degenerates to the
-          fully sequential incremental schedule (best routing quality;
-          the pool still parallelizes topology construction and sink
-          recovery); raise it on wide machines to trade a slightly
-          staler congestion picture for speculative routing width.
-          Results are bit-identical across pool sizes for every value. *)
-  use_astar : bool;  (** A* engine (default); plain Dijkstra when off *)
-}
-
-val default_options : options
+val default_passes : int
+(** Rip-up/re-route passes after the initial pass when [route_all]
+    is not told otherwise: 2. *)
 
 type result = {
   nets : routed_net array;
@@ -78,19 +50,20 @@ type result = {
 }
 
 val route_all :
-  ?options:options ->
+  ?passes:int ->
   ?pool:Lacr_util.Pool.t ->
   ?trace:Lacr_obs.Trace.ctx ->
   Lacr_tilegraph.Tilegraph.t ->
   net array ->
   result
-(** [pool] (default {!Lacr_util.Pool.sequential}) supplies the domains
-    for speculative routing.  [trace] (default disabled) wraps routing
-    in a [route.all] span with [route.initial] / per-pass
-    [route.ripup] child spans (the latter carrying per-pass overflow
-    attrs) and records [route.nets], [route.reroutes],
-    [route.spec_rounds], [route.conflicts] and [route.fallbacks]
-    counters. *)
+(** Route [nets] with A* maze search: an initial pass, then up to
+    [passes] (default {!default_passes}) rip-up/re-route passes while
+    overflow remains.  [pool] (default {!Lacr_util.Pool.sequential})
+    supplies the domains for topology construction and sink recovery.
+    [trace] (default disabled) wraps routing in a [route.all] span
+    with [route.initial] / per-pass [route.ripup] child spans (the
+    latter carrying per-pass overflow attrs) and records
+    [route.nets], [route.reroutes] and [route.fallbacks] counters. *)
 
 val sink_paths_of_segments :
   Lacr_tilegraph.Tilegraph.t ->

@@ -17,9 +17,7 @@ let scale = 1 lsl 20
 let fixed f = int_of_float ((f *. float_of_int scale) +. 0.5)
 
 (* Boundaries are indexed separately for horizontal moves (between
-   column-adjacent cells) and vertical moves; [h_len] offsets vertical
-   boundaries into the unified index space used by the router's
-   conflict tracking. *)
+   column-adjacent cells) and vertical moves. *)
 type usage = {
   tg : Tilegraph.t;
   nx : int;
@@ -80,22 +78,6 @@ let boundary u a b =
   if ra = rb && abs (ca - cb) = 1 then `H ((ra * (nx - 1)) + min ca cb)
   else if ca = cb && abs (ra - rb) = 1 then `V ((min ra rb * nx) + ca)
   else invalid_arg "Maze: cells not adjacent"
-
-let num_boundaries u = Array.length u.h + Array.length u.v
-
-(* Unified boundary index: horizontal boundaries first, then vertical
-   offset by [Array.length u.h].  Used by the router's per-round
-   conflict stamps, which need one flat index space. *)
-let boundary_index u a b =
-  match boundary u a b with `H i -> i | `V i -> Array.length u.h + i
-
-let demand_at u i =
-  let hl = Array.length u.h in
-  if i < hl then u.h.(i) else u.v.(i - hl)
-
-let history_at u i =
-  let hl = Array.length u.h in
-  if i < hl then u.h_hist.(i) else u.v_hist.(i - hl)
 
 let demand u a b = match boundary u a b with `H i -> u.h.(i) | `V i -> u.v.(i)
 
@@ -190,28 +172,10 @@ type engine =
   | Dijkstra
   | Astar
 
-(* Growable int buffer for the overlay's touched-boundary log. *)
-type intvec = {
-  mutable buf : int array;
-  mutable len : int;
-}
-
-let vec_push vec x =
-  if vec.len = Array.length vec.buf then begin
-    let bigger = Array.make (2 * Array.length vec.buf) 0 in
-    Array.blit vec.buf 0 bigger 0 vec.len;
-    vec.buf <- bigger
-  end;
-  vec.buf.(vec.len) <- x;
-  vec.len <- vec.len + 1
-
-(* Reusable per-worker search state.  All visitation arrays are
-   epoch-stamped: a cell's [dist]/[prev] entries are only valid when
-   its stamp equals the current epoch, so starting a new query is one
-   integer increment instead of three O(n) array fills.  The
-   overlay is a private demand delta for speculative routing: a net
-   being routed against an immutable usage snapshot records its own
-   segments here so later segments of the same net see them. *)
+(* Reusable search state.  All visitation arrays are epoch-stamped: a
+   cell's [dist]/[prev] entries are only valid when its stamp equals
+   the current epoch, so starting a new query is one integer increment
+   instead of three O(n) array fills. *)
 type scratch = {
   s_n : int;
   cell_bits : int;  (* priorities pack (cost << cell_bits) | cell *)
@@ -222,10 +186,6 @@ type scratch = {
   dist_f : int array;
   prev_f : int array;
   heap_f : Lacr_util.Int_heap.t;
-  h_len : int;
-  h_ov : float array;
-  v_ov : float array;
-  touched : intvec;
 }
 
 let create_scratch u =
@@ -242,40 +202,14 @@ let create_scratch u =
     dist_f = Array.make n 0;
     prev_f = Array.make n (-1);
     heap_f = Lacr_util.Int_heap.create ~capacity:(max 16 n) ();
-    h_len = Array.length u.h;
-    h_ov = Array.make (Array.length u.h) 0.0;
-    v_ov = Array.make (Array.length u.v) 0.0;
-    touched = { buf = Array.make 64 0; len = 0 };
   }
 
-let overlay_add u sc path =
-  iter_steps
-    (fun a b ->
-      match boundary u a b with
-      | `H i ->
-        sc.h_ov.(i) <- sc.h_ov.(i) +. 1.0;
-        vec_push sc.touched i
-      | `V i ->
-        sc.v_ov.(i) <- sc.v_ov.(i) +. 1.0;
-        vec_push sc.touched (sc.h_len + i))
-    path
-
-let overlay_clear sc =
-  for k = 0 to sc.touched.len - 1 do
-    let i = sc.touched.buf.(k) in
-    if i < sc.h_len then sc.h_ov.(i) <- 0.0 else sc.v_ov.(i - sc.h_len) <- 0.0
-  done;
-  sc.touched.len <- 0
-
 (* Fixed-point cost of one step onto [next] across boundary [i]
-   (horizontal when [horiz]).  Reads demand through the overlay so a
-   net under construction prices its own earlier segments.  The
-   multiplier is always >= 1 (blockage >= 1, penalties >= 0), which is
-   what makes the plain-pitch A* heuristic admissible. *)
-let step_cost u sc ~congestion_weight ~horiz i next =
-  let dem, hist =
-    if horiz then (u.h.(i) +. sc.h_ov.(i), u.h_hist.(i)) else (u.v.(i) +. sc.v_ov.(i), u.v_hist.(i))
-  in
+   (horizontal when [horiz]).  The multiplier is always >= 1
+   (blockage >= 1, penalties >= 0), which is what makes the
+   plain-pitch A* heuristic admissible. *)
+let step_cost u ~congestion_weight ~horiz i next =
+  let dem, hist = if horiz then (u.h.(i), u.h_hist.(i)) else (u.v.(i), u.v_hist.(i)) in
   let penalty = congestion_penalty ~after_cap:(dem +. 1.0) ~cap:u.cap in
   let pitch = if horiz then u.pitch_x else u.pitch_y in
   fixed (pitch *. u.blockage.(next) *. (1.0 +. (congestion_weight *. (penalty +. hist))))
@@ -323,7 +257,7 @@ let search_uni u sc ~use_h ~congestion_weight ~src ~dst =
         let g = dist.(cell) in
         let relax next ~horiz i =
           if done_.(next) <> epoch then begin
-            let nd = sat_add sc g (step_cost u sc ~congestion_weight ~horiz i next) in
+            let nd = sat_add sc g (step_cost u ~congestion_weight ~horiz i next) in
             if seen.(next) <> epoch || nd < dist.(next) then begin
               seen.(next) <- epoch;
               dist.(next) <- nd;
@@ -365,20 +299,12 @@ let route u sc ?(engine = Astar) ~congestion_weight ~src ~dst () =
   end
 
 (* The exact fixed-point cost [route] minimizes, recomputed over an
-   explicit path against the bare usage (no overlay) — the oracle for
-   the engine-equivalence properties. *)
+   explicit path — the oracle for the engine-equivalence properties. *)
 let path_cost u ~congestion_weight path =
   let total = ref 0 in
   iter_steps
     (fun a b ->
-      let horiz, i =
-        match boundary u a b with `H i -> (true, i) | `V i -> (false, i)
-      in
-      let dem, hist = if horiz then (u.h.(i), u.h_hist.(i)) else (u.v.(i), u.v_hist.(i)) in
-      let penalty = congestion_penalty ~after_cap:(dem +. 1.0) ~cap:u.cap in
-      let pitch = if horiz then u.pitch_x else u.pitch_y in
-      total :=
-        !total
-        + fixed (pitch *. u.blockage.(b) *. (1.0 +. (congestion_weight *. (penalty +. hist)))))
+      let horiz, i = match boundary u a b with `H i -> (true, i) | `V i -> (false, i) in
+      total := !total + step_cost u ~congestion_weight ~horiz i b)
     path;
   !total

@@ -36,20 +36,6 @@ val demand : usage -> int -> int -> float
 val history : usage -> int -> int -> float
 (** Accumulated negotiated-congestion history on a boundary. *)
 
-val num_boundaries : usage -> int
-(** Boundaries in the unified index space of {!boundary_index}. *)
-
-val boundary_index : usage -> int -> int -> int
-(** Flat index (horizontal boundaries first, then vertical) of the
-    boundary between adjacent cells — for per-boundary bookkeeping
-    such as the router's conflict stamps.
-    @raise Invalid_argument if the cells are not adjacent. *)
-
-val demand_at : usage -> int -> float
-(** Demand by unified boundary index. *)
-
-val history_at : usage -> int -> float
-
 val add_path : usage -> int list -> unit
 (** Add one track of demand along a cell path. *)
 
@@ -90,20 +76,11 @@ type engine =
   | Astar  (** Manhattan×pitch admissible lower bound (default) *)
 
 type scratch
-(** Reusable per-worker search state: epoch-stamped visitation arrays,
-    monomorphic integer heaps, and a private demand overlay for
-    speculative routing.  One scratch must never be shared between
-    concurrently running searches. *)
+(** Reusable search state: epoch-stamped visitation arrays and a
+    monomorphic integer heap.  One scratch must never be shared
+    between concurrently running searches. *)
 
 val create_scratch : usage -> scratch
-
-val overlay_add : usage -> scratch -> int list -> unit
-(** Record a path in the scratch's private demand overlay: subsequent
-    {!route} calls on this scratch price it as if it were committed,
-    without touching the shared [usage]. *)
-
-val overlay_clear : scratch -> unit
-(** Drop the overlay (O(touched boundaries)). *)
 
 val route :
   usage ->
@@ -117,12 +94,11 @@ val route :
 (** Cheapest path as an inclusive cell sequence ([[src]] when
     [src = dst]).  Both engines return cost-identical paths; ties
     break deterministically on (cost, cell id).  The returned path is
-    {e not} added to the usage or the overlay — callers decide.  On an
+    {e not} added to the usage — callers decide.  On an
     unreachable destination (impossible via well-formed tile graphs)
     raises {!Routing_error} under the sanitizer and degrades to
     [[src]] otherwise. *)
 
 val path_cost : usage -> congestion_weight:float -> int list -> int
 (** Exact fixed-point cost {!route} minimizes, recomputed over an
-    explicit path against the bare usage (overlay ignored) — the
-    oracle for the engine-equivalence tests. *)
+    explicit path — the oracle for the engine-equivalence tests. *)

@@ -94,15 +94,6 @@ let connect ~wait_s endpoint =
   in
   go ()
 
-let rec merge_counters a b =
-  match (a, b) with
-  | [], rest | rest, [] -> rest
-  | (ka, va) :: ta, (kb, vb) :: tb ->
-    let c = String.compare ka kb in
-    if c = 0 then (ka, va + vb) :: merge_counters ta tb
-    else if c < 0 then (ka, va) :: merge_counters ta b
-    else (kb, vb) :: merge_counters a tb
-
 (* Shared tally across the connection threads. *)
 type tally = {
   mutex : Mutex.t;
@@ -120,7 +111,7 @@ type tally = {
 }
 
 let record_failure tally code =
-  tally.failed <- merge_counters tally.failed [ (code, 1) ]
+  tally.failed <- Service.merge_counters tally.failed [ (code, 1) ]
 
 let record_response tally ~circuit doc =
   Mutex.lock tally.mutex;
@@ -164,7 +155,7 @@ let record_response tally ~circuit doc =
           fields
       in
       let echoed = List.sort (fun (a, _) (b, _) -> String.compare a b) echoed in
-      tally.counter_sums <- merge_counters tally.counter_sums echoed
+      tally.counter_sums <- Service.merge_counters tally.counter_sums echoed
     | Some _ | None -> ()));
   Mutex.unlock tally.mutex
 

@@ -92,21 +92,6 @@ let finish_request t ~meth ~trace ~elapsed_us =
 
 (* --- JSON renderings --- *)
 
-let counters_json counters =
-  Jsonx.Obj (List.map (fun (k, v) -> (k, Jsonx.of_int v)) counters)
-
-let histograms_json histograms =
-  Jsonx.Obj
-    (List.map
-       (fun (name, bounds, counts) ->
-         ( name,
-           Jsonx.Obj
-             [
-               ("bounds", Jsonx.Arr (Array.to_list (Array.map Jsonx.of_int bounds)));
-               ("counts", Jsonx.Arr (Array.to_list (Array.map Jsonx.of_int counts)));
-             ] ))
-       histograms)
-
 (* 30-bit labelling digest.  Jsonx numbers are floats, so a full
    64-bit hash would lose low bits in transit; 30 bits round-trip
    exactly and still pin the labelling for bit-identity checks. *)
@@ -165,11 +150,20 @@ let reference_result ?config ?second_iteration name =
 
 (* --- methods --- *)
 
+(* Cap of the [stall_ms] load-drill hook.  A worker parked in
+   [Unix.sleepf] also holds up shutdown, which joins the workers, so
+   a client must not be able to park one for longer. *)
+let max_stall_ms = 10_000
+
 let handle_plan t ~id params =
+  let stall_ms = Option.value (Protocol.param_int params "stall_ms") ~default:0 in
   match Protocol.param_str params "circuit" with
   | None ->
     Protocol.error_response ~id:(Some id) ~code:Protocol.code_bad_request
       ~message:"plan: missing string param \"circuit\""
+  | Some _ when stall_ms > max_stall_ms ->
+    Protocol.error_response ~id:(Some id) ~code:Protocol.code_bad_request
+      ~message:(Printf.sprintf "plan: stall_ms %d exceeds %d" stall_ms max_stall_ms)
   | Some name -> (
     match Lacr_circuits.Suite.resolve name with
     | Error msg ->
@@ -182,9 +176,7 @@ let handle_plan t ~id params =
       in
       (* Deterministic load-drill hook: hold a worker for a fixed time
          before solving, so tests can fill the queue on purpose. *)
-      (match Protocol.param_int params "stall_ms" with
-      | Some ms when ms > 0 -> Unix.sleepf (float_of_int ms /. 1000.0)
-      | Some _ | None -> ());
+      if stall_ms > 0 then Unix.sleepf (float_of_int stall_ms /. 1000.0);
       let t0 = t.clock () in
       let trace = Obs.create () in
       let solved =
@@ -214,14 +206,7 @@ let handle_plan t ~id params =
       let metrics_echo =
         match Protocol.param_bool params "metrics" with
         | Some true ->
-          [
-            ( "metrics",
-              Jsonx.Obj
-                [
-                  ("counters", counters_json req_counters);
-                  ("histograms", histograms_json req_histograms);
-                ] );
-          ]
+          [ ("metrics", Jsonx.Obj (Lacr_obs.Export.totals_fields req_counters req_histograms)) ]
         | Some false | None -> []
       in
       (match solved with
@@ -319,12 +304,9 @@ let metrics_body t ~extra =
       (("serve.cache_hits", hits) :: ("serve.cache_misses", misses) :: cache_counters @ extra)
   in
   Jsonx.Obj
-    [
-      ("schema", Jsonx.of_int 1);
-      ("counters", counters_json (merge_counters counters serve_counters));
-      ("histograms", histograms_json histograms);
-      ("spans", Jsonx.Arr []);
-    ]
+    ((("schema", Jsonx.of_int 1)
+     :: Lacr_obs.Export.totals_fields (merge_counters counters serve_counters) histograms)
+    @ [ ("spans", Jsonx.Arr []) ])
 
 let metrics_response t ~id ~extra = Protocol.ok_response ~id (metrics_body t ~extra)
 

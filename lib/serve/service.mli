@@ -33,9 +33,15 @@ val handle : t -> Protocol.request -> Lacr_obs.Jsonx.t
     ["hier:UNITS[:SEED]"]), ["second_iteration"] (optional bool),
     ["metrics"] (optional bool: echo this request's counters and
     histograms), ["stall_ms"] (optional int: hold the worker before
-    solving — the deterministic backpressure drill).  The response
+    solving — the deterministic backpressure drill; at most 10 000,
+    larger values get [bad_request] before any worker sleeps, since a
+    parked worker also holds up shutdown).  The response
     carries [circuit], [cache] (["hit"]/["miss"]), [elapsed_us] and
     the deterministic [result] subtree. *)
+
+val merge_counters : (string * int) list -> (string * int) list -> (string * int) list
+(** Merge two name-sorted counter lists, adding the values of names
+    present in both; the result is name-sorted. *)
 
 val metrics_response : t -> id:int -> extra:(string * int) list -> Lacr_obs.Jsonx.t
 (** The [metrics] method: the aggregate of every served request plus

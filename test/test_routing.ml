@@ -173,22 +173,6 @@ let test_maze_scratch_reuse () =
     check "reused scratch = fresh scratch" true (reused = fresh)
   done
 
-let test_maze_overlay () =
-  let tg = grid_fixture () in
-  let usage = Maze.create tg in
-  let sc = Maze.create_scratch usage in
-  (* Saturate a corridor only in the overlay: the shared usage stays
-     empty, but routing through this scratch detours. *)
-  for _i = 1 to 8 do
-    Maze.overlay_add usage sc [ 0; 1; 2 ]
-  done;
-  check_float "shared usage untouched" 0.0 (Maze.demand usage 0 1);
-  let through = Maze.route usage sc ~congestion_weight:10.0 ~src:0 ~dst:2 () in
-  check "overlay priced" true (not (List.mem 1 through) || List.length through > 3);
-  Maze.overlay_clear sc;
-  let direct = Maze.route usage sc ~congestion_weight:10.0 ~src:0 ~dst:2 () in
-  check_int "cleared overlay routes direct" 3 (List.length direct)
-
 let test_history_charge_decay () =
   let tg = grid_fixture () in
   let usage = Maze.create tg in
@@ -253,8 +237,8 @@ let test_route_all_basic () =
   let n = Tilegraph.num_cells tg in
   let nets =
     [|
-      { Global_router.source_cell = 0; sink_cells = [| n - 1; n / 2 |]; weight = 1.0 };
-      { Global_router.source_cell = n - 1; sink_cells = [| 0 |]; weight = 1.0 };
+      { Global_router.source_cell = 0; sink_cells = [| n - 1; n / 2 |] };
+      { Global_router.source_cell = n - 1; sink_cells = [| 0 |] };
     |]
   in
   let result = Global_router.route_all tg nets in
@@ -275,7 +259,7 @@ let test_route_all_basic () =
 
 let test_route_all_same_cell_net () =
   let tg = grid_fixture () in
-  let nets = [| { Global_router.source_cell = 5; sink_cells = [| 5; 5 |]; weight = 1.0 } |] in
+  let nets = [| { Global_router.source_cell = 5; sink_cells = [| 5; 5 |] } |] in
   let result = Global_router.route_all tg nets in
   let routed = result.Global_router.nets.(0) in
   check_int "no segments" 0 (List.length routed.Global_router.segments);
@@ -287,7 +271,6 @@ let random_nets rng tg count =
       {
         Global_router.source_cell = Rng.int rng n;
         sink_cells = Array.init (1 + Rng.int rng 3) (fun _ -> Rng.int rng n);
-        weight = 1.0;
       })
 
 let test_reroute_reduces_overflow () =
@@ -295,11 +278,7 @@ let test_reroute_reduces_overflow () =
   let rng = Rng.create 9 in
   (* Many random nets across a tiny-capacity grid. *)
   let nets = random_nets rng tg 30 in
-  let no_reroute =
-    Global_router.route_all
-      ~options:{ Global_router.default_options with Global_router.passes = 0 }
-      tg nets
-  in
+  let no_reroute = Global_router.route_all ~passes:0 tg nets in
   let with_reroute = Global_router.route_all tg nets in
   check "reroute not worse" true
     (with_reroute.Global_router.overflow <= no_reroute.Global_router.overflow +. 1e-9)
@@ -315,7 +294,6 @@ let prop_sink_paths_on_tree =
         {
           Global_router.source_cell = Rng.int rng n;
           sink_cells = Array.init (1 + Rng.int rng 4) (fun _ -> Rng.int rng n);
-          weight = 1.0;
         }
       in
       let result = Global_router.route_all tg [| net |] in
@@ -329,7 +307,8 @@ let prop_sink_paths_on_tree =
         net.Global_router.sink_cells routed.Global_router.sink_paths)
 
 (* QCheck (b): the routed result is bit-identical for 1, 2 and 4
-   worker domains — the speculative schedule is deterministic. *)
+   worker domains — the pool only builds topologies and recovers sink
+   paths, each a pure function of one net. *)
 let prop_domains_bit_identical =
   QCheck2.Test.make ~count:10 ~name:"route_all bit-identical for domains 1/2/4"
     QCheck2.Gen.(int_range 0 1_000_000)
@@ -359,11 +338,7 @@ let prop_overflow_non_increasing =
       let tg = grid_fixture () in
       let rng = Rng.create seed in
       let nets = random_nets rng tg (25 + Rng.int rng 25) in
-      let result =
-        Global_router.route_all
-          ~options:{ Global_router.default_options with Global_router.passes = 4 }
-          tg nets
-      in
+      let result = Global_router.route_all ~passes:4 tg nets in
       let po = result.Global_router.pass_overflow in
       let ok = ref (Array.length po >= 1) in
       for i = 0 to Array.length po - 2 do
@@ -429,12 +404,17 @@ let test_route_all_sanitized_identical () =
 module Build = Lacr_core.Build
 module Suite = Lacr_circuits.Suite
 
-let routed_wirelength netlist =
+let routing_of netlist =
   match Build.build netlist with
   | Error msg -> Alcotest.fail msg
-  | Ok inst ->
-    ( inst.Build.routing.Global_router.total_wirelength,
-      inst.Build.routing.Global_router.overflow )
+  | Ok inst -> inst.Build.routing
+
+let routed_wirelength netlist =
+  let r = routing_of netlist in
+  (r.Global_router.total_wirelength, r.Global_router.overflow)
+
+let suite_circuit name =
+  match Suite.by_name name with Some n -> n | None -> Alcotest.fail (name ^ " missing")
 
 let test_pin_s27 () =
   let wl, ov = routed_wirelength (Suite.s27 ()) in
@@ -442,12 +422,20 @@ let test_pin_s27 () =
   Alcotest.(check (float 1e-9)) "s27 overflow" 0.0 ov
 
 let test_pin_s386 () =
-  let netlist =
-    match Suite.by_name "s386" with Some n -> n | None -> Alcotest.fail "s386 missing"
-  in
-  let wl, ov = routed_wirelength netlist in
+  let wl, ov = routed_wirelength (suite_circuit "s386") in
   Alcotest.(check (float 1e-4)) "s386 routed wirelength" 845.539161 wl;
   Alcotest.(check (float 1e-9)) "s386 overflow" 0.0 ov
+
+(* s1196 overflows after the initial pass, so this pin runs the rip-up
+   passes' checkpoint/revert loop on a real circuit. *)
+let test_pin_s1196 () =
+  let r = routing_of (suite_circuit "s1196") in
+  check_int "s1196 nets" 344 (Array.length r.Global_router.nets);
+  Alcotest.(check (float 1e-4)) "s1196 routed wirelength" 3517.603919
+    r.Global_router.total_wirelength;
+  Alcotest.(check (float 1e-9)) "s1196 overflow" 0.0 r.Global_router.overflow;
+  Alcotest.(check (array (float 1e-9)))
+    "s1196 pass overflow" [| 25.; 2.; 0. |] r.Global_router.pass_overflow
 
 let suite =
   [
@@ -459,7 +447,6 @@ let suite =
     Alcotest.test_case "maze usage accounting" `Quick test_maze_usage_accounting;
     Alcotest.test_case "maze avoids congestion" `Quick test_maze_avoids_congestion;
     Alcotest.test_case "maze scratch reuse" `Quick test_maze_scratch_reuse;
-    Alcotest.test_case "maze overlay" `Quick test_maze_overlay;
     Alcotest.test_case "history charge and decay" `Quick test_history_charge_decay;
     Alcotest.test_case "checkpoint restore" `Quick test_checkpoint_restore;
     QCheck_alcotest.to_alcotest prop_engines_cost_identical;
@@ -476,4 +463,5 @@ let suite =
     Alcotest.test_case "sanitized routing identical" `Quick test_route_all_sanitized_identical;
     Alcotest.test_case "pin: s27 routed wirelength" `Quick test_pin_s27;
     Alcotest.test_case "pin: s386 routed wirelength" `Quick test_pin_s386;
+    Alcotest.test_case "pin: s1196 routed result" `Quick test_pin_s1196;
   ]

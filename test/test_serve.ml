@@ -4,7 +4,8 @@
    single-shot plans, metrics aggregate = sum of per-request echoes),
    a deterministic queue-full backpressure drill (stall_ms holds the
    single worker, health bypasses the queue, the overflow request is
-   rejected with `overloaded`), and the structured error paths. *)
+   rejected with `overloaded`), the structured error paths, and the
+   cap on stall_ms. *)
 
 module Jsonx = Lacr_obs.Jsonx
 module Protocol = Lacr_serve.Protocol
@@ -260,6 +261,17 @@ let test_shutdown () =
   Domain.join runner;
   Alcotest.(check bool) "socket file removed on shutdown" false (Sys.file_exists path)
 
+(* --- the stall_ms drill hook is capped --- *)
+
+let test_stall_cap () =
+  with_server ~workers:1 @@ fun path _service ->
+  let conn = connect path in
+  let t0 = clock () in
+  expect_error ~code:Protocol.code_bad_request
+    (call conn ~id:1 "plan" (stall_plan ~stall_ms:10_001));
+  Alcotest.(check bool) "rejected before the worker sleeps" true (clock () -. t0 < 5.0);
+  close conn
+
 let suite =
   [
     Alcotest.test_case "wire errors and stats/metrics" `Quick test_errors;
@@ -267,4 +279,5 @@ let suite =
     Alcotest.test_case "queue-full backpressure drill" `Quick test_backpressure;
     Alcotest.test_case "shutdown drains and exits" `Quick test_shutdown;
     Alcotest.test_case "soak: 200 mixed requests, verified" `Slow test_soak;
+    Alcotest.test_case "stall_ms above the cap bounces with bad_request" `Quick test_stall_cap;
   ]
