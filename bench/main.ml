@@ -14,6 +14,8 @@
      E5     run-time: LAC vs min-area, constraint pruning on/off
      A1     N_max ablation
      A2     tile-granularity ablation
+     A3     heuristic vs exact LAC on tiny instances (the exact solver
+            is the test-only Lacr_oracle.Exact)
      F1/F2  ASCII figures
      B      bechamel micro-benchmarks of the kernels
 
@@ -672,25 +674,6 @@ let run_grid_ablation () =
       | Error msg, _ -> Printf.printf "%8d failed: %s\n" grid msg)
     (if fast_mode then [ 8; 12 ] else [ 8; 10; 12; 16 ])
 
-(* --- A4: floorplanner ablation --- *)
-
-let run_floorplanner_ablation () =
-  section "A4  Floorplanner ablation (sequence pair vs slicing tree) on s526";
-  let netlist = Option.get (Suite.by_name "s526") in
-  Printf.printf "%-14s %10s %10s %12s %12s\n" "engine" "MA N_FOA" "LAC N_FOA" "chip (mm^2)" "time(s)";
-  List.iter
-    (fun (name, engine) ->
-      let config = { Config.default with Config.floorplanner = engine } in
-      match timed (fun () -> Planner.plan ~config ~second_iteration:false netlist) with
-      | Ok run, dt ->
-        let chip = run.Planner.instance.Build.floorplan.Lacr_floorplan.Floorplan.chip in
-        Printf.printf "%-14s %10d %10d %12.1f %12.1f\n%!" name run.Planner.minarea.Lac.n_foa
-          run.Planner.lac.Lac.n_foa
-          (chip.Lacr_geometry.Rect.w *. chip.Lacr_geometry.Rect.h)
-          dt
-      | Error msg, _ -> Printf.printf "%-14s failed: %s\n" name msg)
-    [ ("sequence-pair", Config.Sequence_pair); ("slicing", Config.Slicing) ]
-
 (* --- A3: heuristic vs exact on tiny instances --- *)
 
 let run_exact_gap () =
@@ -732,10 +715,10 @@ let run_exact_gap () =
       Constraints.generate ~prune:true g wd
         ~period:(mp.Feasibility.period +. (float_of_int (Lacr_util.Rng.int rng 3) /. 2.0))
     in
-    match (Lacr_core.Exact.solve ~range:6 problem cs, Lac.retime_problem problem cs) with
+    match (Lacr_oracle.Exact.solve ~range:6 problem cs, Lac.retime_problem problem cs) with
     | Some exact, Ok heuristic ->
       incr solved;
-      let gap = heuristic.Lac.n_foa - exact.Lacr_core.Exact.n_foa in
+      let gap = heuristic.Lac.n_foa - exact.Lacr_oracle.Exact.n_foa in
       total_gap := !total_gap + gap;
       if gap = 0 then incr optimal
     | _ -> ()
@@ -782,7 +765,7 @@ let run_bechamel () =
         (Staged.stage (fun () -> ignore (Min_area.solve_weighted g cs ~area)));
       Test.make ~name:"clock-period" (Staged.stage (fun () -> ignore (Graph.clock_period g)));
       Test.make ~name:"cycle-ratio-bound"
-        (Staged.stage (fun () -> ignore (Feasibility.cycle_ratio_lower_bound g)));
+        (Staged.stage (fun () -> ignore (Paths.cycle_ratio_lower_bound g)));
     ]
   in
   let results =
@@ -827,7 +810,6 @@ let () =
   if want "E" then run_runtime ();
   if want "A" then run_nmax_ablation ();
   if want "A" then run_grid_ablation ();
-  if want "A" then run_floorplanner_ablation ();
   if want "A" then run_exact_gap ();
   if want "F" then run_figures ();
   if want "B" then run_bechamel ();

@@ -1,5 +1,4 @@
 module Seqview = Lacr_netlist.Seqview
-module Fm = Lacr_partition.Fm
 module Kway = Lacr_partition.Kway
 module Block = Lacr_floorplan.Block
 module Annealer = Lacr_floorplan.Annealer
@@ -70,31 +69,6 @@ let place_units view block_of_unit (fp : Floorplan.t) =
     members;
   positions
 
-(* Recover a sequence pair from placed rectangles (Murata's geometric
-   rule): order blocks by the up-left-to-down-right sweep for [pos]
-   and the down-left-to-up-right sweep for [neg].  Sorting by
-   (x - y) and (x + y) of the block centres realizes the two sweeps
-   and reproduces the placement's relative order for non-overlapping
-   rectangles. *)
-let sequence_pair_of_rects rects =
-  let center i =
-    let r = rects.(i) in
-    (r.Rect.x +. (r.Rect.w /. 2.0), r.Rect.y +. (r.Rect.h /. 2.0))
-  in
-  let n = Array.length rects in
-  let pos = Array.init n (fun i -> i) and neg = Array.init n (fun i -> i) in
-  let key_pos i =
-    let x, y = center i in
-    x -. y
-  in
-  let key_neg i =
-    let x, y = center i in
-    x +. y
-  in
-  Array.sort (fun a b -> compare (key_pos a) (key_pos b)) pos;
-  Array.sort (fun a b -> compare (key_neg a) (key_neg b)) neg;
-  { Lacr_floorplan.Sequence_pair.pos; neg }
-
 let build ?(config = Config.default) ?(soft_growth = fun _ -> 0.0) ?layout
     ?(pool = Lacr_util.Pool.sequential) ?(trace = Obs.disabled) netlist =
   match Seqview.of_netlist netlist with
@@ -115,7 +89,7 @@ let build ?(config = Config.default) ?(soft_growth = fun _ -> 0.0) ?layout
         Obs.with_span trace ~cat:"core"
           ~attrs:[ ("units", Obs.Int n_units); ("blocks", Obs.Int k) ]
           "build.partition"
-          (fun () -> Kway.partition ~options:config.Config.fm rng problem ~k)
+          (fun () -> Kway.partition rng problem ~k)
       in
       let logic_area = Array.make k 0.0 in
       Array.iteri
@@ -171,24 +145,8 @@ let build ?(config = Config.default) ?(soft_growth = fun _ -> 0.0) ?layout
         @@ fun () ->
         match layout with
         | None ->
-          (match config.Config.floorplanner with
-          | Config.Sequence_pair ->
-            let anneal =
-              Annealer.floorplan ~options:config.Config.annealer rng blocks edge_nets
-            in
-            (anneal.Annealer.sequence, anneal.Annealer.dims)
-          | Config.Slicing ->
-            (* The slicing engine optimizes its own representation; the
-               resulting outlines are re-expressed as a sequence pair
-               so downstream incremental re-floorplanning works
-               uniformly.  A packing's relative order induces a valid
-               sequence pair via the standard geometric rule. *)
-            let sliced = Lacr_floorplan.Slicing.floorplan rng blocks edge_nets in
-            let rects = sliced.Lacr_floorplan.Slicing.packing.Lacr_floorplan.Slicing.rects in
-            let dims =
-              Array.map (fun (r : Rect.t) -> (r.Rect.w, r.Rect.h)) rects
-            in
-            (sequence_pair_of_rects rects, dims))
+          let anneal = Annealer.floorplan rng blocks edge_nets in
+          (anneal.Annealer.sequence, anneal.Annealer.dims)
         | Some (sequence, old_dims) ->
           (* Incremental re-floorplan: keep the relative placement and
              scale each block outline to its (possibly grown) area. *)

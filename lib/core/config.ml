@@ -1,10 +1,5 @@
-type floorplanner =
-  | Sequence_pair
-  | Slicing
-
 type t = {
   seed : int;
-  floorplanner : floorplanner;
   units_per_block : int;
   min_blocks : int;
   max_blocks : int;
@@ -19,8 +14,6 @@ type t = {
   whitespace : float;
   delay_model : Lacr_repeater.Delay_model.t;
   route_passes : int;
-  annealer : Lacr_floorplan.Annealer.options;
-  fm : Lacr_partition.Fm.options;
   clk_fraction : float;
   alpha : float;
   n_max : int;
@@ -34,7 +27,6 @@ type t = {
 let default =
   {
     seed = 2003;
-    floorplanner = Sequence_pair;
     units_per_block = 22;
     min_blocks = 5;
     max_blocks = 20;
@@ -49,8 +41,6 @@ let default =
     whitespace = 0.25;
     delay_model = Lacr_repeater.Delay_model.default;
     route_passes = Lacr_routing.Global_router.default_passes;
-    annealer = Lacr_floorplan.Annealer.default_options;
-    fm = Lacr_partition.Fm.default_options;
     clk_fraction = 0.2;
     alpha = 0.2;
     n_max = 8;

@@ -8,13 +8,8 @@
     period at 20% of the way from [T_min] to [T_init], alpha = 0.2,
     a handful of adaptive iterations. *)
 
-type floorplanner =
-  | Sequence_pair  (** simulated annealing over sequence pairs (default) *)
-  | Slicing  (** Wong-Liu normalized Polish expressions + shape curves *)
-
 type t = {
   seed : int;
-  floorplanner : floorplanner;
   (* -- partitioning / blocks -- *)
   units_per_block : int;
       (** target block granularity; block count is clamped to
@@ -40,8 +35,6 @@ type t = {
   route_passes : int;
       (** rip-up/re-route passes after the initial routing pass
           (default {!Lacr_routing.Global_router.default_passes}) *)
-  annealer : Lacr_floorplan.Annealer.options;
-  fm : Lacr_partition.Fm.options;
   (* -- retiming -- *)
   clk_fraction : float;
       (** T_clk = T_min + clk_fraction * (T_init - T_min); paper: 0.2 *)

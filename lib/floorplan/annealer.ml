@@ -38,7 +38,8 @@ let cost_of options _blocks nets (packing : Sequence_pair.packing) =
   let wirelength = List.fold_left (fun acc n -> acc +. net_hpwl n) 0.0 nets in
   (options.area_weight *. area) +. (options.wirelength_weight *. wirelength)
 
-let floorplan ?(options = default_options) rng blocks nets =
+let floorplan rng blocks nets =
+  let options = default_options in
   let n = Array.length blocks in
   if n = 0 then invalid_arg "Annealer.floorplan: no blocks";
   List.iter

@@ -28,10 +28,10 @@ type result = {
   cost : float;
 }
 
-val floorplan :
-  ?options:options -> Lacr_util.Rng.t -> Block.t array -> net list -> result
-(** Deterministic given the generator state.  @raise Invalid_argument
-    on an empty block array or a net pin out of range. *)
+val floorplan : Lacr_util.Rng.t -> Block.t array -> net list -> result
+(** Anneals with {!default_options}.  Deterministic given the generator
+    state.  @raise Invalid_argument on an empty block array or a net
+    pin out of range. *)
 
 val cost_of :
   options -> Block.t array -> net list -> Sequence_pair.packing -> float

@@ -14,7 +14,6 @@ let midpoint a b = { x = (a.x +. b.x) /. 2.0; y = (a.y +. b.y) /. 2.0 }
 
 let add a b = { x = a.x +. b.x; y = a.y +. b.y }
 let sub a b = { x = a.x -. b.x; y = a.y -. b.y }
-let scale k p = { x = k *. p.x; y = k *. p.y }
 
 let equal a b = a.x = b.x && a.y = b.y
 

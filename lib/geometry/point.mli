@@ -15,7 +15,6 @@ val midpoint : t -> t -> t
 
 val add : t -> t -> t
 val sub : t -> t -> t
-val scale : float -> t -> t
 
 val equal : t -> t -> bool
 (** Exact float equality — intended for points produced by the same

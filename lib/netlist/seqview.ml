@@ -116,9 +116,6 @@ let num_edges t = Array.length t.edges
 
 let total_ffs t = Array.fold_left (fun acc e -> acc + e.weight) 0 t.edges
 
-let fanouts t u = Array.to_list t.edges |> List.filter (fun e -> e.src = u)
-let fanins t u = Array.to_list t.edges |> List.filter (fun e -> e.dst = u)
-
 let unit_name t u = t.units.(u).uname
 
 let degree_counts t =

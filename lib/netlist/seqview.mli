@@ -46,9 +46,6 @@ val num_edges : t -> int
 val total_ffs : t -> int
 (** Sum of edge weights — the paper's N{_F} before retiming. *)
 
-val fanouts : t -> int -> edge list
-val fanins : t -> int -> edge list
-
 val unit_name : t -> int -> string
 
 val max_fanin : t -> int

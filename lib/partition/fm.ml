@@ -89,7 +89,8 @@ let bucket_pick b ~locked ~movable =
   in
   scan (b.max_gain + b.offset)
 
-let bipartition ?(options = default_options) rng p =
+let bipartition rng p =
+  let options = default_options in
   (match validate p with Ok () -> () | Error msg -> invalid_arg ("Fm.bipartition: " ^ msg));
   let n = p.n_cells in
   let total_area = Array.fold_left ( +. ) 0.0 p.areas in

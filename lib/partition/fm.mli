@@ -27,7 +27,7 @@ type options = {
 
 val default_options : options
 
-val bipartition : ?options:options -> Lacr_util.Rng.t -> problem -> int array
-(** A 0/1 side per cell.  Starts from a random balanced assignment;
-    deterministic given the generator state.  @raise Invalid_argument
-    on an invalid problem. *)
+val bipartition : Lacr_util.Rng.t -> problem -> int array
+(** A 0/1 side per cell under {!default_options}.  Starts from a
+    random balanced assignment; deterministic given the generator
+    state.  @raise Invalid_argument on an invalid problem. *)

@@ -12,7 +12,7 @@ let sub_problem p cells =
   let nets = Array.to_list p.Fm.nets |> List.filter_map keep_net |> Array.of_list in
   { Fm.n_cells = n; areas; nets }
 
-let partition ?options rng p ~k =
+let partition rng p ~k =
   if k <= 0 then invalid_arg "Kway.partition: k must be positive";
   (match Fm.validate p with Ok () -> () | Error msg -> invalid_arg ("Kway.partition: " ^ msg));
   let labels = Array.make p.Fm.n_cells 0 in
@@ -21,7 +21,7 @@ let partition ?options rng p ~k =
     if k = 1 then Array.iter (fun c -> labels.(c) <- base) cells
     else begin
       let sub = sub_problem p cells in
-      let side = Fm.bipartition ?options rng sub in
+      let side = Fm.bipartition rng sub in
       let left = ref [] and right = ref [] in
       Array.iteri
         (fun local global -> if side.(local) = 0 then left := global :: !left else right := global :: !right)

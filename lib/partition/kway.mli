@@ -4,8 +4,7 @@
     circuit blocks before floorplanning (paper §2: "a partition of the
     RT level functional units into circuit blocks"). *)
 
-val partition :
-  ?options:Fm.options -> Lacr_util.Rng.t -> Fm.problem -> k:int -> int array
+val partition : Lacr_util.Rng.t -> Fm.problem -> k:int -> int array
 (** Block label in [\[0, k)] per cell; block areas are balanced within
     the FM tolerance at each bisection level.  [k = 1] returns all
     zeros.  @raise Invalid_argument on [k <= 0] or an invalid

@@ -13,13 +13,6 @@ let feasible ?(extra = []) g wd ~period =
 
 type min_period_result = { period : float; labels : int array }
 
-(* Lower bound on any achievable period: the maximum cycle ratio and
-   the largest single vertex delay.  The implementation lives in
-   [Paths] (it doubles as the streamed frontier's retention
-   threshold); re-exported here because min-period callers know it as
-   part of the feasibility API. *)
-let cycle_ratio_lower_bound = Paths.cycle_ratio_lower_bound
-
 let min_period ?(extra = []) g wd =
   (* The streamed frontier already paid for the bound (it is its
      retention threshold); recomputing it would repeat a 30-probe
@@ -27,7 +20,7 @@ let min_period ?(extra = []) g wd =
   let bound =
     match wd with
     | Paths.Streamed fr -> fr.Paths.fbound
-    | Paths.Dense _ -> cycle_ratio_lower_bound g
+    | Paths.Dense _ -> Paths.cycle_ratio_lower_bound g
   in
   (* Candidates are capped at the initial clock period: the identity
      retiming satisfies every constraint there (any pair violating a

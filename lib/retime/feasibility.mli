@@ -15,11 +15,6 @@ val feasible :
 (** A legal retiming labelling achieving the period ([r(host)]
     normalized to 0), or [None]. *)
 
-val cycle_ratio_lower_bound : Graph.t -> float
-(** [max(max_v d(v), max_C d(C)/w(C))] — no retiming can clock below
-    it.  Computed by Lawler's negative-cycle test; used to prune the
-    min-period binary search (exposed for tests and benches). *)
-
 type min_period_result = {
   period : float;
   labels : int array;  (** witness retiming, [r(host) = 0] *)

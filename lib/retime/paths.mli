@@ -101,8 +101,7 @@ val cycle_ratio_lower_bound : Graph.t -> float
     predecessor-cycle detection (detected cycles are re-summed before
     being believed, so verdicts match the plain rounds-exhausted
     Bellman-Ford bit for bit).  This is both the min-period search
-    pruner (re-exported by [Feasibility]) and the streamed frontier's
-    retention threshold. *)
+    pruner and the streamed frontier's retention threshold. *)
 
 val iter_pairs : wd -> (int -> int -> int -> float -> unit) -> unit
 (** [iter_pairs wd f] calls [f u v w_uv d_uv] on every reachable pair.

@@ -19,7 +19,6 @@ let fixed f = int_of_float ((f *. float_of_int scale) +. 0.5)
 (* Boundaries are indexed separately for horizontal moves (between
    column-adjacent cells) and vertical moves. *)
 type usage = {
-  tg : Tilegraph.t;
   nx : int;
   ny : int;
   n : int;
@@ -51,7 +50,6 @@ let create tg =
         | Tilegraph.Channel -> 1.0)
   in
   {
-    tg;
     nx;
     ny;
     n;
@@ -67,7 +65,6 @@ let create tg =
     v_hist = Array.make (nx * (ny - 1)) 0.0;
   }
 
-let tilegraph u = u.tg
 let capacity u = u.cap
 
 (* Locate the boundary between two adjacent cells. *)

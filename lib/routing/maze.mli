@@ -24,8 +24,6 @@ type usage
 
 val create : Lacr_tilegraph.Tilegraph.t -> usage
 
-val tilegraph : usage -> Lacr_tilegraph.Tilegraph.t
-
 val capacity : usage -> float
 (** Per-boundary track capacity (from the tile-graph config). *)
 
@@ -46,10 +44,6 @@ val max_utilization : usage -> float
 
 val overflow : usage -> float
 (** Total demand beyond capacity, over all boundaries. *)
-
-val congestion_penalty : after_cap:float -> cap:float -> float
-(** Present-demand penalty shape: gentle to 70% utilization, linear
-    ramp to capacity, quadratic beyond. *)
 
 val charge_history : usage -> decay:float -> unit
 (** One negotiation round: decay every boundary's history by [decay]

@@ -20,16 +20,29 @@ type request = {
 }
 
 (* Stable error vocabulary; the codes are part of the protocol and
-   documented in DESIGN.md §10. *)
+   documented in DESIGN.md §10.  A failed plan answers with
+   [Planner.error_code], the one source of [routing_error] and
+   [sanitize_violation]. *)
 let code_bad_request = "bad_request"
 let code_unknown_method = "unknown_method"
 let code_unknown_circuit = "unknown_circuit"
 let code_plan_failed = "plan_failed"
-let code_routing_error = "routing_error"
-let code_sanitize_violation = "sanitize_violation"
 let code_stats_failed = "stats_failed"
 let code_overloaded = "overloaded"
 let code_shutting_down = "shutting_down"
+
+(* JSON numbers are floats; one is an int only when it is integral
+   and inside [min_int, max_int].  [int_of_float] is unspecified
+   outside that range (1e30 gives 0), so such numbers are rejected
+   rather than wrapped.  [-. Float.of_int min_int] is 2^62, the first
+   float above [max_int]. *)
+let int_of_number f =
+  if Float.is_integer f && f >= Float.of_int min_int && f < -.Float.of_int min_int then
+    Some (int_of_float f)
+  else None
+
+let param_int params key =
+  Option.bind (Option.bind (Jsonx.member key params) Jsonx.to_float) int_of_number
 
 let parse_request line =
   match Jsonx.parse line with
@@ -40,20 +53,16 @@ let parse_request line =
     match (id, meth) with
     | None, _ -> Error "missing integer field \"id\""
     | _, None -> Error "missing string field \"method\""
-    | Some id, Some meth ->
-      if not (Float.is_integer id) then Error "field \"id\" must be an integer"
-      else
+    | Some id, Some meth -> (
+      match int_of_number id with
+      | None -> Error "field \"id\" must be an integer in the int range"
+      | Some id ->
         let params =
           match Jsonx.member "params" doc with Some p -> p | None -> Jsonx.Obj []
         in
-        Ok { id = int_of_float id; meth; params })
+        Ok { id; meth; params }))
 
 let param_str params key = Option.bind (Jsonx.member key params) Jsonx.to_str
-
-let param_int params key =
-  match Option.bind (Jsonx.member key params) Jsonx.to_float with
-  | Some f when Float.is_integer f -> Some (int_of_float f)
-  | Some _ | None -> None
 
 let param_bool params key =
   match Jsonx.member key params with Some (Jsonx.Bool b) -> Some b | _ -> None
@@ -71,10 +80,7 @@ let error_response ~id ~code ~message =
       ("error", Jsonx.Obj [ ("code", Jsonx.Str code); ("message", Jsonx.Str message) ]);
     ]
 
-let response_id doc =
-  match Option.bind (Jsonx.member "id" doc) Jsonx.to_float with
-  | Some f when Float.is_integer f -> Some (int_of_float f)
-  | Some _ | None -> None
+let response_id doc = param_int doc "id"
 
 let ok_of doc = Jsonx.member "ok" doc
 

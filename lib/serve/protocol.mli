@@ -26,8 +26,6 @@ val code_bad_request : string
 val code_unknown_method : string
 val code_unknown_circuit : string
 val code_plan_failed : string
-val code_routing_error : string
-val code_sanitize_violation : string
 val code_stats_failed : string
 val code_overloaded : string
 val code_shutting_down : string
@@ -40,6 +38,9 @@ val parse_request : string -> (request, string) result
 
 val param_str : Lacr_obs.Jsonx.t -> string -> string option
 val param_int : Lacr_obs.Jsonx.t -> string -> int option
+(** [Some] only for an integral number inside [\[min_int, max_int\]];
+    any other value, or none, gives [None]. *)
+
 val param_bool : Lacr_obs.Jsonx.t -> string -> bool option
 
 val request_json : request -> Lacr_obs.Jsonx.t

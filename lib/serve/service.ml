@@ -156,15 +156,21 @@ let reference_result ?config ?second_iteration name =
 let max_stall_ms = 10_000
 
 let handle_plan t ~id params =
-  let stall_ms = Option.value (Protocol.param_int params "stall_ms") ~default:0 in
-  match Protocol.param_str params "circuit" with
-  | None ->
+  let stall_ms =
+    match (Jsonx.member "stall_ms" params, Protocol.param_int params "stall_ms") with
+    | None, _ -> Some 0
+    | Some _, Some ms when ms >= 0 && ms <= max_stall_ms -> Some ms
+    | Some _, _ -> None
+  in
+  match (Protocol.param_str params "circuit", stall_ms) with
+  | None, _ ->
     Protocol.error_response ~id:(Some id) ~code:Protocol.code_bad_request
       ~message:"plan: missing string param \"circuit\""
-  | Some _ when stall_ms > max_stall_ms ->
+  | Some _, None ->
     Protocol.error_response ~id:(Some id) ~code:Protocol.code_bad_request
-      ~message:(Printf.sprintf "plan: stall_ms %d exceeds %d" stall_ms max_stall_ms)
-  | Some name -> (
+      ~message:
+        (Printf.sprintf "plan: param \"stall_ms\" must be an integer in 0..%d" max_stall_ms)
+  | Some name, Some stall_ms -> (
     match Lacr_circuits.Suite.resolve name with
     | Error msg ->
       Protocol.error_response ~id:(Some id) ~code:Protocol.code_unknown_circuit ~message:msg

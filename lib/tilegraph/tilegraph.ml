@@ -184,8 +184,6 @@ let cell_pitch t = (t.cell_w, t.cell_h)
 
 let tile_of_cell t cell = t.cell_tile.(cell)
 
-let tile_of_point t p = tile_of_cell t (cell_of_point t p)
-
 let cell_neighbors t cell =
   let row = cell / t.nx and col = cell mod t.nx in
   let candidates = [ (row - 1, col); (row + 1, col); (row, col - 1); (row, col + 1) ] in

@@ -77,7 +77,6 @@ val cell_pitch : t -> float * float
 (** Cell width and height in mm. *)
 
 val tile_of_cell : t -> int -> int
-val tile_of_point : t -> Lacr_geometry.Point.t -> int
 
 val cell_neighbors : t -> int -> int list
 (** 4-neighbourhood in the grid. *)

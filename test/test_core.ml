@@ -372,24 +372,6 @@ let suite =
     Alcotest.test_case "figures render" `Quick test_figures_render;
   ]
 
-let test_slicing_floorplanner_pipeline () =
-  (* The alternative floorplan engine must run the whole pipeline and
-     produce a legal, period-meeting LAC retiming too. *)
-  let config = { Config.default with Config.floorplanner = Config.Slicing } in
-  match Planner.plan ~config ~second_iteration:false (small_circuit ()) with
-  | Error msg -> Alcotest.failf "slicing plan: %s" msg
-  | Ok run ->
-    let g = run.Planner.instance.Build.graph in
-    check "legal" true (Graph.is_legal g run.Planner.lac.Lac.labels);
-    (match Graph.retime g run.Planner.lac.Lac.labels with
-    | Error msg -> Alcotest.fail msg
-    | Ok retimed ->
-      check "meets period" true (Graph.clock_period retimed <= run.Planner.t_clk +. 1e-6))
-
-let suite =
-  suite
-  @ [ Alcotest.test_case "slicing floorplanner pipeline" `Slow test_slicing_floorplanner_pipeline ]
-
 let test_table1_shape_invariants () =
   (* Loose golden test: on two small suite circuits, LAC never loses
      to min-area and both meet the target period. *)

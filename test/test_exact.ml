@@ -9,7 +9,7 @@ module Paths = Lacr_retime.Paths
 module Constraints = Lacr_retime.Constraints
 module Feasibility = Lacr_retime.Feasibility
 module Problem = Lacr_core.Problem
-module Exact = Lacr_core.Exact
+module Exact = Lacr_oracle.Exact
 module Lac = Lacr_core.Lac
 module Rng = Lacr_util.Rng
 

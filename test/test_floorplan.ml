@@ -163,70 +163,3 @@ let suite =
     Alcotest.test_case "block_at" `Quick test_block_at;
     Alcotest.test_case "expand soft blocks" `Quick test_expand_soft_blocks;
   ]
-
-(* --- slicing floorplanner --------------------------------------------- *)
-
-module Slicing = Lacr_floorplan.Slicing
-
-let test_slicing_initial_normalized () =
-  for n = 1 to 8 do
-    check "initial normalized" true (Slicing.is_normalized (Slicing.initial n))
-  done
-
-let test_slicing_pack_two_blocks () =
-  (* Two 2x1 blocks side by side (V): 4x1; stacked (H): 2x2 after the
-     shape curve picks the best realization. *)
-  let shapes = [| [ (2.0, 1.0) ]; [ (2.0, 1.0) ] |] in
-  let v_pack = Slicing.pack [| Slicing.Operand 0; Slicing.Operand 1; Slicing.V |] ~shapes in
-  check_float "V width" 4.0 v_pack.Slicing.width;
-  check_float "V height" 1.0 v_pack.Slicing.height;
-  let h_pack = Slicing.pack [| Slicing.Operand 0; Slicing.Operand 1; Slicing.H |] ~shapes in
-  check_float "H width" 2.0 h_pack.Slicing.width;
-  check_float "H height" 2.0 h_pack.Slicing.height
-
-let test_slicing_shape_curve_picks_best () =
-  (* A 1x4-or-4x1 flexible block beside a 4x1 block: stacking the
-     4x1 realizations gives a 4x2 (area 8) outline. *)
-  let shapes = [| [ (1.0, 4.0); (4.0, 1.0) ]; [ (4.0, 1.0) ] |] in
-  let packing = Slicing.pack [| Slicing.Operand 0; Slicing.Operand 1; Slicing.H |] ~shapes in
-  check_float "area 8" 8.0 (packing.Slicing.width *. packing.Slicing.height)
-
-let prop_slicing_pack_never_overlaps =
-  QCheck2.Test.make ~count:80 ~name:"slicing packing never overlaps"
-    QCheck2.Gen.(pair (int_range 2 9) (int_range 0 1_000_000))
-    (fun (n, seed) ->
-      let rng = Rng.create seed in
-      let blocks = Array.init n (fun i -> Block.soft ~name:(string_of_int i) (0.5 +. Rng.float rng 5.0)) in
-      let result = Slicing.floorplan ~options:{ Slicing.default_options with Slicing.stages = 10 } rng blocks [] in
-      let rects = result.Slicing.packing.Slicing.rects in
-      not (overlap_exists rects))
-
-let prop_slicing_moves_preserve_normalization =
-  QCheck2.Test.make ~count:100 ~name:"annealed slicing expressions stay normalized"
-    QCheck2.Gen.(pair (int_range 2 9) (int_range 0 1_000_000))
-    (fun (n, seed) ->
-      let rng = Rng.create seed in
-      let blocks = Array.init n (fun i -> Block.soft ~name:(string_of_int i) (0.5 +. Rng.float rng 5.0)) in
-      let result = Slicing.floorplan ~options:{ Slicing.default_options with Slicing.stages = 6 } rng blocks [] in
-      Slicing.is_normalized result.Slicing.expression)
-
-let test_slicing_packs_tighter_or_close () =
-  (* On soft blocks, the slicing annealer should reach near the
-     sequence-pair annealer's area (within 40%). *)
-  let blocks = sample_blocks () in
-  let sp = Annealer.floorplan (Rng.create 5) blocks sample_nets in
-  let sl = Slicing.floorplan (Rng.create 5) blocks sample_nets in
-  let sp_area = sp.Annealer.packing.Sequence_pair.width *. sp.Annealer.packing.Sequence_pair.height in
-  let sl_area = sl.Slicing.packing.Slicing.width *. sl.Slicing.packing.Slicing.height in
-  check "same ballpark" true (sl_area < sp_area *. 1.4 +. 1e-9)
-
-let suite =
-  suite
-  @ [
-      Alcotest.test_case "slicing initial normalized" `Quick test_slicing_initial_normalized;
-      Alcotest.test_case "slicing pack two blocks" `Quick test_slicing_pack_two_blocks;
-      Alcotest.test_case "slicing shape curve" `Quick test_slicing_shape_curve_picks_best;
-      QCheck_alcotest.to_alcotest prop_slicing_pack_never_overlaps;
-      QCheck_alcotest.to_alcotest prop_slicing_moves_preserve_normalization;
-      Alcotest.test_case "slicing vs sequence pair" `Quick test_slicing_packs_tighter_or_close;
-    ]

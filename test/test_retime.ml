@@ -354,7 +354,7 @@ let test_cycle_ratio_two_cycle () =
   let delays = [| 0.0; 6.0 |] in
   let e src dst weight = { Graph.src; dst; weight } in
   let g = Graph.create ~delays ~edges:[ e 0 1 1; e 1 0 0 ] ~host:0 in
-  check_float "ratio bound" 6.0 (Feasibility.cycle_ratio_lower_bound g)
+  check_float "ratio bound" 6.0 (Paths.cycle_ratio_lower_bound g)
 
 let test_cycle_ratio_spread_registers () =
   (* Cycle of delay 9 with 3 registers: bound = max(max_d, 9/3). *)
@@ -364,14 +364,14 @@ let test_cycle_ratio_spread_registers () =
     Graph.create ~delays ~edges:[ e 0 1 1; e 1 2 1; e 2 3 1; e 3 0 0 ] ~host:0
   in
   (* Cycle delay = 0+4+2+3 = 9, registers 3 -> ratio 3; max vertex 4. *)
-  check_float "max delay dominates" 4.0 (Feasibility.cycle_ratio_lower_bound g)
+  check_float "max delay dominates" 4.0 (Paths.cycle_ratio_lower_bound g)
 
 let prop_cycle_ratio_bounds_min_period =
   QCheck2.Test.make ~count:50 ~name:"cycle-ratio bound never exceeds the min period" graph_gen
     (fun params ->
       let g = make_graph params in
       let wd = Paths.compute g in
-      let bound = Feasibility.cycle_ratio_lower_bound g in
+      let bound = Paths.cycle_ratio_lower_bound g in
       let mp = Feasibility.min_period g wd in
       bound <= mp.Feasibility.period +. 1e-6)
 
@@ -402,7 +402,7 @@ let suite =
 
 (* --- FEAS cross-check ------------------------------------------------- *)
 
-module Feas = Lacr_retime.Feas
+module Feas = Lacr_oracle.Feas
 
 let test_feas_correlator () =
   let g = correlator () in
@@ -443,7 +443,7 @@ let suite =
 
 (* --- static timing analysis ------------------------------------------- *)
 
-module Timing = Lacr_retime.Timing
+module Timing = Lacr_oracle.Timing
 
 let test_timing_correlator () =
   let g = correlator () in

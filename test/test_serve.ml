@@ -125,7 +125,7 @@ let stall_plan ~stall_ms =
   Jsonx.Obj
     [
       ("circuit", Jsonx.Str "s27");
-      ("stall_ms", Jsonx.of_int stall_ms);
+      ("stall_ms", Jsonx.Num stall_ms);
       ("second_iteration", Jsonx.Bool false);
     ]
 
@@ -144,7 +144,7 @@ let test_backpressure () =
   | other -> Alcotest.failf "warm-up should miss, got %s" (Option.value other ~default:"?"));
   (* Hold the only worker... *)
   let holder = connect path in
-  send holder ~id:2 "plan" (stall_plan ~stall_ms:1500);
+  send holder ~id:2 "plan" (stall_plan ~stall_ms:1500.);
   let _ =
     poll_health probe ~what:"worker holding the stalled request"
       ~until:(fun b -> body_int b "in_flight" = 1)
@@ -152,8 +152,8 @@ let test_backpressure () =
   (* ...fill the queue from two more connections... *)
   let filler_a = connect path in
   let filler_b = connect path in
-  send filler_a ~id:3 "plan" (stall_plan ~stall_ms:50);
-  send filler_b ~id:4 "plan" (stall_plan ~stall_ms:50);
+  send filler_a ~id:3 "plan" (stall_plan ~stall_ms:50.);
+  send filler_b ~id:4 "plan" (stall_plan ~stall_ms:50.);
   let _ =
     poll_health probe ~what:"queue holding both fillers"
       ~until:(fun b -> body_int b "queued" = 2)
@@ -163,7 +163,7 @@ let test_backpressure () =
   let overflow = connect path in
   let t0 = clock () in
   expect_error ~code:Protocol.code_overloaded
-    (call overflow ~id:5 "plan" (stall_plan ~stall_ms:0));
+    (call overflow ~id:5 "plan" (stall_plan ~stall_ms:0.));
   Alcotest.(check bool) "rejection was immediate, not queued" true (clock () -. t0 < 1.0);
   let health =
     poll_health probe ~what:"rejection counted" ~until:(fun b -> body_int b "rejected" >= 1)
@@ -197,6 +197,13 @@ let test_errors () =
   let doc = recv conn in
   expect_error ~code:Protocol.code_bad_request doc;
   Alcotest.(check bool) "bad request has null id" true (Protocol.response_id doc = None);
+  (* An id past the int range is not an id. *)
+  output_string conn.oc "{\"id\":1e30,\"method\":\"health\"}\n";
+  flush conn.oc;
+  let doc = recv conn in
+  expect_error ~code:Protocol.code_bad_request doc;
+  Alcotest.(check bool) "out-of-range id answers with null id" true
+    (Protocol.response_id doc = None);
   (* The connection is still usable afterwards. *)
   let stats = expect_ok (call conn ~id:5 "stats" (Jsonx.Obj [ ("circuit", Jsonx.Str "s27") ])) in
   Alcotest.(check int) "s27 units" 15 (body_int stats "units");
@@ -261,14 +268,19 @@ let test_shutdown () =
   Domain.join runner;
   Alcotest.(check bool) "socket file removed on shutdown" false (Sys.file_exists path)
 
-(* --- the stall_ms drill hook is capped --- *)
+(* --- the stall_ms drill hook takes an integer in 0..10 000 --- *)
 
 let test_stall_cap () =
   with_server ~workers:1 @@ fun path _service ->
   let conn = connect path in
   let t0 = clock () in
-  expect_error ~code:Protocol.code_bad_request
-    (call conn ~id:1 "plan" (stall_plan ~stall_ms:10_001));
+  (* 1e30 is integral but past the int range, where [int_of_float]
+     gives an arbitrary int. *)
+  List.iteri
+    (fun i stall_ms ->
+      expect_error ~code:Protocol.code_bad_request
+        (call conn ~id:(i + 1) "plan" (stall_plan ~stall_ms)))
+    [ 10_001.; 1e30; -1.; 1.5 ];
   Alcotest.(check bool) "rejected before the worker sleeps" true (clock () -. t0 < 5.0);
   close conn
 
