@@ -191,6 +191,7 @@ let retime_problem ?clock ?(alpha = Config.default.Config.alpha)
           Obs.span_attr obs "phases" (Obs.Int st.Lacr_mcmf.Mcmf.phases);
           Obs.span_attr obs "settles" (Obs.Int st.Lacr_mcmf.Mcmf.settles);
           Obs.span_attr obs "pushes" (Obs.Int st.Lacr_mcmf.Mcmf.pushes);
+          Obs.span_attr obs "arc_scans" (Obs.Int st.Lacr_mcmf.Mcmf.arc_scans);
           Obs.span_attr obs "warm" (Obs.Bool st.Lacr_mcmf.Mcmf.warm_start);
           Obs.incr (Obs.counter obs "lac.rounds");
           Obs.add (Obs.counter obs "lac.violations") n_foa
@@ -206,7 +207,8 @@ let retime_problem ?clock ?(alpha = Config.default.Config.alpha)
           stale := 0
         end
         else incr stale;
-        if n_foa = 0 || !stale > n_max then Ok `Done
+        if n_foa = 0 then Ok (`Stop "zero_violations")
+        else if !stale > n_max then Ok (`Stop "stalled")
         else begin
           (* Paper step 6: New weight = Old * ((1-alpha) + alpha*AC/C). *)
           let consumption = Problem.consumption problem ~labels in
@@ -226,17 +228,23 @@ let retime_problem ?clock ?(alpha = Config.default.Config.alpha)
           Ok `Continue
         end
     in
+    (* The loop's three exits, named for the [lac.retime] span's
+       [stop] attribute and the [lac.stop.<reason>] counter. *)
     let rec iterate n_wr =
-      if n_wr >= max_wr then Ok ()
+      if n_wr >= max_wr then Ok "max_wr"
       else
         match round n_wr with
         | Error msg -> Error msg
-        | Ok `Done -> Ok ()
+        | Ok (`Stop reason) -> Ok reason
         | Ok `Continue -> iterate (n_wr + 1)
     in
     (match iterate 0 with
     | Error msg -> Error msg
-    | Ok () ->
+    | Ok stop ->
+      if Obs.enabled obs then begin
+        Obs.span_attr obs "stop" (Obs.Str stop);
+        Obs.incr (Obs.counter obs ("lac.stop." ^ stop))
+      end;
       let exec_seconds = clock () -. start in
       (match !best with
       | None -> Error "LAC-retiming: no iteration completed"

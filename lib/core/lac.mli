@@ -90,9 +90,12 @@ val retime :
     [obs] (default disabled) wraps the run in a [lac.retime] span with
     one sibling [lac.round] span per re-weighting round, each carrying
     the round's violation count and the flow solver's counters
-    (phases, settles, pushes, warm-start); [lac.rounds] /
+    (phases, settles, pushes, arc scans, warm-start); [lac.rounds] /
     [lac.violations] and the [mcmf.*] counters accumulate alongside.
-    Enabling it changes no outcome. *)
+    The [lac.retime] span's [stop] attribute says why the loop ended,
+    and one [lac.stop.<reason>] counter counts it: [zero_violations],
+    [stalled] (more than [n_max] non-improving rounds) or [max_wr]
+    (the round cap).  Enabling it changes no outcome. *)
 
 (** {1 Abstract-problem variants}
 

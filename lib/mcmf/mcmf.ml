@@ -23,10 +23,11 @@ type stats = {
   phases : int;  (* Dijkstra + blocking-flow rounds *)
   settles : int;  (* nodes settled across all phase Dijkstras *)
   pushes : int;  (* arc-level pushes inside blocking flows *)
+  arc_scans : int;  (* arcs examined by the gathers, BFSs and DFSs *)
   warm_start : bool;  (* previous potentials reused (validated) *)
 }
 
-let zero_stats = { phases = 0; settles = 0; pushes = 0; warm_start = false }
+let zero_stats = { phases = 0; settles = 0; pushes = 0; arc_scans = 0; warm_start = false }
 
 type t = {
   n : int;
@@ -43,6 +44,8 @@ type t = {
   mutable csr_row : int array;
   mutable csr_arc : int array;
   (* Scratch reused across solves and phases. *)
+  mutable zrow : int array;  (* per-phase zero-reduced-cost arcs, CSR *)
+  mutable zarc : int array;
   mutable pi : int array;  (* potentials over n + 2 nodes *)
   mutable has_pi : bool;  (* pi holds a previous solve's optimum *)
   mutable dist : int array;
@@ -70,6 +73,8 @@ let create n =
     orig_cap = [||];
     csr_row = [||];
     csr_arc = [||];
+    zrow = [||];
+    zarc = [||];
     pi = [||];
     has_pi = false;
     dist = [||];
@@ -81,20 +86,20 @@ let create n =
     last_stats = zero_stats;
   }
 
+let resize_arcs t ncap =
+  let extend arr fill =
+    let narr = Array.make ncap fill in
+    Array.blit arr 0 narr 0 t.n_arcs;
+    narr
+  in
+  t.arc_dst <- extend t.arc_dst 0;
+  t.arc_src <- extend t.arc_src 0;
+  t.arc_cap <- extend t.arc_cap 0.0;
+  t.arc_cost <- extend t.arc_cost 0
+
 let ensure_room t =
   let cap = Array.length t.arc_dst in
-  if t.n_arcs + 2 > cap then begin
-    let ncap = cap * 2 in
-    let extend arr fill =
-      let narr = Array.make ncap fill in
-      Array.blit arr 0 narr 0 t.n_arcs;
-      narr
-    in
-    t.arc_dst <- extend t.arc_dst 0;
-    t.arc_src <- extend t.arc_src 0;
-    t.arc_cap <- extend t.arc_cap 0.0;
-    t.arc_cost <- extend t.arc_cost 0
-  end
+  if t.n_arcs + 2 > cap then resize_arcs t (cap * 2)
 
 (* No range validation: also used internally for the super-source and
    super-sink, whose indices are past the public node range. *)
@@ -169,11 +174,17 @@ let seal t =
   let n_nodes = t.n + 2 in
   t.user_arcs <- t.n_arcs;
   t.orig_cap <- Array.sub t.arc_cap 0 t.n_arcs;
+  (* The arc set is final now: trim the doubling slack of [add_arc],
+     up to half of each arc array, since a sealed instance lives for a
+     whole LAC run or in a daemon's cache. *)
+  resize_arcs t (t.n_arcs + (4 * t.n));
   for v = 0 to t.n - 1 do
     ignore (append_arc t ~src:source ~dst:v ~capacity:0.0 ~cost:0 : int);
     ignore (append_arc t ~src:v ~dst:sink ~capacity:0.0 ~cost:0 : int)
   done;
   build_csr t ~n_nodes;
+  t.zrow <- Array.make (n_nodes + 1) 0;
+  t.zarc <- Array.make (max 1 t.n_arcs) 0;
   t.pi <- Array.make n_nodes 0;
   t.dist <- Array.make n_nodes max_int;
   t.settled <- Array.make n_nodes false;
@@ -296,16 +307,41 @@ let dijkstra t ~source ~sink ~n_nodes ~settles =
    with Exit -> ());
   dist
 
-(* Dinic blocking flow restricted to residual arcs of zero reduced
-   cost (exact integer test).  BFS levels orient the zero-cost
-   subgraph; the DFS uses current-arc pointers.  The BFS frontier and
-   both pointer arrays come from the instance scratch — no per-phase
-   allocation. *)
-let blocking_flow t ~source ~sink ~pushes =
-  let pi = t.pi in
-  let admissible a =
-    t.arc_cap.(a) > eps && t.arc_cost.(a) + pi.(t.arc_src.(a)) - pi.(t.arc_dst.(a)) = 0
-  in
+(* The phase's candidate arcs: every residual arc of zero reduced
+   cost, gathered per node into [zrow]/[zarc] in CSR order, capacity
+   ignored.  Potentials are fixed for the whole phase and the reverse
+   of a zero-reduced-cost arc has zero reduced cost too, so a push
+   never makes an arc outside this list admissible — the blocking
+   flow tests only residual capacity on it, and its scan order (hence
+   its push schedule) is the full CSR's with the never-admissible
+   arcs skipped. *)
+let gather_zero_arcs t ~arc_scans =
+  let pi = t.pi and zrow = t.zrow and zarc = t.zarc in
+  let n_nodes = Array.length zrow - 1 in
+  let k = ref 0 in
+  for u = 0 to n_nodes - 1 do
+    zrow.(u) <- !k;
+    let pu = pi.(u) in
+    for slot = t.csr_row.(u) to t.csr_row.(u + 1) - 1 do
+      let a = t.csr_arc.(slot) in
+      if t.arc_cost.(a) + pu - pi.(t.arc_dst.(a)) = 0 then begin
+        zarc.(!k) <- a;
+        incr k
+      end
+    done
+  done;
+  zrow.(n_nodes) <- !k;
+  arc_scans := !arc_scans + t.n_arcs
+
+(* Dinic blocking flow over the gathered zero-reduced-cost arcs: BFS
+   levels orient them, the DFS uses current-arc pointers into
+   [zarc].  The BFS frontier and both pointer arrays come from the
+   instance scratch — no per-phase allocation.  [arc_scans] grows by
+   each BFS node's list length and by each DFS visit's cursor advance
+   plus its pushes (a push re-examines the arc under the cursor). *)
+let blocking_flow t ~source ~sink ~pushes ~arc_scans =
+  gather_zero_arcs t ~arc_scans;
+  let zrow = t.zrow and zarc = t.zarc and arc_cap = t.arc_cap and arc_dst = t.arc_dst in
   let level = t.level and queue = t.queue and cursor = t.cursor in
   let n_nodes = Array.length level in
   let total_pushed = ref 0.0 in
@@ -319,10 +355,12 @@ let blocking_flow t ~source ~sink ~pushes =
     while !head < !tail do
       let u = queue.(!head) in
       incr head;
-      for slot = t.csr_row.(u) to t.csr_row.(u + 1) - 1 do
-        let a = t.csr_arc.(slot) in
-        if admissible a then begin
-          let v = t.arc_dst.(a) in
+      let hi = zrow.(u + 1) in
+      arc_scans := !arc_scans + (hi - zrow.(u));
+      for slot = zrow.(u) to hi - 1 do
+        let a = zarc.(slot) in
+        if arc_cap.(a) > eps then begin
+          let v = arc_dst.(a) in
           if level.(v) < 0 then begin
             level.(v) <- level.(u) + 1;
             queue.(!tail) <- v;
@@ -333,28 +371,31 @@ let blocking_flow t ~source ~sink ~pushes =
     done;
     if level.(sink) < 0 then continue_phases := false
     else begin
-      Array.blit t.csr_row 0 cursor 0 n_nodes;
+      Array.blit zrow 0 cursor 0 n_nodes;
       (* DFS pushing one augmenting path at a time (paths are short:
          S -> ... -> T through the level graph). *)
       let rec dfs u limit =
         if u = sink then limit
         else begin
           let pushed = ref 0.0 in
-          while !pushed < limit -. eps && cursor.(u) < t.csr_row.(u + 1) do
-            let a = t.csr_arc.(cursor.(u)) in
-            let v = t.arc_dst.(a) in
-            if admissible a && level.(v) = level.(u) + 1 then begin
-              let sent = dfs v (min (limit -. !pushed) t.arc_cap.(a)) in
+          let first = cursor.(u) and hi = zrow.(u + 1) in
+          while !pushed < limit -. eps && cursor.(u) < hi do
+            let a = zarc.(cursor.(u)) in
+            let v = arc_dst.(a) in
+            if arc_cap.(a) > eps && level.(v) = level.(u) + 1 then begin
+              let sent = dfs v (min (limit -. !pushed) arc_cap.(a)) in
               if sent > eps then begin
-                t.arc_cap.(a) <- t.arc_cap.(a) -. sent;
-                t.arc_cap.(a lxor 1) <- t.arc_cap.(a lxor 1) +. sent;
+                arc_cap.(a) <- arc_cap.(a) -. sent;
+                arc_cap.(a lxor 1) <- arc_cap.(a lxor 1) +. sent;
                 incr pushes;
+                incr arc_scans;
                 pushed := !pushed +. sent
               end
               else cursor.(u) <- cursor.(u) + 1
             end
             else cursor.(u) <- cursor.(u) + 1
           done;
+          arc_scans := !arc_scans + (cursor.(u) - first);
           !pushed
         end
       in
@@ -428,7 +469,7 @@ let solve ?(warm = false) ?(trace = Lacr_obs.Trace.disabled) t =
     if not bootstrap_ok then Error Negative_cycle
     else begin
       let pi = t.pi in
-      let phases = ref 0 and settles = ref 0 and pushes = ref 0 in
+      let phases = ref 0 and settles = ref 0 and pushes = ref 0 and arc_scans = ref 0 in
       let rec drive () =
         if !remaining <= 1e-6 then Ok ()
         else begin
@@ -441,7 +482,7 @@ let solve ?(warm = false) ?(trace = Lacr_obs.Trace.disabled) t =
               let dv = if dist.(v) < dt then dist.(v) else dt in
               pi.(v) <- pi.(v) + dv
             done;
-            let pushed = blocking_flow t ~source ~sink ~pushes in
+            let pushed = blocking_flow t ~source ~sink ~pushes ~arc_scans in
             if pushed <= eps then Error Infeasible
             else begin
               remaining := !remaining -. pushed;
@@ -452,13 +493,20 @@ let solve ?(warm = false) ?(trace = Lacr_obs.Trace.disabled) t =
       in
       let result = drive () in
       t.last_stats <-
-        { phases = !phases; settles = !settles; pushes = !pushes; warm_start = warm_started };
+        {
+          phases = !phases;
+          settles = !settles;
+          pushes = !pushes;
+          arc_scans = !arc_scans;
+          warm_start = warm_started;
+        };
       if Lacr_obs.Trace.enabled trace then begin
         let bump name n = Lacr_obs.Trace.add (Lacr_obs.Trace.counter trace name) n in
         bump "mcmf.solves" 1;
         bump "mcmf.phases" !phases;
         bump "mcmf.settles" !settles;
         bump "mcmf.pushes" !pushes;
+        bump "mcmf.arc_scans" !arc_scans;
         bump (if warm_started then "mcmf.warm_starts" else "mcmf.cold_starts") 1
       end;
       match result with

@@ -28,7 +28,23 @@
     The returned potentials are canonical (shortest distances from a
     zero-cost virtual source over the final residual graph), so
     warm-started and cold solves of the same instance return
-    bit-identical solutions. *)
+    bit-identical solutions.
+
+    {2 Phases}
+
+    Each phase runs one Dijkstra on reduced costs, shifts the
+    potentials, then saturates the zero-reduced-cost subgraph with a
+    Dinic blocking flow.  Right after the shift the phase gathers its
+    zero-reduced-cost arcs once into a second CSR held by the instance
+    (CSR order kept, capacity ignored: a push only gives capacity to
+    the reverse of a gathered arc, which is gathered too), and every
+    BFS and DFS of the blocking flow scans that list, testing only
+    residual capacity.  The gather costs one int per residual arc
+    (user arcs and the permanent super arcs, both directions),
+    allocated at seal time and held as long as the instance — also by
+    every compiled solver a daemon keeps cached: 0.37 MB for s1423
+    (45 844 residual arcs) and, estimated from the constraint count,
+    about 50 MB at hier:200000. *)
 
 type t
 (** Mutable problem under construction, then a reusable solver
@@ -70,6 +86,11 @@ type stats = {
   phases : int;  (** Dijkstra + blocking-flow rounds of the last solve *)
   settles : int;  (** nodes settled across all phase Dijkstras *)
   pushes : int;  (** arc-level pushes inside blocking flows *)
+  arc_scans : int;
+      (** arcs examined: each phase's zero-reduced-cost gather (every
+          residual arc), each blocking-flow BFS (the gathered list of
+          every node it dequeues) and each DFS visit (its cursor
+          advance plus its pushes) *)
   warm_start : bool;
       (** the last solve reused the previous potentials (skipping the
           Bellman-Ford bootstrap) *)
@@ -84,7 +105,7 @@ val solve : ?warm:bool -> ?trace:Lacr_obs.Trace.ctx -> t -> (solution, error) re
     optimum or it is no longer dual-feasible, so it is always safe.
     [trace] (default disabled) accumulates the solve's counters into
     the observability context ([mcmf.solves]/[phases]/[settles]/
-    [pushes]/[warm_starts]/[cold_starts]). *)
+    [pushes]/[arc_scans]/[warm_starts]/[cold_starts]). *)
 
 val last_stats : t -> stats
 (** Counters of the most recent {!solve} (zeroes before the first). *)

@@ -774,43 +774,63 @@ let iter_frontier wd f =
       done
     done
 
-(* Sorted distinct D values, streamed through a flat float buffer with
-   an in-place sort and adjacent dedup — no intermediate cons list
-   (the seed built an O(n^2) list before [sort_uniq]).  The result is
-   the same list [List.sort_uniq Float.compare] produced: ascending,
-   deduplicated under [Float.compare]. *)
-let distinct_delays wd =
-  let buf = ref (Array.make 1024 0.0) in
+(* Order-preserving int key of a non-negative double: its IEEE bits
+   minus 2^62 fit an OCaml int ([0, +inf] maps into [-2^62, 2^62 -
+   2^52]) and compare like the doubles.  [+. 0.0] folds -0.0 into
+   +0.0, which [Float.compare] already equates.  D values are never
+   negative: [Graph.create] rejects negative delays. *)
+let key_of_delay d = Int64.to_int (Int64.sub (Int64.bits_of_float (d +. 0.0)) 0x4000_0000_0000_0000L)
+let delay_of_key k = Int64.float_of_bits (Int64.add (Int64.of_int k) 0x4000_0000_0000_0000L)
+
+(* Number of D values in [lo, hi]; their keys are stored into [keys]
+   too unless it is empty. *)
+let window_keys wd ~lo ~hi keys =
+  let store = Array.length keys > 0 in
   let len = ref 0 in
-  let push x =
-    if !len = Array.length !buf then begin
-      let nbuf = Array.make (2 * !len) 0.0 in
-      Array.blit !buf 0 nbuf 0 !len;
-      buf := nbuf
-    end;
-    !buf.(!len) <- x;
-    incr len
-  in
   (match wd with
   | Dense { w; d } ->
     let n = Array.length w in
     for u = 0 to n - 1 do
       let wrow = w.(u) and drow = d.(u) in
       for v = 0 to n - 1 do
-        if wrow.(v) <> max_int then push drow.(v)
+        if wrow.(v) <> max_int then begin
+          let x = drow.(v) in
+          if x >= lo && x <= hi then begin
+            if store then keys.(!len) <- key_of_delay x;
+            incr len
+          end
+        end
       done
     done
   | Streamed fr ->
     for i = 0 to fr.row_off.(fr.fn) - 1 do
-      push fr.fdly.(i)
+      let x = fr.fdly.(i) in
+      if x >= lo && x <= hi then begin
+        if store then keys.(!len) <- key_of_delay x;
+        incr len
+      end
     done);
-  let sub = Array.sub !buf 0 !len in
-  Array.sort Float.compare sub;
-  let out = ref [] in
-  for i = !len - 1 downto 0 do
-    if i = !len - 1 || Float.compare sub.(i) sub.(i + 1) <> 0 then out := sub.(i) :: !out
+  !len
+
+(* The window is applied before sorting: one counting pass sizes the
+   key array, a second fills it, and [Int_sort] sorts the keys in
+   place, so the only allocations are the key array and the result. *)
+let distinct_delays wd ~lo ~hi =
+  let keys = Array.make (window_keys wd ~lo ~hi [||]) 0 in
+  let len = window_keys wd ~lo ~hi keys in
+  Lacr_util.Int_sort.sort_slice keys ~lo:0 ~hi:len;
+  let k = ref 0 in
+  for i = 0 to len - 1 do
+    if !k = 0 || keys.(i) <> keys.(!k - 1) then begin
+      keys.(!k) <- keys.(i);
+      incr k
+    end
   done;
-  !out
+  let out = Array.make !k 0.0 in
+  for i = 0 to !k - 1 do
+    out.(i) <- delay_of_key keys.(i)
+  done;
+  out
 
 (* --- graph-direct dominance pruning ------------------------------- *)
 

@@ -126,15 +126,15 @@ val in_window : frontier -> period:float -> bool
     may lack a violating ancestor (above the initial clock period), so
     callers enumerate graph-direct there. *)
 
-val distinct_delays : wd -> float list
-(** Sorted distinct [D] values — the candidate clock periods for
-    min-period binary search.  Dense: over all reachable pairs;
-    streamed: over the retained frontier.  After the min-period
-    candidate window [bound - 1e-9 <= d <= clock_period + 1e-9]
-    applied by both searches the two backends yield the identical
-    candidate list (the near band is retained in full).  Streams
-    through a flat float buffer with in-place sort and adjacent
-    dedup — no intermediate cons list. *)
+val distinct_delays : wd -> lo:float -> hi:float -> float array
+(** The candidate clock periods of a min-period binary search: the
+    distinct [D] values in the window [\[lo, hi\]], ascending and
+    deduplicated under [Float.compare].  Dense: over all reachable
+    pairs; streamed: over the retained frontier.  Over the min-period
+    window [\[bound - 1e-9, clock_period + 1e-9\]] the two backends
+    yield the identical array (the near band is retained in full).
+    The window is applied before sorting, and the sort runs on
+    order-preserving int keys through {!Lacr_util.Int_sort}. *)
 
 (** {1 Graph-direct constraint passes}
 

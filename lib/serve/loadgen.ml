@@ -113,50 +113,56 @@ type tally = {
 let record_failure tally code =
   tally.failed <- Service.merge_counters tally.failed [ (code, 1) ]
 
+let record_ok tally ~circuit body ~elapsed =
+  tally.ok <- tally.ok + 1;
+  (match Option.bind (Jsonx.member "cache" body) Jsonx.to_str with
+  | Some "hit" ->
+    tally.hits <- tally.hits + 1;
+    tally.warm_total <- tally.warm_total + elapsed;
+    tally.warm_count <- tally.warm_count + 1
+  | Some "miss" ->
+    tally.misses <- tally.misses + 1;
+    tally.cold_total <- tally.cold_total + elapsed;
+    tally.cold_count <- tally.cold_count + 1
+  | Some _ | None -> ());
+  (match Jsonx.member "result" body with
+  | None -> tally.mismatches <- tally.mismatches + 1
+  | Some result -> (
+    let rendered = Jsonx.to_string result in
+    match Hashtbl.find_opt tally.observed circuit with
+    | None -> Hashtbl.replace tally.observed circuit rendered
+    | Some first ->
+      if not (String.equal first rendered) then tally.mismatches <- tally.mismatches + 1));
+  match Option.bind (Jsonx.member "metrics" body) (Jsonx.member "counters") with
+  | Some (Jsonx.Obj fields) ->
+    (* An echo that is no int is dropped, so the sums cannot match
+       the daemon's aggregate and [check_metrics] counts a mismatch. *)
+    let echoed =
+      List.filter_map
+        (fun (k, v) ->
+          Option.map (fun n -> (k, n)) (Option.bind (Jsonx.to_float v) Protocol.int_of_number))
+        fields
+    in
+    let echoed = List.sort (fun (a, _) (b, _) -> String.compare a b) echoed in
+    tally.counter_sums <- Service.merge_counters tally.counter_sums echoed
+  | Some _ | None -> ()
+
 let record_response tally ~circuit doc =
   Mutex.lock tally.mutex;
   (match Protocol.ok_of doc with
   | None ->
     let code = match Protocol.error_of doc with Some (c, _) -> c | None -> "malformed" in
     record_failure tally code
-  | Some body ->
-    tally.ok <- tally.ok + 1;
-    let elapsed =
-      match Option.bind (Jsonx.member "elapsed_us" body) Jsonx.to_float with
-      | Some f -> int_of_float f
-      | None -> 0
-    in
-    (match Option.bind (Jsonx.member "cache" body) Jsonx.to_str with
-    | Some "hit" ->
-      tally.hits <- tally.hits + 1;
-      tally.warm_total <- tally.warm_total + elapsed;
-      tally.warm_count <- tally.warm_count + 1
-    | Some "miss" ->
-      tally.misses <- tally.misses + 1;
-      tally.cold_total <- tally.cold_total + elapsed;
-      tally.cold_count <- tally.cold_count + 1
-    | Some _ | None -> ());
-    (match Jsonx.member "result" body with
-    | None -> tally.mismatches <- tally.mismatches + 1
-    | Some result -> (
-      let rendered = Jsonx.to_string result in
-      match Hashtbl.find_opt tally.observed circuit with
-      | None -> Hashtbl.replace tally.observed circuit rendered
-      | Some first ->
-        if not (String.equal first rendered) then tally.mismatches <- tally.mismatches + 1));
-    (match Option.bind (Jsonx.member "metrics" body) (Jsonx.member "counters") with
-    | Some (Jsonx.Obj fields) ->
-      let echoed =
-        List.filter_map
-          (fun (k, v) ->
-            match Jsonx.to_float v with
-            | Some f when Float.is_integer f -> Some (k, int_of_float f)
-            | Some _ | None -> None)
-          fields
-      in
-      let echoed = List.sort (fun (a, _) (b, _) -> String.compare a b) echoed in
-      tally.counter_sums <- Service.merge_counters tally.counter_sums echoed
-    | Some _ | None -> ()));
+  | Some body -> (
+    (* [elapsed_us] counts as 0 when absent; a number outside the int
+       range, where [int_of_float] is unspecified, makes the reply
+       malformed. *)
+    match Option.bind (Jsonx.member "elapsed_us" body) Jsonx.to_float with
+    | None -> record_ok tally ~circuit body ~elapsed:0
+    | Some f -> (
+      match Protocol.int_of_number f with
+      | Some elapsed -> record_ok tally ~circuit body ~elapsed
+      | None -> record_failure tally "malformed")));
   Mutex.unlock tally.mutex
 
 let plan_request ~id ~circuit ~second_iteration =
@@ -264,8 +270,12 @@ let check_metrics opts tally =
               List.length
                 (List.filter
                    (fun (k, expected) ->
-                     match Option.bind (List.assoc_opt k aggregate) Jsonx.to_float with
-                     | Some f -> int_of_float f <> expected
+                     match
+                       Option.bind
+                         (Option.bind (List.assoc_opt k aggregate) Jsonx.to_float)
+                         Protocol.int_of_number
+                     with
+                     | Some n -> n <> expected
                      | None -> true)
                    tally.counter_sums)
           in

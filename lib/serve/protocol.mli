@@ -36,6 +36,11 @@ val parse_request : string -> (request, string) result
 (** Parse one request line.  The [Error] message is suitable for a
     [bad_request] response verbatim. *)
 
+val int_of_number : float -> int option
+(** [Some] only for an integral float inside [\[min_int, max_int\]]
+    (so [-2^62] is accepted, [2^62], [1e30] and [1.5] are not):
+    [int_of_float] is unspecified outside that range. *)
+
 val param_str : Lacr_obs.Jsonx.t -> string -> string option
 val param_int : Lacr_obs.Jsonx.t -> string -> int option
 (** [Some] only for an integral number inside [\[min_int, max_int\]];

@@ -75,9 +75,7 @@ let feasible g ~period =
 
 let min_period g wd =
   let bound = Paths.cycle_ratio_lower_bound g in
-  let candidates =
-    Paths.distinct_delays wd |> List.filter (fun d -> d >= bound -. 1e-9) |> Array.of_list
-  in
+  let candidates = Paths.distinct_delays wd ~lo:(bound -. 1e-9) ~hi:infinity in
   let n_cand = Array.length candidates in
   if n_cand = 0 then
     {

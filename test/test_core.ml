@@ -216,7 +216,7 @@ let run_lac name =
     | Error msg -> Alcotest.failf "%s lac: %s" name msg
     | Ok outcome -> outcome)
 
-let check_pinned name outcome ~n_foa ~n_f ~n_fn ~n_wr ~trace =
+let check_pinned name outcome ~n_foa ~n_f ~n_fn ~n_wr ~trace ~work =
   check_int (name ^ " n_foa") n_foa outcome.Lac.n_foa;
   check_int (name ^ " n_f") n_f outcome.Lac.n_f;
   check_int (name ^ " n_fn") n_fn outcome.Lac.n_fn;
@@ -228,18 +228,23 @@ let check_pinned name outcome ~n_foa ~n_f ~n_fn ~n_wr ~trace =
       check (Printf.sprintf "%s trace[%d] area" name i) true (abs_float (area -. got_area) < 1e-4))
     (List.combine trace outcome.Lac.trace);
   (* Solver observability: one stats record per round, first cold,
-     rest warm-started. *)
+     rest warm-started, each with the pinned (phases, settles,
+     pushes): the flow solver's push schedule, which a faster kernel
+     must leave exactly as it is. *)
   check_int (name ^ " solver length") n_wr (List.length outcome.Lac.solver);
+  check_int (name ^ " work length") n_wr (List.length work);
   List.iteri
-    (fun i (s : Lacr_mcmf.Mcmf.stats) ->
-      check
-        (Printf.sprintf "%s round %d warm flag" name i)
-        (i > 0) s.Lacr_mcmf.Mcmf.warm_start;
-      check (Printf.sprintf "%s round %d phases" name i) true (s.Lacr_mcmf.Mcmf.phases >= 1))
-    outcome.Lac.solver
+    (fun i ((s : Lacr_mcmf.Mcmf.stats), (phases, settles, pushes)) ->
+      let label what = Printf.sprintf "%s round %d %s" name i what in
+      check (label "warm flag") (i > 0) s.Lacr_mcmf.Mcmf.warm_start;
+      check_int (label "phases") phases s.Lacr_mcmf.Mcmf.phases;
+      check_int (label "settles") settles s.Lacr_mcmf.Mcmf.settles;
+      check_int (label "pushes") pushes s.Lacr_mcmf.Mcmf.pushes)
+    (List.combine outcome.Lac.solver work)
 
 let test_pinned_s27 () =
   check_pinned "s27" (run_lac "s27") ~n_foa:0 ~n_f:3 ~n_fn:0 ~n_wr:1 ~trace:[ (0, 3.0) ]
+    ~work:[ (1, 11, 91) ]
 
 let test_pinned_s386 () =
   check_pinned "s386" (run_lac "s386") ~n_foa:4 ~n_f:44 ~n_fn:11 ~n_wr:11
@@ -257,6 +262,69 @@ let test_pinned_s386 () =
         (4, 319.461616);
         (4, 412.889544);
       ]
+    ~work:
+      [
+        (4, 1327, 1566);
+        (5, 1240, 2250);
+        (5, 1295, 2307);
+        (5, 1845, 2345);
+        (5, 1814, 2324);
+        (5, 1372, 2371);
+        (5, 1300, 2274);
+        (5, 1165, 2342);
+        (5, 1819, 2325);
+        (5, 1798, 2373);
+        (5, 1751, 2327);
+      ]
+
+(* Why LAC stopped, on traced runs of the planner's set-up: s820
+   reaches zero violations in 3 rounds, s298 stalls (more than n_max
+   non-improving rounds) after 14, and s953 hits the 30-round cap.
+   The [lac.retime] span names the exit in its [stop] attribute and
+   exactly one [lac.stop.<reason>] counter counts it; the
+   [mcmf.arc_scans] counter and each [lac.round] span's [arc_scans]
+   attribute agree with the per-round solver stats. *)
+let test_lac_stop_reasons () =
+  let module Obs = Lacr_obs.Trace in
+  List.iter
+    (fun (name, stop, rounds) ->
+      let netlist = Option.get (Suite.by_name name) in
+      match Build.build netlist with
+      | Error msg -> Alcotest.failf "%s build: %s" name msg
+      | Ok inst -> (
+        let _, _, _, cs = Planner.retiming_setup inst in
+        let obs = Obs.create () in
+        match Lac.retime ~obs inst cs with
+        | Error msg -> Alcotest.failf "%s lac: %s" name msg
+        | Ok outcome ->
+          check_int (name ^ " rounds") rounds outcome.Lac.n_wr;
+          let counters = Obs.counter_totals obs in
+          let stops =
+            List.filter (fun (k, _) -> String.starts_with ~prefix:"lac.stop." k) counters
+          in
+          check (name ^ " one stop counter") true (stops = [ ("lac.stop." ^ stop, 1) ]);
+          let events = List.concat_map snd (Obs.events obs) in
+          let spans_named span = List.filter (fun e -> e.Obs.ev_name = span) events in
+          (match spans_named "lac.retime" with
+          | [ e ] ->
+            check (name ^ " stop attribute") true
+              (List.assoc_opt "stop" e.Obs.ev_attrs = Some (Obs.Str stop))
+          | l -> Alcotest.failf "%s: %d lac.retime spans" name (List.length l));
+          let scans =
+            List.map
+              (fun (s : Lacr_mcmf.Mcmf.stats) -> s.Lacr_mcmf.Mcmf.arc_scans)
+              outcome.Lac.solver
+          in
+          check_int (name ^ " mcmf.arc_scans counter") (List.fold_left ( + ) 0 scans)
+            (Option.value (List.assoc_opt "mcmf.arc_scans" counters) ~default:(-1));
+          let round_attrs =
+            List.map
+              (fun e -> List.assoc_opt "arc_scans" e.Obs.ev_attrs)
+              (spans_named "lac.round")
+          in
+          check (name ^ " lac.round arc_scans attributes") true
+            (round_attrs = List.map (fun n -> Some (Obs.Int n)) scans)))
+    [ ("s820", "zero_violations", 3); ("s298", "stalled", 14); ("s953", "max_wr", 30) ]
 
 (* Streamed path engine pin (ISSUE 7): on a real ISCAS circuit the
    [Stream] backend must reproduce the dense planner outcome exactly —
@@ -367,6 +435,7 @@ let suite =
     Alcotest.test_case "s27 plan" `Quick test_s27_plan;
     Alcotest.test_case "pinned lac outcome s27" `Quick test_pinned_s27;
     Alcotest.test_case "pinned lac outcome s386" `Slow test_pinned_s386;
+    Alcotest.test_case "lac stop reasons traced" `Slow test_lac_stop_reasons;
     Alcotest.test_case "s1423 stream backend pin" `Slow test_s1423_stream_pin;
     Alcotest.test_case "report row and table" `Slow test_report_row_and_table;
     Alcotest.test_case "figures render" `Quick test_figures_render;

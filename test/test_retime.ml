@@ -728,28 +728,64 @@ let test_min_period_candidates_in_window () =
       | Paths.Streamed fr as wd ->
         let t_init = Graph.clock_period g in
         let candidates =
-          List.filter
-            (fun d -> d >= fr.Paths.fbound -. 1e-9 && d <= t_init +. 1e-9)
-            (Paths.distinct_delays wd)
+          Paths.distinct_delays wd ~lo:(fr.Paths.fbound -. 1e-9) ~hi:(t_init +. 1e-9)
         in
-        check "a candidate lies above T_init" true (List.exists (fun d -> d > t_init) candidates);
+        check "a candidate lies above T_init" true
+          (Array.exists (fun d -> d > t_init) candidates);
         check "every candidate is in the window" true
-          (List.for_all (fun period -> Paths.in_window fr ~period) candidates)))
+          (Array.for_all (fun period -> Paths.in_window fr ~period) candidates)))
+
+(* Same length and [Float.compare]-equal element for element. *)
+let same a b =
+  Array.length a = Array.length b && Array.for_all2 (fun x y -> Float.compare x y = 0) a b
 
 let test_stream_distinct_delays_candidates () =
-  (* The streamed candidate list after the min-period bound filter must
-     equal the dense one: that is what makes the binary searches probe
-     the same periods. *)
+  (* The streamed candidate window must equal the dense one: that is
+     what makes the binary searches probe the same periods.  Both must
+     equal the reference: every reachable pair's D value inside the
+     window, sorted and deduplicated with [List.sort_uniq
+     Float.compare]. *)
   let rng = Rng.create 55117 in
   for _ = 1 to 10 do
     let g = random_graph rng (4 + Rng.int rng 20) in
-    let bound = Paths.cycle_ratio_lower_bound g in
-    let t_init = Graph.clock_period g in
-    let keep ds = List.filter (fun d -> d >= bound -. 1e-9 && d <= t_init +. 1e-9) ds in
-    let dense = keep (Paths.distinct_delays (Paths.compute ~mode:Paths.Mode.Dense g)) in
-    let stream = keep (Paths.distinct_delays (Paths.compute ~mode:Paths.Mode.Stream g)) in
-    check "candidate lists equal" true (List.for_all2 (fun a b -> Float.compare a b = 0) dense stream && List.length dense = List.length stream)
+    let lo = Paths.cycle_ratio_lower_bound g -. 1e-9 in
+    let hi = Graph.clock_period g +. 1e-9 in
+    let dense_wd = Paths.compute ~mode:Paths.Mode.Dense g in
+    let reference = ref [] in
+    Paths.iter_pairs dense_wd (fun _ _ _ d ->
+        if d >= lo && d <= hi then reference := d :: !reference);
+    let reference = Array.of_list (List.sort_uniq Float.compare !reference) in
+    let stream_wd = Paths.compute ~mode:Paths.Mode.Stream g in
+    check "dense window equals the reference" true
+      (same reference (Paths.distinct_delays dense_wd ~lo ~hi));
+    check "stream window equals the reference" true
+      (same reference (Paths.distinct_delays stream_wd ~lo ~hi))
   done
+
+let test_distinct_delays_keys () =
+  (* The int-key sort on hand-picked doubles: zero of both signs (one
+     candidate), the smallest subnormal, values one ulp apart,
+     duplicates, large values and +inf, each window bound inclusive. *)
+  let tiny = Float.succ 0.0 and one_up = Float.succ 1.0 in
+  let row = [| 3.5; -0.0; 1.0; one_up; 0.0; tiny; 1e300; infinity; 3.5; 1.0; 7.25 |] in
+  let n = Array.length row in
+  (* Square, as the dense backend's matrices are: row 0 holds the
+     values, every other pair is unreachable. *)
+  let wd =
+    Paths.Dense
+      {
+        Paths.w = Array.init n (fun u -> Array.make n (if u = 0 then 0 else max_int));
+        d = Array.init n (fun u -> if u = 0 then row else Array.make n 0.0);
+      }
+  in
+  check "full window sorted and deduplicated" true
+    (same [| 0.0; tiny; 1.0; one_up; 3.5; 7.25; 1e300; infinity |]
+       (Paths.distinct_delays wd ~lo:0.0 ~hi:infinity));
+  check "bounds are inclusive" true
+    (same [| 1.0; one_up; 3.5 |] (Paths.distinct_delays wd ~lo:1.0 ~hi:3.5));
+  check "empty window" true (same [||] (Paths.distinct_delays wd ~lo:8.0 ~hi:9.0));
+  check "-0.0 sorts as +0.0" true
+    (1.0 /. (Paths.distinct_delays wd ~lo:(-1.0) ~hi:0.0).(0) = infinity)
 
 let test_stream_frontier_shape () =
   (* Structural sanity of the frontier: canonical CSR ordering, the
@@ -1017,6 +1053,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_stream_dense_identical;
       Alcotest.test_case "stream candidate delays match dense" `Quick
         test_stream_distinct_delays_candidates;
+      Alcotest.test_case "distinct delays int-key window sort" `Quick test_distinct_delays_keys;
       Alcotest.test_case "streamed frontier structure" `Quick test_stream_frontier_shape;
       QCheck_alcotest.to_alcotest prop_flat_matches_reference_list;
       Alcotest.test_case "flat == reference list on ISCAS pins" `Slow

@@ -284,6 +284,24 @@ let test_stall_cap () =
   Alcotest.(check bool) "rejected before the worker sleeps" true (clock () -. t0 < 5.0);
   close conn
 
+(* --- JSON numbers become ints only inside the int range --- *)
+
+let test_int_of_number () =
+  let two_62 = -.Float.of_int min_int in
+  let check what expected f =
+    Alcotest.(check (option int)) what expected (Protocol.int_of_number f)
+  in
+  check "-2^62 is min_int" (Some min_int) (Float.of_int min_int);
+  check "largest float below 2^62" (Some (max_int - 511)) (Float.pred two_62);
+  check "0" (Some 0) 0.0;
+  check "-0.0" (Some 0) (-0.0);
+  check "2^62 is past max_int" None two_62;
+  check "1e30" None 1e30;
+  check "-1e30" None (-1e30);
+  check "1.5" None 1.5;
+  check "nan" None Float.nan;
+  check "infinity" None Float.infinity
+
 let suite =
   [
     Alcotest.test_case "wire errors and stats/metrics" `Quick test_errors;
@@ -292,4 +310,5 @@ let suite =
     Alcotest.test_case "shutdown drains and exits" `Quick test_shutdown;
     Alcotest.test_case "soak: 200 mixed requests, verified" `Slow test_soak;
     Alcotest.test_case "stall_ms above the cap bounces with bad_request" `Quick test_stall_cap;
+    Alcotest.test_case "int_of_number range edges" `Quick test_int_of_number;
   ]
