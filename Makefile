@@ -27,9 +27,11 @@ smoke:
 	dune exec bin/lacr_cli.exe -- plan s27
 
 # Warm/cold solver cross-check: the successive-instance MCMF engine
-# must reproduce the cold per-round outcomes exactly.
+# must reproduce the cold per-round outcomes exactly.  s298's LAC run
+# has 14 rounds, 13 of them warm-started (s27 stops after one cold
+# round, which leaves nothing warm to compare).
 smoke-warm:
-	dune exec bin/lacr_cli.exe -- verify-warm s27
+	dune exec bin/lacr_cli.exe -- verify-warm s298
 
 # Observability smoke: a traced s27 plan must emit a valid Chrome
 # trace (monotone per-track timestamps, the pipeline's span names

@@ -212,7 +212,8 @@ let run_alpha circuit seed values =
   List.iter
     (fun alpha ->
       match Lac.retime ~alpha inst cs with
-      | Ok o -> Printf.printf "%8.2f %8d %8d %8d\n" alpha o.Lac.n_foa o.Lac.n_f o.Lac.n_wr
+      | Ok { Lac.lac = o; _ } ->
+        Printf.printf "%8.2f %8d %8d %8d\n" alpha o.Lac.n_foa o.Lac.n_f o.Lac.n_wr
       | Error msg -> Printf.printf "%8.2f failed: %s\n" alpha msg)
     values;
   0
@@ -226,7 +227,7 @@ let run_verify_warm circuit seed =
   | Error msg, _ | _, Error msg ->
     Printf.eprintf "verify-warm %s: solver failed: %s\n" circuit msg;
     1
-  | Ok cold, Ok warm ->
+  | Ok { Lac.lac = cold; _ }, Ok { Lac.lac = warm; _ } ->
     let identical =
       cold.Lac.labels = warm.Lac.labels && cold.Lac.n_foa = warm.Lac.n_foa
       && cold.Lac.n_f = warm.Lac.n_f && cold.Lac.n_fn = warm.Lac.n_fn

@@ -10,6 +10,14 @@
 module Serve = Lacr_serve
 module Config = Lacr_core.Config
 
+(* glibc's mallopt(M_MMAP_THRESHOLD); a no-op on other C libraries.
+   See lacrd_malloc.c. *)
+external pin_mmap_threshold : int -> unit = "lacrd_pin_mmap_threshold" [@@noalloc]
+
+(* glibc's initial threshold: large OCaml blocks above it are mapped
+   on their own and unmapped when the collector frees them. *)
+let mmap_threshold = 128 * 1024
+
 let run socket tcp workers queue_depth max_line domains seed second_iteration =
   let endpoint =
     match (socket, tcp) with
@@ -22,6 +30,9 @@ let run socket tcp workers queue_depth max_line domains seed second_iteration =
     let c = match seed with Some s -> { c with Config.seed = s } | None -> c in
     match domains with Some d -> { c with Config.domains = d } | None -> c
   in
+  (* Before the worker domains start, so no arena keeps freed blocks
+     of the first cold plans. *)
+  pin_mmap_threshold mmap_threshold;
   let service = Serve.Service.create ~config ~second_iteration () in
   match
     Serve.Server.start

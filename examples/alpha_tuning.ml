@@ -30,7 +30,7 @@ let () =
     let sweep alpha =
       match Lac.retime ~alpha ~max_wr:14 inst constraints with
       | Error msg -> Printf.printf "%8.2f | failed: %s\n" alpha msg
-      | Ok o ->
+      | Ok { Lac.lac = o; _ } ->
         let history =
           o.Lac.trace |> List.map (fun (foa, _) -> string_of_int foa) |> String.concat " "
         in

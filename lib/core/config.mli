@@ -39,7 +39,9 @@ type t = {
   clk_fraction : float;
       (** T_clk = T_min + clk_fraction * (T_init - T_min); paper: 0.2 *)
   alpha : float;  (** LAC weight-update coefficient; paper: ~0.2 *)
-  n_max : int;  (** stop after this many non-improving rounds *)
+  n_max : int;
+      (** stop once more than this many rounds in a row have not
+          improved *)
   max_wr : int;  (** hard cap on weighted min-area calls *)
   prune_constraints : bool;
   paths_mode : Lacr_retime.Paths.Mode.t;

@@ -7,10 +7,14 @@
     + start from uniform area weights;
     + solve the weighted min-area retiming (a min-cost-flow dual);
     + compute per-tile consumption AC(t);
-    + stop at zero violations or after [n_max] non-improving rounds
-      (keeping the best labelling seen);
+    + stop at zero violations or once more than [n_max] rounds in a
+      row have not improved (keeping the best labelling seen);
     + otherwise re-weight every tile by
       [(1 - alpha) + alpha * AC(t)/C(t)] and repeat.
+
+    Round 0 runs under uniform weights, so it is the plain min-area
+    retiming that Table 1 compares against: one run returns both
+    outcomes ({!outcomes}) from one flow solver.
 
     Because the constraint system is fixed for the whole run, the
     weighted min-area solves form a {e successive instance} series:
@@ -38,18 +42,16 @@ type outcome = {
           hit) — the observability hook for the warm-started engine *)
 }
 
-val min_area_baseline :
-  ?clock:(unit -> float) ->
-  ?pool:Lacr_util.Pool.t ->
-  ?obs:Lacr_obs.Trace.ctx ->
-  Build.instance ->
-  Lacr_retime.Constraints.t ->
-  (outcome, string) result
-(** Plain (unit-weight) min-area retiming plus violation accounting —
-    the comparison column of Table 1.  [n_wr = 1]. *)
+type outcomes = {
+  minarea : outcome;
+      (** round 0: the plain min-area retiming, the comparison column
+          of Table 1.  [n_wr = 1], [trace = []], [solver] holds round
+          0's counters, and [exec_seconds] runs from the start of the
+          LAC run to the end of round 0. *)
+  lac : outcome;  (** the best labelling over all rounds *)
+}
 
 val retime :
-  ?clock:(unit -> float) ->
   ?alpha:float ->
   ?n_max:int ->
   ?max_wr:int ->
@@ -59,7 +61,7 @@ val retime :
   ?obs:Lacr_obs.Trace.ctx ->
   Build.instance ->
   Lacr_retime.Constraints.t ->
-  (outcome, string) result
+  (outcomes, string) result
 (** LAC-retiming.  Defaults come from the instance configuration.
     [reuse] (default [true]) runs the warm-started compiled solver
     across rounds; [reuse:false] recompiles cold every round (the
@@ -75,10 +77,10 @@ val retime :
     planner's (W,D)/constraint stages) parallelizes the integer
     flip-flop accounting; outcomes are pool-size independent.
 
-    [clock] (default: the [obs] context's clock, i.e. the wall clock
-    when observability is disabled) supplies the timestamps behind
-    {!outcome.exec_seconds}; injecting a counter makes reported
-    durations deterministic in tests.
+    The timestamps behind {!outcome.exec_seconds} come from the [obs]
+    context's clock ({!Lacr_obs.Trace.clock_of}): the wall clock when
+    observability is disabled, the clock given to
+    {!Lacr_obs.Trace.create} otherwise.
 
     With {!Lacr_util.Sanitize} enabled ([LACR_SANITIZE=1] or
     {!Config.t.sanitize}), every round re-verifies the labelling
@@ -97,22 +99,13 @@ val retime :
     [stalled] (more than [n_max] non-improving rounds) or [max_wr]
     (the round cap).  Enabling it changes no outcome. *)
 
-(** {1 Abstract-problem variants}
+(** {1 Abstract-problem variant}
 
-    The same algorithms over a bare {!Problem.t} — used by tests, the
+    The same algorithm over a bare {!Problem.t} — used by tests, the
     exact-reference comparison and any caller that is not running the
     full physical-planning pipeline. *)
 
-val min_area_baseline_problem :
-  ?clock:(unit -> float) ->
-  ?pool:Lacr_util.Pool.t ->
-  ?obs:Lacr_obs.Trace.ctx ->
-  Problem.t ->
-  Lacr_retime.Constraints.t ->
-  (outcome, string) result
-
 val retime_problem :
-  ?clock:(unit -> float) ->
   ?alpha:float ->
   ?n_max:int ->
   ?max_wr:int ->
@@ -122,4 +115,4 @@ val retime_problem :
   ?obs:Lacr_obs.Trace.ctx ->
   Problem.t ->
   Lacr_retime.Constraints.t ->
-  (outcome, string) result
+  (outcomes, string) result

@@ -158,12 +158,9 @@ let prepare_with_pool ~pool ~trace instance netlist =
 let plan_prepared_with_pool ~pool ~second_iteration ?session ~trace prepared =
   let { p_netlist = netlist; p_instance = instance; p_t_clk = t_clk; _ } = prepared in
   let config = instance.Build.config in
-  (match
-     ( Lac.min_area_baseline ~pool ~obs:trace instance prepared.p_constraints,
-       Lac.retime ?session ~pool ~obs:trace instance prepared.p_constraints )
-   with
-  | Error msg, _ | _, Error msg -> Error msg
-  | Ok minarea, Ok lac ->
+  (match Lac.retime ?session ~pool ~obs:trace instance prepared.p_constraints with
+  | Error msg -> Error msg
+  | Ok { Lac.minarea; lac } ->
     let second =
       if (not second_iteration) || lac.Lac.n_foa = 0 then None
       else
@@ -190,7 +187,9 @@ let plan_prepared_with_pool ~pool ~second_iteration ?session ~trace prepared =
             Constraints.generate ~prune:config.Config.prune_constraints
               ~extra:instance2.Build.pin_constraints ~pool ~trace g2 wd2 ~period:t_clk
           in
-          let lac2 = Lac.retime ~pool ~obs:trace instance2 constraints2 in
+          let lac2 =
+            Result.map (fun o -> o.Lac.lac) (Lac.retime ~pool ~obs:trace instance2 constraints2)
+          in
           Some (Ok { instance2; lac2 })
     in
     Ok
@@ -256,5 +255,4 @@ let plan_prepared ?(second_iteration = true) ?session ?(trace = Obs.disabled) pr
       plan_prepared_with_pool ~pool ~second_iteration ?session ~trace prepared)
 
 let compile_solver prepared =
-  Lacr_retime.Min_area.compile (Problem.of_instance prepared.p_instance).Problem.graph
-    prepared.p_constraints
+  Lacr_retime.Min_area.compile prepared.p_instance.Build.graph prepared.p_constraints

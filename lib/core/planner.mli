@@ -4,8 +4,9 @@
     Steps: build the planning instance (partition, floorplan, tiles,
     routing, repeaters), measure [T_init], min-period retime to get
     [T_min], set [T_clk = T_min + clk_fraction (T_init - T_min)],
-    generate the retiming constraints once, then run plain min-area
-    retiming and LAC-retiming under the same constraints.  When
+    generate the retiming constraints once, then run LAC-retiming
+    under them: its round 0 is the plain min-area retiming
+    ({!run.minarea}), so one flow solver serves both columns.  When
     LAC-retiming cannot reach zero violations, a second planning
     iteration expands the congested soft blocks (paper §5) and
     re-plans. *)
@@ -81,8 +82,8 @@ val plan :
     [trace] (default disabled) wraps the whole run in a [plan] span
     and threads the observability context through every stage: build
     (with per-stage child spans), routing, repeater insertion, (W,D)
-    computation, constraint generation, min-period feasibility, both
-    retimings (one [lac.round] span per re-weighting round) and the
+    computation, constraint generation, min-period feasibility, the
+    LAC run (one [lac.round] span per re-weighting round) and the
     optional [plan.second] re-plan.  Counter and histogram aggregates
     are bit-identical for every [config.domains]; enabling tracing
     changes no field of the returned {!run}. *)
@@ -126,7 +127,7 @@ val plan_prepared :
   ?trace:Lacr_obs.Trace.ctx ->
   prepared ->
   (run, error) result
-(** The back half: both retiming solves and the optional expansion
+(** The back half: the LAC run and the optional expansion
     re-plan, under a [plan.solve] span.  [prepare |> plan_prepared]
     equals {!plan} field for field — every stage is bit-deterministic
     in the pool size, so the split (and any reuse of the [prepared]

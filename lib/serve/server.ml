@@ -2,6 +2,10 @@
    thread per client (blocking NDJSON IO), and a fixed set of worker
    domains draining a bounded job queue.
 
+   A new job wakes the lowest-numbered idle worker, so requests that
+   arrive one at a time all run on worker 0 and the daemon's memory
+   does not depend on which worker the scheduler wakes (DESIGN.md §10).
+
    Backpressure is explicit: a plan/stats request that arrives while
    [queue_depth] jobs are already waiting is rejected immediately with
    the [overloaded] code instead of queueing without bound.  health,
@@ -44,8 +48,9 @@ type t = {
   options : options;
   listener : Unix.file_descr;
   queue : job Queue.t;
-  qmutex : Mutex.t;  (* guards [queue] *)
-  qcond : Condition.t;
+  qmutex : Mutex.t;  (* guards [queue] and [idle] *)
+  idle : bool array;  (* worker i waits on [wake.(i)] *)
+  wake : Condition.t array;
   stopping : bool Atomic.t;
   in_flight : int Atomic.t;
   connections_total : int Atomic.t;
@@ -66,11 +71,13 @@ let fill job response =
   Condition.signal job.cell_filled;
   Mutex.unlock job.cell_mutex
 
-let rec worker_loop t =
+let rec worker_loop t i =
   Mutex.lock t.qmutex;
   while Queue.is_empty t.queue && not (Atomic.get t.stopping) do
-    Condition.wait t.qcond t.qmutex
+    t.idle.(i) <- true;
+    Condition.wait t.wake.(i) t.qmutex
   done;
+  t.idle.(i) <- false;
   let job = Queue.take_opt t.queue in
   Mutex.unlock t.qmutex;
   match job with
@@ -88,7 +95,7 @@ let rec worker_loop t =
     in
     Atomic.decr t.in_flight;
     fill job response;
-    worker_loop t
+    worker_loop t i
 
 (* --- request routing (connection threads) --- *)
 
@@ -119,7 +126,14 @@ let submit t request =
     in
     Queue.add job t.queue;
     let depth = Queue.length t.queue in
-    Condition.signal t.qcond;
+    (* A busy worker looks at the queue before it waits again, so with
+       no worker idle the job is not lost.  The woken worker counts as
+       busy at once: a second job meanwhile wakes the next one. *)
+    (match Array.find_index Fun.id t.idle with
+    | Some i ->
+      t.idle.(i) <- false;
+      Condition.signal t.wake.(i)
+    | None -> ());
     Mutex.unlock t.qmutex;
     let rec raise_peak () =
       let peak = Atomic.get t.queue_peak in
@@ -162,14 +176,17 @@ let server_counters t =
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
+let wake_all t =
+  Mutex.lock t.qmutex;
+  Array.iter Condition.signal t.wake;
+  Mutex.unlock t.qmutex
+
 let begin_stop t =
   if not (Atomic.exchange t.stopping true) then begin
     (* Unblock accept; the run loop does the joining. *)
     (try Unix.shutdown t.listener Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
     close_quietly t.listener;
-    Mutex.lock t.qmutex;
-    Condition.broadcast t.qcond;
-    Mutex.unlock t.qmutex
+    wake_all t
   end
 
 let handle_inline_or_submit t request =
@@ -249,14 +266,16 @@ let start ?(options = default_options) service =
   (* A client that disconnects mid-reply must not kill the daemon. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let listener = listen_on options.endpoint in
+  let workers = max 1 options.workers in
   let t =
     {
       service;
-      options = { options with workers = max 1 options.workers };
+      options = { options with workers };
       listener;
       queue = Queue.create ();
       qmutex = Mutex.create ();
-      qcond = Condition.create ();
+      idle = Array.make workers false;
+      wake = Array.init workers (fun _ -> Condition.create ());
       stopping = Atomic.make false;
       in_flight = Atomic.make 0;
       connections_total = Atomic.make 0;
@@ -269,8 +288,7 @@ let start ?(options = default_options) service =
       conn_threads = [];
     }
   in
-  t.worker_domains <-
-    List.init t.options.workers (fun _ -> Domain.spawn (fun () -> worker_loop t));
+  t.worker_domains <- List.init workers (fun i -> Domain.spawn (fun () -> worker_loop t i));
   t
 
 let endpoint t =
@@ -304,9 +322,7 @@ let run t =
   in
   accept_loop ();
   Atomic.set t.stopping true;
-  Mutex.lock t.qmutex;
-  Condition.broadcast t.qcond;
-  Mutex.unlock t.qmutex;
+  wake_all t;
   List.iter Domain.join t.worker_domains;
   (* Read-side shutdown only: blocked readers wake with EOF while
      replies still in flight go out before each thread closes. *)

@@ -80,26 +80,22 @@ let test_area_accounting_consistent () =
   check_int "identity has no wire ffs" 0 (Area.ff_in_interconnect inst ~labels:identity)
 
 let setup_constraints inst =
-  let g = inst.Build.graph in
-  let wd = Paths.compute g in
-  let extra = inst.Build.pin_constraints in
-  let mp = Lacr_retime.Feasibility.min_period ~extra g wd in
-  let t_init = Graph.clock_period g in
-  let t_clk = mp.Lacr_retime.Feasibility.period +. (0.2 *. (t_init -. mp.Lacr_retime.Feasibility.period)) in
-  Constraints.generate ~prune:true ~extra g wd ~period:t_clk
+  let _, _, _, cs = Planner.retiming_setup inst in
+  cs
 
 let test_minarea_and_lac_legal () =
   let inst = build_small () in
   let cs = setup_constraints inst in
-  (match Lac.min_area_baseline inst cs with
-  | Error msg -> Alcotest.failf "min-area: %s" msg
-  | Ok ma ->
-    check "min-area labels legal" true (Graph.is_legal inst.Build.graph ma.Lac.labels);
-    check "constraints satisfied" true (Constraints.satisfied_by cs ma.Lac.labels);
-    check_int "one weighted retiming" 1 ma.Lac.n_wr);
   match Lac.retime inst cs with
   | Error msg -> Alcotest.failf "lac: %s" msg
-  | Ok lac ->
+  | Ok { Lac.minarea = ma; lac } ->
+    check "min-area labels legal" true (Graph.is_legal inst.Build.graph ma.Lac.labels);
+    check "constraints satisfied" true (Constraints.satisfied_by cs ma.Lac.labels);
+    check_int "one weighted retiming" 1 ma.Lac.n_wr;
+    check "min-area has no convergence trace" true (ma.Lac.trace = []);
+    check "min-area solver stats are round 0's" true
+      (ma.Lac.solver = [ List.hd lac.Lac.solver ]);
+    check_int "min-area N_FOA is round 0's" (fst (List.hd lac.Lac.trace)) ma.Lac.n_foa;
     check "lac labels legal" true (Graph.is_legal inst.Build.graph lac.Lac.labels);
     check "lac constraints satisfied" true (Constraints.satisfied_by cs lac.Lac.labels);
     check "nwr at least 1" true (lac.Lac.n_wr >= 1);
@@ -108,9 +104,10 @@ let test_minarea_and_lac_legal () =
 let test_lac_never_worse_on_violations () =
   let inst = build_small () in
   let cs = setup_constraints inst in
-  match (Lac.min_area_baseline inst cs, Lac.retime inst cs) with
-  | Ok ma, Ok lac -> check "lac <= min-area violations" true (lac.Lac.n_foa <= ma.Lac.n_foa)
-  | Error m, _ | _, Error m -> Alcotest.fail m
+  match Lac.retime inst cs with
+  | Ok { Lac.minarea = ma; lac } ->
+    check "lac <= min-area violations" true (lac.Lac.n_foa <= ma.Lac.n_foa)
+  | Error m -> Alcotest.fail m
 
 let test_lac_alpha_validation () =
   let inst = build_small () in
@@ -126,13 +123,16 @@ let test_io_latency_preserved () =
   let cs = setup_constraints inst in
   match Lac.retime inst cs with
   | Error msg -> Alcotest.fail msg
-  | Ok lac ->
+  | Ok { Lac.minarea; lac } ->
     List.iter
-      (fun v -> check_int "pi label" 0 lac.Lac.labels.(v))
-      inst.Build.view.Lacr_netlist.Seqview.primary_inputs;
-    List.iter
-      (fun v -> check_int "po label" 0 lac.Lac.labels.(v))
-      inst.Build.view.Lacr_netlist.Seqview.primary_outputs
+      (fun (o : Lac.outcome) ->
+        List.iter
+          (fun v -> check_int "pi label" 0 o.Lac.labels.(v))
+          inst.Build.view.Lacr_netlist.Seqview.primary_inputs;
+        List.iter
+          (fun v -> check_int "po label" 0 o.Lac.labels.(v))
+          inst.Build.view.Lacr_netlist.Seqview.primary_outputs)
+      [ minarea; lac ]
 
 let test_plan_end_to_end () =
   match Planner.plan ~second_iteration:false (small_circuit ()) with
@@ -214,7 +214,7 @@ let run_lac name =
     let cs = setup_constraints inst in
     match Lac.retime inst cs with
     | Error msg -> Alcotest.failf "%s lac: %s" name msg
-    | Ok outcome -> outcome)
+    | Ok outcomes -> outcomes.Lac.lac)
 
 let check_pinned name outcome ~n_foa ~n_f ~n_fn ~n_wr ~trace ~work =
   check_int (name ^ " n_foa") n_foa outcome.Lac.n_foa;
@@ -296,7 +296,7 @@ let test_lac_stop_reasons () =
         let obs = Obs.create () in
         match Lac.retime ~obs inst cs with
         | Error msg -> Alcotest.failf "%s lac: %s" name msg
-        | Ok outcome ->
+        | Ok { Lac.lac = outcome; _ } ->
           check_int (name ^ " rounds") rounds outcome.Lac.n_wr;
           let counters = Obs.counter_totals obs in
           let stops =
@@ -326,6 +326,68 @@ let test_lac_stop_reasons () =
             (round_attrs = List.map (fun n -> Some (Obs.Int n)) scans)))
     [ ("s820", "zero_violations", 3); ("s298", "stalled", 14); ("s953", "max_wr", 30) ]
 
+(* Table 1's min-area column is LAC round 0: a traced first-iteration
+   plan of s386 runs one flow solve per LAC round, starts cold once and
+   has no separate min-area span, and a warm request through a
+   resident session compiles nothing and starts cold nowhere.  The
+   min-area outcome is pinned: N_FOA 7 (LAC's round-0 count), N_F 44,
+   N_FN 5 and its labels hash. *)
+let test_minarea_is_round_zero () =
+  let module Obs = Lacr_obs.Trace in
+  let netlist = Option.get (Suite.by_name "s386") in
+  let counter obs name = Option.value (List.assoc_opt name (Obs.counter_totals obs)) ~default:0 in
+  (* The distinct [lac.*] span names: one compile, the run and its
+     rounds, and no span of a separate min-area solve. *)
+  let lac_spans obs =
+    List.concat_map snd (Obs.events obs)
+    |> List.filter_map (fun e ->
+           if String.starts_with ~prefix:"lac." e.Obs.ev_name then Some e.Obs.ev_name else None)
+    |> List.sort_uniq String.compare
+  in
+  let body run = Lacr_obs.Jsonx.to_string (Lacr_serve.Service.result_body run) in
+  let obs = Obs.create () in
+  match Planner.plan ~second_iteration:false ~trace:obs netlist with
+  | Error msg -> Alcotest.failf "s386 plan: %s" msg
+  | Ok run -> (
+    check_int "lac.rounds" 11 (counter obs "lac.rounds");
+    check_int "mcmf.solves = lac.rounds" 11 (counter obs "mcmf.solves");
+    check_int "one cold start" 1 (counter obs "mcmf.cold_starts");
+    check "lac spans" true (lac_spans obs = [ "lac.compile"; "lac.retime"; "lac.round" ]);
+    let ma = run.Planner.minarea in
+    check_int "min-area N_FOA" 7 ma.Lac.n_foa;
+    check_int "min-area N_FOA is LAC round 0's" (fst (List.hd run.Planner.lac.Lac.trace))
+      ma.Lac.n_foa;
+    check_int "min-area N_F" 44 ma.Lac.n_f;
+    check_int "min-area N_FN" 5 ma.Lac.n_fn;
+    check_int "min-area n_wr" 1 ma.Lac.n_wr;
+    let minarea_hash =
+      Option.bind (Lacr_obs.Jsonx.member "minarea" (Lacr_serve.Service.result_body run))
+        (Lacr_obs.Jsonx.member "labels_hash")
+    in
+    check "min-area labels_hash" true
+      (Option.bind minarea_hash Lacr_obs.Jsonx.to_float = Some 394640879.0);
+    match Planner.prepare netlist with
+    | Error err -> Alcotest.failf "s386 prepare: %s" (Planner.error_message err)
+    | Ok prepared -> (
+      let session =
+        match Planner.compile_solver prepared with
+        | Ok c -> c
+        | Error msg -> Alcotest.failf "s386 compile: %s" msg
+      in
+      let request trace =
+        match Planner.plan_prepared ~second_iteration:false ~session ~trace prepared with
+        | Ok run -> run
+        | Error err -> Alcotest.failf "s386 plan_prepared: %s" (Planner.error_message err)
+      in
+      (* The session's first request starts from a fresh instance. *)
+      ignore (request Obs.disabled);
+      let warm_obs = Obs.create () in
+      let warm = request warm_obs in
+      check_int "warm request: one solve per round" 11 (counter warm_obs "mcmf.solves");
+      check_int "warm request: no cold start" 0 (counter warm_obs "mcmf.cold_starts");
+      check "warm request: no compile" true (lac_spans warm_obs = [ "lac.retime"; "lac.round" ]);
+      Alcotest.(check string) "warm request: same result body" (body run) (body warm)))
+
 (* Streamed path engine pin (ISSUE 7): on a real ISCAS circuit the
    [Stream] backend must reproduce the dense planner outcome exactly —
    same minimum period, same pruned constraint system, same LAC
@@ -343,7 +405,7 @@ let test_s1423_stream_pin () =
       let mp = Lacr_retime.Feasibility.min_period ~extra g wd in
       let t_init = Graph.clock_period g in
       let period = mp.Lacr_retime.Feasibility.period in
-      let t_clk = period +. (0.2 *. (t_init -. period)) in
+      let t_clk = Config.t_clk inst.Build.config ~t_init ~t_min:period in
       (period, Constraints.generate ?pool ~prune:true ~extra g wd ~period:t_clk)
     in
     let dense_period, dense_cs = stage (Paths.compute ~mode:Paths.Mode.Dense g) None in
@@ -366,7 +428,7 @@ let test_s1423_stream_pin () =
        either backend trips this test. *)
     (match Lac.retime inst dense_cs with
     | Error msg -> Alcotest.failf "s1423 lac: %s" msg
-    | Ok outcome ->
+    | Ok { Lac.lac = outcome; _ } ->
       check_int "s1423 n_foa" 0 outcome.Lac.n_foa;
       check_int "s1423 n_f" 292 outcome.Lac.n_f;
       check_int "s1423 n_fn" 90 outcome.Lac.n_fn;
@@ -436,6 +498,7 @@ let suite =
     Alcotest.test_case "pinned lac outcome s27" `Quick test_pinned_s27;
     Alcotest.test_case "pinned lac outcome s386" `Slow test_pinned_s386;
     Alcotest.test_case "lac stop reasons traced" `Slow test_lac_stop_reasons;
+    Alcotest.test_case "min-area outcome is lac round 0" `Slow test_minarea_is_round_zero;
     Alcotest.test_case "s1423 stream backend pin" `Slow test_s1423_stream_pin;
     Alcotest.test_case "report row and table" `Slow test_report_row_and_table;
     Alcotest.test_case "figures render" `Quick test_figures_render;
@@ -547,7 +610,7 @@ let test_repeater_saturated_tile_zero_capacity () =
   let cs = Constraints.generate g wd ~period:10.0 in
   match Lac.retime_problem ~n_max:2 ~max_wr:5 p cs with
   | Error msg -> Alcotest.failf "retime on saturated tile: %s" msg
-  | Ok outcome ->
+  | Ok { Lac.lac = outcome; _ } ->
     check_int "both ffs remain violations" 2 outcome.Lac.n_foa;
     check_int "cycle registers conserved" 2 outcome.Lac.n_f;
     check "terminated within max_wr" true (outcome.Lac.n_wr <= 5)
@@ -578,8 +641,9 @@ let suite =
       Alcotest.test_case "second-iteration error surfaced" `Slow test_second_error_surfaced_in_report;
     ]
 
-(* exec_seconds draws from the injectable clock (defaulting to the
-   observability context's), so reported durations are testable. *)
+(* exec_seconds draws from the observability context's clock, the
+   planner's one clock-injection point, so reported durations are
+   testable. *)
 let clock_problem () =
   let g =
     Graph.create
@@ -602,33 +666,25 @@ let clock_problem () =
 
 let test_injected_clock () =
   let p, cs = clock_problem () in
+  let timed clock =
+    match Lac.retime_problem ~obs:(Lacr_obs.Trace.create ~clock ()) p cs with
+    | Ok { Lac.minarea; lac } -> (minarea.Lac.exec_seconds, lac.Lac.exec_seconds)
+    | Error msg -> Alcotest.failf "retime: %s" msg
+  in
   (* A frozen clock reports exactly zero elapsed time. *)
-  (match Lac.retime_problem ~clock:(fun () -> 42.0) p cs with
-  | Ok o -> check "frozen clock, retime" true (o.Lac.exec_seconds = 0.0)
-  | Error msg -> Alcotest.failf "retime: %s" msg);
-  (match Lac.min_area_baseline_problem ~clock:(fun () -> 42.0) p cs with
-  | Ok o -> check "frozen clock, min-area" true (o.Lac.exec_seconds = 0.0)
-  | Error msg -> Alcotest.failf "min-area: %s" msg);
-  (* A stepping clock is visible in exec_seconds, deterministically. *)
+  check "frozen clock" true (timed (fun () -> 42.0) = (0.0, 0.0));
+  (* A stepping clock is visible in exec_seconds, deterministically;
+     round 0 ends before the whole run does. *)
   let stepping () =
     let t = ref 0.0 in
     fun () ->
       t := !t +. 0.25;
       !t
   in
-  let timed () =
-    match Lac.retime_problem ~clock:(stepping ()) p cs with
-    | Ok o -> o.Lac.exec_seconds
-    | Error msg -> Alcotest.failf "retime: %s" msg
-  in
-  check "stepping clock measured" true (timed () > 0.0);
-  check "injected timing deterministic" true (timed () = timed ());
-  (* Without ~clock, the observability context's clock is the source:
-     a constant injected collector clock again means zero elapsed. *)
-  let obs = Lacr_obs.Trace.create ~clock:(fun () -> 7.0) () in
-  match Lac.retime_problem ~obs p cs with
-  | Ok o -> check "obs clock is the default" true (o.Lac.exec_seconds = 0.0)
-  | Error msg -> Alcotest.failf "retime: %s" msg
+  let minarea, lac = timed (stepping ()) in
+  check "stepping clock measured, min-area" true (minarea > 0.0);
+  check "stepping clock measured, lac" true (lac >= minarea);
+  check "injected timing deterministic" true (timed (stepping ()) = (minarea, lac))
 
 let test_growth_table_sorted_by_name () =
   let run = stressed_run () in

@@ -60,7 +60,7 @@ let test_exact_beats_or_ties_heuristic () =
     let problem = random_problem rng in
     let cs = constraints_for problem rng in
     match (Exact.solve ~range:6 problem cs, Lac.retime_problem problem cs) with
-    | Some exact, Ok heuristic ->
+    | Some exact, Ok { Lac.lac = heuristic; _ } ->
       check "exact labels legal" true (Graph.is_legal problem.Problem.graph exact.Exact.labels);
       check "exact satisfies constraints" true (Constraints.satisfied_by cs exact.Exact.labels);
       if heuristic.Lac.n_foa < exact.Exact.n_foa then

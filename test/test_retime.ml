@@ -10,6 +10,9 @@ module Feasibility = Lacr_retime.Feasibility
 module Min_area = Lacr_retime.Min_area
 module Rng = Lacr_util.Rng
 
+(* The planner's T_clk between the minimum and the initial period. *)
+let planner_t_clk = Lacr_core.Config.t_clk Lacr_core.Config.default
+
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
@@ -613,10 +616,16 @@ let test_pooled_lac_outcome_identical () =
           Lacr_core.Lac.retime_problem ~pool problem cs) )
   with
   | Ok a, Ok b ->
-    check "labels equal" true (a.Lacr_core.Lac.labels = b.Lacr_core.Lac.labels);
-    check_int "n_foa equal" a.Lacr_core.Lac.n_foa b.Lacr_core.Lac.n_foa;
-    check_int "n_f equal" a.Lacr_core.Lac.n_f b.Lacr_core.Lac.n_f;
-    check_int "n_fn equal" a.Lacr_core.Lac.n_fn b.Lacr_core.Lac.n_fn
+    List.iter
+      (fun (what, (x : Lacr_core.Lac.outcome), (y : Lacr_core.Lac.outcome)) ->
+        check (what ^ " labels equal") true (x.Lacr_core.Lac.labels = y.Lacr_core.Lac.labels);
+        check_int (what ^ " n_foa equal") x.Lacr_core.Lac.n_foa y.Lacr_core.Lac.n_foa;
+        check_int (what ^ " n_f equal") x.Lacr_core.Lac.n_f y.Lacr_core.Lac.n_f;
+        check_int (what ^ " n_fn equal") x.Lacr_core.Lac.n_fn y.Lacr_core.Lac.n_fn)
+      [
+        ("min-area", a.Lacr_core.Lac.minarea, b.Lacr_core.Lac.minarea);
+        ("lac", a.Lacr_core.Lac.lac, b.Lacr_core.Lac.lac);
+      ]
   | Error msg, _ | _, Error msg -> Alcotest.fail msg
 
 (* --- streamed backend equivalence ------------------------------------ *)
@@ -640,7 +649,7 @@ let prop_stream_dense_identical =
       let mp_d = Feasibility.min_period g dense in
       let t_min = mp_d.Feasibility.period in
       let t_init = Graph.clock_period g in
-      let periods = [ t_min; t_min +. (0.2 *. (t_init -. t_min)); t_init ] in
+      let periods = [ t_min; planner_t_clk ~t_init ~t_min; t_init ] in
       let dist_of (c : Constraints.compiled) =
         Lacr_mcmf.Difference.feasible_arrays ~n:(Graph.num_vertices g) ~a:c.Constraints.ca
           ~b:c.Constraints.cb ~bound:c.Constraints.cbound ~m:c.Constraints.m
@@ -951,7 +960,7 @@ let prop_flat_matches_reference_list =
       let mp = Feasibility.min_period g dense in
       let t_min = mp.Feasibility.period in
       let t_init = Graph.clock_period g in
-      let period = t_min +. (0.2 *. (t_init -. t_min)) in
+      let period = planner_t_clk ~t_init ~t_min in
       (* An extra caller constraint exercises the header merge order. *)
       let extra = [ constr 0 (n - 1) 2 ] in
       let references =
@@ -991,9 +1000,7 @@ let test_flat_matches_reference_on_iscas () =
                 let wd = Paths.compute ~mode ~pool g in
                 let mp = Feasibility.min_period ~extra g wd in
                 let t_init = Graph.clock_period g in
-                let t_clk =
-                  mp.Feasibility.period +. (0.2 *. (t_init -. mp.Feasibility.period))
-                in
+                let t_clk = planner_t_clk ~t_init ~t_min:mp.Feasibility.period in
                 List.iter
                   (fun prune ->
                     let cs = Constraints.generate ~prune ~extra ~pool g wd ~period:t_clk in
@@ -1024,7 +1031,7 @@ let test_frontier_gate_skips_sources () =
       let extra = inst.Lacr_core.Build.pin_constraints in
       let mp = Feasibility.min_period ~extra g wd in
       let t_init = Graph.clock_period g in
-      let period = mp.Feasibility.period +. (0.2 *. (t_init -. mp.Feasibility.period)) in
+      let period = planner_t_clk ~t_init ~t_min:mp.Feasibility.period in
       List.iter
         (fun prune ->
           let label what = Printf.sprintf "%s (prune=%b)" what prune in

@@ -114,7 +114,7 @@ let test_lac_clean_under_sanitizer () =
   let cs = Constraints.generate p.Lacr_core.Problem.graph wd ~period:10.0 in
   let solve () =
     match Lac.retime_problem ~n_max:2 ~max_wr:5 p cs with
-    | Ok o -> (o.Lac.labels, o.Lac.n_foa, o.Lac.n_f, o.Lac.n_wr)
+    | Ok { Lac.lac = o; _ } -> (o.Lac.labels, o.Lac.n_foa, o.Lac.n_f, o.Lac.n_wr)
     | Error msg -> Alcotest.failf "retime: %s" msg
   in
   let plain = solve () in

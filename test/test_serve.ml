@@ -4,8 +4,9 @@
    single-shot plans, metrics aggregate = sum of per-request echoes),
    a deterministic queue-full backpressure drill (stall_ms holds the
    single worker, health bypasses the queue, the overflow request is
-   rejected with `overloaded`), the structured error paths, and the
-   cap on stall_ms. *)
+   rejected with `overloaded`), the hand-off of a second job to a
+   second idle worker, the structured error paths, and the cap on
+   stall_ms. *)
 
 module Jsonx = Lacr_obs.Jsonx
 module Protocol = Lacr_serve.Protocol
@@ -179,6 +180,36 @@ let test_backpressure () =
     [ holder; filler_a; filler_b ];
   List.iter close [ probe; holder; filler_a; filler_b; overflow ]
 
+(* --- idle-worker handoff --- *)
+
+(* A job wakes the lowest-numbered idle worker and marks it busy at
+   once, so a second job that arrives while the first is held wakes
+   the next worker instead of queueing behind the first. *)
+let test_handoff () =
+  with_server ~workers:2 ~queue_depth:2 @@ fun path _service ->
+  let probe = connect path in
+  let _ =
+    expect_ok
+      (call probe ~id:1 "plan"
+         (Jsonx.Obj [ ("circuit", Jsonx.Str "s27"); ("second_iteration", Jsonx.Bool false) ]))
+  in
+  let first = connect path in
+  let second = connect path in
+  send first ~id:2 "plan" (stall_plan ~stall_ms:1500.);
+  let _ =
+    poll_health probe ~what:"first job on a worker" ~until:(fun b -> body_int b "in_flight" = 1)
+  in
+  send second ~id:3 "plan" (stall_plan ~stall_ms:1500.);
+  let both =
+    poll_health probe ~what:"second job on the other worker"
+      ~until:(fun b -> body_int b "in_flight" = 2)
+  in
+  Alcotest.(check int) "nothing waits in the queue" 0 (body_int both "queued");
+  List.iter (fun conn -> ignore (expect_ok (recv conn))) [ first; second ];
+  (* Both workers went back to waiting: a third job is still served. *)
+  let _ = expect_ok (call second ~id:4 "plan" (stall_plan ~stall_ms:0.)) in
+  List.iter close [ probe; first; second ]
+
 (* --- structured errors on the wire --- *)
 
 let test_errors () =
@@ -311,4 +342,5 @@ let suite =
     Alcotest.test_case "soak: 200 mixed requests, verified" `Slow test_soak;
     Alcotest.test_case "stall_ms above the cap bounces with bad_request" `Quick test_stall_cap;
     Alcotest.test_case "int_of_number range edges" `Quick test_int_of_number;
+    Alcotest.test_case "a second job wakes the second worker" `Quick test_handoff;
   ]
