@@ -526,8 +526,8 @@ let run_trace_observability () =
      breakdown, and the rows land in the --json stage log. *)
   let netlist = Option.get (Suite.by_name name) in
   let ctx = Trace.create () in
-  (match Planner.plan ~second_iteration:false ~trace:ctx netlist with
-  | Error msg -> Printf.printf "%s: planning failed (%s)\n" name msg
+  (match Planner.plan_checked ~second_iteration:false ~trace:ctx netlist with
+  | Error e -> Printf.printf "%s: planning failed (%s)\n" name (Planner.error_message e)
   | Ok _ ->
     Printf.printf "per-stage breakdown of one traced planning run (%s):\n\n" name;
     print_string (Report.render_trace_summary ctx);
@@ -584,10 +584,10 @@ let run_table1 () =
     List.filter_map
       (fun (name, netlist) ->
         Printf.eprintf "  planning %s...\n%!" name;
-        match Planner.plan netlist with
+        match Planner.plan_checked netlist with
         | Ok run -> Some (Report.row_of_run ~name run)
-        | Error msg ->
-          Printf.printf "  %s: planning failed (%s)\n" name msg;
+        | Error e ->
+          Printf.printf "  %s: planning failed (%s)\n" name (Planner.error_message e);
           None)
       (table1_circuits ())
   in
@@ -671,12 +671,12 @@ let run_grid_ablation () =
   List.iter
     (fun grid ->
       let config = { Config.default with Config.grid } in
-      match timed (fun () -> Planner.plan ~config ~second_iteration:false netlist) with
+      match timed (fun () -> Planner.plan_checked ~config ~second_iteration:false netlist) with
       | Ok run, dt ->
         Printf.printf "%8d %10d %10d %10d %10.1f\n%!" grid
           (Lacr_tilegraph.Tilegraph.num_tiles run.Planner.instance.Build.tilegraph)
           run.Planner.minarea.Lac.n_foa run.Planner.lac.Lac.n_foa dt
-      | Error msg, _ -> Printf.printf "%8d failed: %s\n" grid msg)
+      | Error e, _ -> Printf.printf "%8d failed: %s\n" grid (Planner.error_message e))
     (if fast_mode then [ 8; 12 ] else [ 8; 10; 12; 16 ])
 
 (* --- A3: heuristic vs exact on tiny instances --- *)

@@ -175,10 +175,10 @@ let run_table1 seed domains second csv =
     List.filter_map
       (fun (name, netlist) ->
         Printf.eprintf "planning %s...\n%!" name;
-        match Planner.plan ~config ~second_iteration:second netlist with
+        match Planner.plan_checked ~config ~second_iteration:second netlist with
         | Ok run -> Some (Report.row_of_run ~name run)
-        | Error msg ->
-          Printf.eprintf "  %s failed: %s\n%!" name msg;
+        | Error e ->
+          Printf.eprintf "  %s failed: %s\n%!" name (Planner.error_message e);
           None)
       (Suite.table1 ())
   in

@@ -25,8 +25,8 @@ let () =
       hard_sites_per_cell = 0.5;
     }
   in
-  match Planner.plan ~config ~second_iteration:true netlist with
-  | Error msg -> Printf.eprintf "planning failed: %s\n" msg
+  match Planner.plan_checked ~config ~second_iteration:true netlist with
+  | Error e -> Printf.eprintf "planning failed: %s\n" (Planner.error_message e)
   | Ok run ->
     let inst = run.Planner.instance in
     let hard_blocks =

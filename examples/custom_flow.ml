@@ -1,6 +1,6 @@
 (* Driving the substrates individually — for users who want to swap a
    stage (their own floorplanner, their own router) rather than call
-   [Planner.plan].
+   [Planner.plan_checked].
 
    Run with:  dune exec examples/custom_flow.exe
 

@@ -26,8 +26,8 @@ let () =
   (* 2. Plan.  [Config.default] reproduces the paper's setup; every
      knob (target-period fraction, alpha, tile grid, delay model) can
      be overridden. *)
-  match Planner.plan ~second_iteration:false netlist with
-  | Error msg -> Printf.eprintf "planning failed: %s\n" msg
+  match Planner.plan_checked ~second_iteration:false netlist with
+  | Error e -> Printf.eprintf "planning failed: %s\n" (Planner.error_message e)
   | Ok run ->
     (* 3. Timing results of the planning run. *)
     Printf.printf "T_init (after floorplan+routing+repeaters) = %.2f ns\n" run.Planner.t_init;

@@ -60,8 +60,8 @@ let () =
   (* A slightly finer block granularity separates producer from
      consumer. *)
   let config = { Config.default with Config.units_per_block = 60; min_blocks = 6 } in
-  match Planner.plan ~config ~second_iteration:false netlist with
-  | Error msg -> Printf.eprintf "planning failed: %s\n" msg
+  match Planner.plan_checked ~config ~second_iteration:false netlist with
+  | Error e -> Printf.eprintf "planning failed: %s\n" (Planner.error_message e)
   | Ok run ->
     Printf.printf "T_init = %.2f ns, T_min = %.2f ns, planning at T_clk = %.2f ns\n\n"
       run.Planner.t_init run.Planner.t_min run.Planner.t_clk;

@@ -36,7 +36,7 @@ let report (inst : Build.instance) ~labels =
         n_foa := !n_foa + int_of_float (ceil ((excess /. ff_area) -. 1e-9))
       end)
     acc;
-  let violated_tiles = List.sort (fun (_, a) (_, b) -> compare b a) !violated in
+  let violated_tiles = List.sort (fun (_, a) (_, b) -> Float.compare b a) !violated in
   { consumption = acc; n_foa = !n_foa; violated_tiles }
 
 let ff_count (inst : Build.instance) ~labels =

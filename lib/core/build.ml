@@ -140,7 +140,7 @@ let build ?(config = Config.default) ?(soft_growth = fun _ -> 0.0) ?layout
       in
       let sequence, dims =
         Obs.with_span trace ~cat:"core"
-          ~attrs:[ ("incremental", Obs.Bool (layout <> None)) ]
+          ~attrs:[ ("incremental", Obs.Bool (Option.is_some layout)) ]
           "build.floorplan"
         @@ fun () ->
         match layout with
@@ -203,7 +203,7 @@ let build ?(config = Config.default) ?(soft_growth = fun _ -> 0.0) ?layout
                 block_of_unit.(v) <> block_of_unit.(u) && unit_cell.(v) <> unit_cell.(u))
               outs
           in
-          if remote <> [] then begin
+          if not (List.is_empty remote) then begin
             let sinks = Array.of_list (List.map (fun (_, v) -> unit_cell.(v)) remote) in
             nets :=
               { Global_router.source_cell = unit_cell.(u); sink_cells = sinks }

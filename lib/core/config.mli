@@ -65,7 +65,7 @@ type t = {
           conservation and admissibility after every min-cost-flow
           solve, retiming legality/cycle sums and tile accounting
           after every LAC round, CSR well-formedness, span balance)
-          for the duration of [Planner.plan].  Equivalent to
+          for the duration of a planner call.  Equivalent to
           [LACR_SANITIZE=1]; default [false].  Slower, but the
           planned result is bit-identical. *)
 }

@@ -145,7 +145,7 @@ let retime_problem ?(alpha = Config.default.Config.alpha)
   | Ok compiled ->
     let solve_round () =
       match compiled with
-      | Some c -> Min_area.solve_compiled ~warm:true ~trace:obs c ~area
+      | Some c -> Min_area.solve_compiled ~trace:obs c ~area
       | None -> Min_area.solve_weighted ~trace:obs problem.Problem.graph constraints ~area
     in
     (* One [lac.round] span per re-weighting round, carrying the flow

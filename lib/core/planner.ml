@@ -21,12 +21,11 @@ and second = {
   lac2 : (Lac.outcome, string) result;
 }
 
-(* Structured failure for library callers that must not crash or exit
-   on a bad request — the serving daemon maps these onto stable wire
-   error codes.  [plan] keeps its historical (run, string) signature;
-   [plan_checked] and the prepared-state entry points return [error]
-   and additionally capture the two escaping exception families
-   (routing dead ends under the sanitizer, sanitizer violations). *)
+(* Structured failure, so a bad request never crashes the caller or
+   makes it exit — the serving daemon maps these onto stable wire
+   error codes.  Every entry point returns [error] and captures the two
+   escaping exception families (routing dead ends under the sanitizer,
+   sanitizer violations). *)
 type error =
   | Failed of string
   | Routing_failed of { src : int; dst : int; reason : string }
@@ -53,9 +52,9 @@ let capture f =
   | exception Lacr_util.Sanitize.Violation { invariant; detail } ->
     Error (Sanitizer_violation { invariant; detail })
 
-(* Everything [plan] derives from the netlist before the retiming
-   solves: the built instance plus the period analysis and the
-   constraint system generated once at T_clk.  Immutable, so a
+(* Everything [plan_checked] derives from the netlist before the
+   retiming solves: the built instance plus the period analysis and
+   the constraint system generated once at T_clk.  Immutable, so a
    resident copy can serve any number of [plan_prepared] calls. *)
 type prepared = {
   p_netlist : Lacr_netlist.Netlist.t;
@@ -212,7 +211,9 @@ let sanitize_scope config f =
 
 let pool_size config = Lacr_util.Pool.resolve_size ~requested:config.Config.domains
 
-let plan ?(config = Config.default) ?(second_iteration = true) ?(trace = Obs.disabled) netlist =
+let plan_checked ?(config = Config.default) ?(second_iteration = true) ?(trace = Obs.disabled)
+    netlist =
+  capture @@ fun () ->
   sanitize_scope config @@ fun () ->
   Obs.with_span trace ~cat:"core" "plan" @@ fun () ->
   (* One pool for the whole run: global routing, the (W,D) matrices,
@@ -227,16 +228,13 @@ let plan ?(config = Config.default) ?(second_iteration = true) ?(trace = Obs.dis
         plan_prepared_with_pool ~pool ~second_iteration ~trace
           (prepare_with_pool ~pool ~trace instance netlist))
 
-let plan_checked ?config ?second_iteration ?trace netlist =
-  capture (fun () -> plan ?config ?second_iteration ?trace netlist)
-
 (* The split pipeline: [prepare] does everything up to (and including)
    constraint generation, [plan_prepared] runs the retiming solves and
    the optional expansion re-plan.  Each owns a fresh pool for its
    stage — every stage is bit-deterministic in the pool size, so
-   [prepare |> plan_prepared] equals [plan] field for field; the split
-   only exists so a resident [prepared] (and optionally a resident
-   compiled solver) can be reused across requests. *)
+   [prepare |> plan_prepared] equals [plan_checked] field for field;
+   the split only exists so a resident [prepared] (and optionally a
+   resident compiled solver) can be reused across requests. *)
 let prepare ?(config = Config.default) ?(trace = Obs.disabled) netlist =
   capture @@ fun () ->
   sanitize_scope config @@ fun () ->

@@ -9,7 +9,13 @@
     ({!run.minarea}), so one flow solver serves both columns.  When
     LAC-retiming cannot reach zero violations, a second planning
     iteration expands the congested soft blocks (paper §5) and
-    re-plans. *)
+    re-plans.
+
+    Entry points: {!plan_checked} runs the whole pipeline once;
+    {!prepare} and {!plan_prepared} split it so a resident [prepared]
+    and compiled solver ({!compile_solver}) serve repeated requests.
+    These three report failures as {!error}, never as an escaping
+    exception. *)
 
 type run = {
   instance : Build.instance;
@@ -33,12 +39,12 @@ and second = {
           become infeasible after a drastic floorplan change *)
 }
 
-(** Structured planning failure, for callers that must keep running on
-    a bad request (the serving daemon, long-lived embedders).  Unlike
-    the [string] errors of {!plan}, this also captures the two
-    exception families a planning run can raise — sanitizer violations
-    and routing dead ends — so no pipeline entry point below lets an
-    exception escape. *)
+(** Structured planning failure, so callers keep running on a bad
+    request (the serving daemon, long-lived embedders).  Besides
+    ordinary pipeline failures it captures the two exception families
+    a planning run can raise — sanitizer violations and routing dead
+    ends — so no pipeline entry point below lets an exception
+    escape. *)
 type error =
   | Failed of string  (** ordinary pipeline failure, human-readable *)
   | Routing_failed of { src : int; dst : int; reason : string }
@@ -56,8 +62,8 @@ val error_code : error -> string
 val error_message : error -> string
 (** Human-readable rendering, one line. *)
 
-(** Everything {!plan} derives from a netlist before the retiming
-    solves: the built instance, the period analysis ([t_init]/[t_min]/
+(** Everything {!plan_checked} derives from a netlist before the
+    retiming solves: the built instance, the period analysis ([t_init]/[t_min]/
     the frozen [t_clk]) and the constraint system generated once at
     [t_clk].  Immutable once built — a resident copy (the daemon's
     warm cache) can serve any number of {!plan_prepared} calls. *)
@@ -70,13 +76,15 @@ type prepared = {
   p_constraints : Lacr_retime.Constraints.t;
 }
 
-val plan :
+val plan_checked :
   ?config:Config.t ->
   ?second_iteration:bool ->
   ?trace:Lacr_obs.Trace.ctx ->
   Lacr_netlist.Netlist.t ->
-  (run, string) result
-(** [second_iteration] (default [true]) controls the expansion
+  (run, error) result
+(** The single-shot pipeline, with structured errors and no escaping
+    exceptions ({!error_message} renders a failure for a human).
+    [second_iteration] (default [true]) controls the expansion
     re-plan.
 
     [trace] (default disabled) wraps the whole run in a [plan] span
@@ -88,22 +96,12 @@ val plan :
     are bit-identical for every [config.domains]; enabling tracing
     changes no field of the returned {!run}. *)
 
-val plan_checked :
-  ?config:Config.t ->
-  ?second_iteration:bool ->
-  ?trace:Lacr_obs.Trace.ctx ->
-  Lacr_netlist.Netlist.t ->
-  (run, error) result
-(** {!plan} with structured errors and no escaping exceptions: the
-    daemon-safe single-shot entry point.  The successful [run] is
-    field-for-field the one {!plan} returns. *)
-
 val prepare :
   ?config:Config.t ->
   ?trace:Lacr_obs.Trace.ctx ->
   Lacr_netlist.Netlist.t ->
   (prepared, error) result
-(** The front half of {!plan}: build the instance, measure the
+(** The front half of {!plan_checked}: build the instance, measure the
     periods, freeze [t_clk], generate the constraints.  Owns a fresh
     worker pool for the duration of the call (size from
     [config.domains]); wrapped in a [plan.prepare] span. *)
@@ -129,7 +127,7 @@ val plan_prepared :
   (run, error) result
 (** The back half: the LAC run and the optional expansion
     re-plan, under a [plan.solve] span.  [prepare |> plan_prepared]
-    equals {!plan} field for field — every stage is bit-deterministic
+    equals {!plan_checked} field for field — every stage is bit-deterministic
     in the pool size, so the split (and any reuse of the [prepared]
     across calls) is observationally invisible apart from latency.
 

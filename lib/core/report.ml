@@ -213,7 +213,7 @@ let csv_row r =
 let render_trace_summary trace =
   let buf = Buffer.create 1024 in
   let spans = Lacr_obs.Trace.span_summary ~max_depth:2 trace in
-  if spans <> [] then begin
+  if not (List.is_empty spans) then begin
     let open Table in
     let t = create [ ("span", Left); ("count", Right); ("total(ms)", Right) ] in
     List.iter
@@ -228,7 +228,7 @@ let render_trace_summary trace =
     Buffer.add_string buf (render t)
   end;
   let counters = Lacr_obs.Trace.counter_totals trace in
-  if counters <> [] then begin
+  if not (List.is_empty counters) then begin
     let open Table in
     let t = create [ ("counter", Left); ("total", Right) ] in
     List.iter (fun (name, total) -> add_row t [ name; string_of_int total ]) counters;
@@ -236,7 +236,7 @@ let render_trace_summary trace =
     Buffer.add_string buf (render t)
   end;
   let histograms = Lacr_obs.Trace.histogram_totals trace in
-  if histograms <> [] then begin
+  if not (List.is_empty histograms) then begin
     let open Table in
     let t = create [ ("histogram", Left); ("bucket", Right); ("count", Right) ] in
     List.iter

@@ -23,7 +23,7 @@ let default_iconfig =
   }
 
 let hot_dirs =
-  [ "lib/arena"; "lib/retime"; "lib/mcmf"; "lib/routing"; "lib/tilegraph"; "lib/util" ]
+  [ "lib/arena"; "lib/core"; "lib/retime"; "lib/mcmf"; "lib/routing"; "lib/tilegraph"; "lib/util" ]
 
 let scan_roots = [ "lib"; "bin"; "bench"; "test" ]
 

@@ -63,44 +63,25 @@ let feasible_arrays ~n ~a ~b ~bound ~m =
   done;
   if !changed || !negative then None else Some dist
 
-let flatten constraints =
-  let m = List.length constraints in
-  let ca = Array.make m 0 and cb = Array.make m 0 and cc = Array.make m 0 in
-  List.iteri
-    (fun i { a; b; bound } ->
-      ca.(i) <- a;
-      cb.(i) <- b;
-      cc.(i) <- bound)
-    constraints;
-  (ca, cb, cc, m)
-
-let feasible ~n constraints =
-  let ca, cb, cc, m = flatten constraints in
-  feasible_arrays ~n ~a:ca ~b:cb ~bound:cc ~m
-
 type objective_error =
   | Infeasible_constraints
   | Unbounded_objective
 
-(* Compiled instance: the constraint system flattened to parallel
-   arrays, proven feasible exactly once, with the min-cost-flow
-   network built exactly once.  Constraint arcs (and hence all arc
-   costs) never change afterwards — [reoptimize] only rewrites the
-   node supplies from a new objective, which is what lets the flow
-   engine reuse its residual network, CSR adjacency, scratch buffers
-   and (warm-started) potentials across the LAC re-weighting rounds. *)
-type instance = {
-  inst_n : int;
-  guard : int;
-  ca : int array;
-  cb : int array;
-  cbound : int array;
-  m : int;
-  net : Mcmf.t;
-}
+(* Compiled instance: the constraint system proven feasible exactly
+   once, with the min-cost-flow network built exactly once.  Constraint
+   arcs (and hence all arc costs) never change afterwards —
+   [reoptimize] only rewrites the node supplies from a new objective,
+   which is what lets the flow engine reuse its residual network, CSR
+   adjacency, scratch buffers and previous optimum across the LAC
+   re-weighting rounds. *)
+type instance = { inst_n : int; net : Mcmf.t }
 
-let compile_arrays ~n ?guard ~a:ca ~b:cb ~bound:cbound m =
-  let guard = match guard with Some g -> g | None -> (4 * n) + 8 in
+(* Box constraints |x(v) - x(0)| <= guard keep the LP bounded in every
+   direction; an optimum that pins against one is reported as
+   [Unbounded_objective], which callers treat as a modelling error. *)
+let guard n = (4 * n) + 8
+
+let compile_arrays ~n ~a:ca ~b:cb ~bound:cbound m =
   match feasible_arrays ~n ~a:ca ~b:cb ~bound:cbound ~m with
   | None -> Error Infeasible_constraints
   | Some _ ->
@@ -112,17 +93,14 @@ let compile_arrays ~n ?guard ~a:ca ~b:cb ~bound:cbound m =
     for i = 0 to m - 1 do
       ignore (Mcmf.add_arc net ~src:ca.(i) ~dst:cb.(i) ~capacity:infinity ~cost:cbound.(i))
     done;
+    let guard = guard n in
     for v = 1 to n - 1 do
       ignore (Mcmf.add_arc net ~src:v ~dst:0 ~capacity:infinity ~cost:guard);
       ignore (Mcmf.add_arc net ~src:0 ~dst:v ~capacity:infinity ~cost:guard)
     done;
-    Ok { inst_n = n; guard; ca; cb; cbound; m; net }
+    Ok { inst_n = n; net }
 
-let compile ~n ?guard constraints =
-  let ca, cb, cbound, m = flatten constraints in
-  compile_arrays ~n ?guard ~a:ca ~b:cb ~bound:cbound m
-
-let reoptimize ?(warm = true) ?trace inst ~objective =
+let reoptimize ?trace inst ~objective =
   if Array.length objective <> inst.inst_n then
     invalid_arg "Difference.reoptimize: objective arity";
   (* The assignment is normalized to x(0) = 0 afterwards, so the LP
@@ -133,33 +111,21 @@ let reoptimize ?(warm = true) ?trace inst ~objective =
     let coeff = if v = 0 then objective.(v) -. total else objective.(v) in
     Mcmf.set_supply inst.net v (-.coeff)
   done;
-  match Mcmf.solve ~warm ?trace inst.net with
+  match Mcmf.solve ?trace inst.net with
   | Error (Mcmf.Negative_cycle | Mcmf.Infeasible | Mcmf.Unbalanced _) ->
     (* Guards make the flow feasible and feasibility was checked at
        compile time, so any failure here indicates an unbalanced
        objective. *)
     Error Unbounded_objective
-  | Ok solution ->
+  | Ok () ->
     (* x = -potentials, normalized so that x(0) = 0. *)
-    let pi = solution.Mcmf.potentials in
-    let labels = Array.init inst.inst_n (fun v -> pi.(0) - pi.(v)) in
-    let against_guard = Array.exists (fun l -> abs l >= inst.guard) labels in
-    if against_guard then Error Unbounded_objective else Ok labels
+    let pi0 = Mcmf.potential inst.net 0 in
+    let labels = Array.init inst.inst_n (fun v -> pi0 - Mcmf.potential inst.net v) in
+    let guard = guard inst.inst_n in
+    if Array.exists (fun l -> abs l >= guard) labels then Error Unbounded_objective
+    else Ok labels
 
 let solver_stats inst = Mcmf.last_stats inst.net
-
-let check_instance inst x =
-  let ok = ref true in
-  for i = 0 to inst.m - 1 do
-    if x.(inst.ca.(i)) - x.(inst.cb.(i)) > inst.cbound.(i) then ok := false
-  done;
-  !ok
-
-let optimize ~n ~objective ?guard constraints =
-  if Array.length objective <> n then invalid_arg "Difference.optimize: objective arity";
-  match compile ~n ?guard constraints with
-  | Error e -> Error e
-  | Ok inst -> reoptimize ~warm:false inst ~objective
 
 let check constraints x =
   List.for_all (fun { a; b; bound } -> x.(a) - x.(b) <= bound) constraints

@@ -14,10 +14,12 @@
    super-sink arc pair per node (capacity set from the supply sign
    each round, so the CSR topology never changes) and allocates the
    per-phase scratch.  Subsequent solves reset the residual in place
-   and may warm-start from the previous round's potentials — valid
+   and warm-start from the previous optimum's potentials — valid
    whenever every positive-residual arc still has non-negative reduced
-   cost, which [solve ~warm:true] verifies in one O(arcs) scan before
-   skipping the Bellman-Ford bootstrap. *)
+   cost, which [solve] verifies in one O(arcs) scan before skipping
+   the Bellman-Ford bootstrap.  The optimum stays in the instance:
+   callers read potentials and flows from it, so a solve allocates no
+   per-arc or per-node result. *)
 
 type stats = {
   phases : int;  (* Dijkstra + blocking-flow rounds *)
@@ -123,15 +125,9 @@ let add_arc t ~src ~dst ~capacity ~cost =
   if capacity < 0.0 then invalid_arg "Mcmf.add_arc: negative capacity";
   append_arc t ~src ~dst ~capacity ~cost
 
-let add_supply t v amount =
-  if v < 0 || v >= t.n then invalid_arg "Mcmf.add_supply: node range";
-  t.supply.(v) <- t.supply.(v) +. amount
-
 let set_supply t v amount =
   if v < 0 || v >= t.n then invalid_arg "Mcmf.set_supply: node range";
   t.supply.(v) <- amount
-
-type solution = { total_cost : float; potentials : int array; flow : float array }
 
 type error =
   | Unbalanced of float
@@ -455,7 +451,7 @@ let canonicalize_potentials t ~n_nodes =
     pi.(v) <- dist.(v) - m + pi.(v)
   done
 
-let solve ?(warm = false) ?(trace = Lacr_obs.Trace.disabled) t =
+let solve ?(trace = Lacr_obs.Trace.disabled) t =
   let total_supply = Array.fold_left ( +. ) 0.0 t.supply in
   if abs_float total_supply > 1e-5 then Error (Unbalanced total_supply)
   else begin
@@ -463,7 +459,7 @@ let solve ?(warm = false) ?(trace = Lacr_obs.Trace.disabled) t =
     let source = t.n and sink = t.n + 1 in
     let n_nodes = t.n + 2 in
     let remaining = ref (reset_residual t) in
-    let warm_started = warm && try_warm_potentials t in
+    let warm_started = try_warm_potentials t in
     let bootstrap_ok = warm_started || bellman_ford_potentials t ~n_nodes in
     t.has_pi <- false;
     if not bootstrap_ok then Error Negative_cycle
@@ -514,25 +510,16 @@ let solve ?(warm = false) ?(trace = Lacr_obs.Trace.disabled) t =
       | Ok () ->
         canonicalize_potentials t ~n_nodes;
         t.has_pi <- true;
-        let n_handles = t.user_arcs / 2 in
-        let flow = Array.init n_handles (fun k -> t.arc_cap.((2 * k) + 1)) in
-        (* Total cost from the realized flows (cheaper than tracking
-           during pushes). *)
-        let total_cost = ref 0.0 in
-        for k = 0 to n_handles - 1 do
-          total_cost := !total_cost +. (flow.(k) *. float_of_int t.arc_cost.(2 * k))
-        done;
-        let potentials = Array.sub pi 0 t.n in
         (* Sanitizer: the solution must actually route the loaded
            supplies (conservation over the user arcs, guards included)
            and the final potentials must certify optimality (no
            residual arc with negative reduced cost). *)
         if Lacr_util.Sanitize.enabled () then begin
           Lacr_util.Sanitize.check_flow_conservation ~invariant:"mcmf.conservation" ~n:t.n
-            ~n_handles
+            ~n_handles:(t.user_arcs / 2)
             ~src:(fun k -> t.arc_src.(2 * k))
             ~dst:(fun k -> t.arc_dst.(2 * k))
-            ~flow:(fun k -> flow.(k))
+            ~flow:(fun k -> t.arc_cap.((2 * k) + 1))
             ~supply:(fun v -> t.supply.(v))
             ~tol:1e-4;
           Lacr_util.Sanitize.check_admissibility ~invariant:"mcmf.admissible"
@@ -543,10 +530,27 @@ let solve ?(warm = false) ?(trace = Lacr_obs.Trace.disabled) t =
             ~residual:(fun a -> t.arc_cap.(a))
             ~pi ~eps
         end;
-        Ok { total_cost = !total_cost; potentials; flow }
+        Ok ()
     end
   end
 
 let last_stats t = t.last_stats
 
-let flow_on sol handle = sol.flow.(handle)
+let potential t v =
+  if not t.has_pi then invalid_arg "Mcmf.potential: no optimum (solve first)";
+  if v < 0 || v >= t.n then invalid_arg "Mcmf.potential: node range";
+  t.pi.(v)
+
+(* The flow on a user arc is the residual capacity its reverse arc
+   has gained since [reset_residual] zeroed it. *)
+let flow_on t handle =
+  if not t.has_pi then invalid_arg "Mcmf.flow_on: no optimum (solve first)";
+  if handle < 0 || 2 * handle >= t.user_arcs then invalid_arg "Mcmf.flow_on: arc handle";
+  t.arc_cap.((2 * handle) + 1)
+
+let total_cost t =
+  let cost = ref 0.0 in
+  for k = 0 to (t.user_arcs / 2) - 1 do
+    cost := !cost +. (flow_on t k *. float_of_int t.arc_cost.(2 * k))
+  done;
+  !cost

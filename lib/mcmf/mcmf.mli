@@ -18,17 +18,20 @@
     The instance is persistent across solves: the first {!solve} seals
     the arc set and snapshots capacities; later calls reset the
     residual network in place, pick up the current supplies (see
-    {!set_supply}) and reuse every scratch buffer.  [solve ~warm:true]
-    additionally re-uses the previous optimum's potentials instead of
-    re-running the Bellman-Ford bootstrap whenever they are still
-    dual-feasible (verified in one scan) — the successive-instance
-    structure of the LAC re-weighting loop, where arc costs never
-    change and only the objective does.
+    {!set_supply}) and reuse every scratch buffer.  An instance that
+    has solved before starts from its previous optimum's potentials
+    instead of re-running the Bellman-Ford bootstrap whenever they are
+    still dual-feasible (verified in one scan) — the
+    successive-instance structure of the LAC re-weighting loop, where
+    arc costs never change and only the objective does.  A fresh
+    instance, or one whose last solve failed, starts cold.
 
-    The returned potentials are canonical (shortest distances from a
-    zero-cost virtual source over the final residual graph), so
-    warm-started and cold solves of the same instance return
-    bit-identical solutions.
+    The optimum stays in the instance: {!potential}, {!flow_on} and
+    {!total_cost} read it until the next solve, so a solve allocates
+    no per-node or per-arc result.  The potentials are canonical
+    (shortest distances from a zero-cost virtual source over the final
+    residual graph), so warm-started and cold solves of the same
+    instance give bit-identical potentials.
 
     {2 Phases}
 
@@ -59,23 +62,10 @@ val add_arc : t -> src:int -> dst:int -> capacity:float -> cost:int -> int
     @raise Invalid_argument after the first {!solve} (the arc set is
     sealed so the adjacency structure can be reused). *)
 
-val add_supply : t -> int -> float -> unit
-(** Add to the node's supply (positive = source, negative = sink).
-    Total supply must cancel to ~0 at [solve] time. *)
-
 val set_supply : t -> int -> float -> unit
-(** Overwrite the node's supply — the reusable-instance way to load a
-    fresh objective between solves. *)
-
-type solution = {
-  total_cost : float;
-  potentials : int array;
-      (** Optimal dual values [pi]; [y = -pi] solves
-          [max sum b(v) y(v)] s.t. [y(u) - y(v) <= cost(u,v)].
-          Canonical: independent of warm-starting and of which optimal
-          flow the solver reached. *)
-  flow : float array;  (** Flow per arc handle. *)
-}
+(** Set the node's supply (positive = source, negative = sink), also
+    the way to load a fresh objective between solves.  Total supply
+    must cancel to ~0 at [solve] time. *)
 
 type error =
   | Unbalanced of float  (** supplies do not cancel *)
@@ -98,19 +88,33 @@ type stats = {
 
 val zero_stats : stats
 
-val solve : ?warm:bool -> ?trace:Lacr_obs.Trace.ctx -> t -> (solution, error) result
-(** Solve with the current supplies.  [warm] (default [false])
-    requests reuse of the previous solve's potentials; it silently
-    falls back to the Bellman-Ford bootstrap when there is no previous
-    optimum or it is no longer dual-feasible, so it is always safe.
-    [trace] (default disabled) accumulates the solve's counters into
-    the observability context ([mcmf.solves]/[phases]/[settles]/
-    [pushes]/[arc_scans]/[warm_starts]/[cold_starts]). *)
+val solve : ?trace:Lacr_obs.Trace.ctx -> t -> (unit, error) result
+(** Solve with the current supplies, warm from the previous optimum
+    when there is one and it is still dual-feasible, cold (Bellman-Ford
+    bootstrap) otherwise.  [trace] (default disabled) accumulates the
+    solve's counters into the observability context
+    ([mcmf.solves]/[phases]/[settles]/[pushes]/[arc_scans]/
+    [warm_starts]/[cold_starts]). *)
 
 val last_stats : t -> stats
 (** Counters of the most recent {!solve} (zeroes before the first). *)
 
-val flow_on : solution -> int -> float
+(** {2 The optimum}
+
+    These readers return the optimum of a solve that returned [Ok ()],
+    until the next {!solve}.  They raise [Invalid_argument] before the
+    first successful solve and after one that failed with
+    [Negative_cycle] or [Infeasible]. *)
+
+val potential : t -> int -> int
+(** Optimal dual value [pi(v)]: [y = -pi] solves [max sum b(v) y(v)]
+    s.t. [y(u) - y(v) <= cost(u,v)].  Canonical: independent of
+    warm-starting and of which optimal flow the solver reached. *)
+
+val flow_on : t -> int -> float
 (** Flow on the arc handle returned by {!add_arc}. *)
+
+val total_cost : t -> float
+(** [sum flow * cost] over the arcs added by {!add_arc}. *)
 
 val error_to_string : error -> string

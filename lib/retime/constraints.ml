@@ -26,8 +26,6 @@ type t = {
 
 type compiled = system
 
-let epsilon = 1e-9
-
 let system_bytes s =
   8 * (Array.length s.ca + Array.length s.cb + Array.length s.cbound)
 
@@ -156,8 +154,11 @@ let compile ?(extra = []) g (wd : Paths.wd) ~period =
     for u = 0 to n - 1 do
       let wrow = dn.Paths.w.(u) and drow = dn.Paths.d.(u) in
       for v = 0 to n - 1 do
-        if wrow.(v) <> max_int && drow.(v) > period +. epsilon && (u <> v || wrow.(v) = 0) then
-          push u v (wrow.(v) - 1)
+        if
+          wrow.(v) <> max_int
+          && drow.(v) > period +. Paths.period_tol
+          && (u <> v || wrow.(v) = 0)
+        then push u v (wrow.(v) - 1)
       done
     done
   | Paths.Streamed fr when Paths.in_window fr ~period ->
@@ -165,7 +166,7 @@ let compile ?(extra = []) g (wd : Paths.wd) ~period =
       for i = fr.Paths.row_off.(u) to fr.Paths.row_off.(u + 1) - 1 do
         let v = fr.Paths.fdst.(i) in
         let wuv = fr.Paths.fwgt.(i) in
-        if fr.Paths.fdly.(i) > period +. epsilon && (u <> v || wuv = 0) then
+        if fr.Paths.fdly.(i) > period +. Paths.period_tol && (u <> v || wuv = 0) then
           push u v (wuv - 1)
       done
     done

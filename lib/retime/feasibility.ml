@@ -34,7 +34,9 @@ let min_period ?(extra = []) g wd =
      the streamed backend dominance-reduce pairs beyond the window
      (see Paths). *)
   let t_init = Graph.clock_period g in
-  let candidates = Paths.distinct_delays wd ~lo:(bound -. 1e-9) ~hi:(t_init +. 1e-9) in
+  let candidates =
+    Paths.distinct_delays wd ~lo:(bound -. Paths.period_tol) ~hi:(t_init +. Paths.period_tol)
+  in
   let n_cand = Array.length candidates in
   if n_cand = 0 then { period = Graph.clock_period g; labels = Array.make (Graph.num_vertices g) 0 }
   else begin

@@ -48,6 +48,12 @@ let count_ffs g labels =
    per-round state of the LAC re-weighting loop. *)
 type compiled = { cg : Graph.t; inst : Lacr_mcmf.Difference.instance; objective : float array }
 
+let error_message = function
+  | Lacr_mcmf.Difference.Infeasible_constraints ->
+    "min-area retiming: clock period constraints infeasible"
+  | Lacr_mcmf.Difference.Unbounded_objective ->
+    "min-area retiming: objective unbounded (malformed graph)"
+
 let compile g (cs : Constraints.t) =
   let n = Graph.num_vertices g in
   let s = cs.Constraints.system in
@@ -55,23 +61,18 @@ let compile g (cs : Constraints.t) =
     Lacr_mcmf.Difference.compile_arrays ~n ~a:s.Constraints.ca ~b:s.Constraints.cb
       ~bound:s.Constraints.cbound s.Constraints.m
   with
-  | Error Lacr_mcmf.Difference.Infeasible_constraints ->
-    Error "min-area retiming: clock period constraints infeasible"
-  | Error Lacr_mcmf.Difference.Unbounded_objective ->
-    Error "min-area retiming: objective unbounded (malformed graph)"
+  | Error e -> Error (error_message e)
   | Ok inst -> Ok { cg = g; inst; objective = Array.make n 0.0 }
 
-let solve_compiled ?(warm = true) ?trace c ~area =
+let solve_compiled ?trace c ~area =
   let g = c.cg in
   objective_coefficients_into g ~area c.objective;
-  match Lacr_mcmf.Difference.reoptimize ~warm ?trace c.inst ~objective:c.objective with
-  | Error Lacr_mcmf.Difference.Infeasible_constraints ->
-    Error "min-area retiming: clock period constraints infeasible"
-  | Error Lacr_mcmf.Difference.Unbounded_objective ->
-    Error "min-area retiming: objective unbounded (malformed graph)"
+  match Lacr_mcmf.Difference.reoptimize ?trace c.inst ~objective:c.objective with
+  | Error e -> Error (error_message e)
   | Ok labels ->
+    (* The assignment is a fresh array: re-pin it to the host in place. *)
     let base = labels.(Graph.host g) in
-    let labels = Array.map (fun l -> l - base) labels in
+    Array.iteri (fun v l -> labels.(v) <- l - base) labels;
     if not (Graph.is_legal g labels) then Error "min-area retiming: solver returned illegal labelling"
     else
       Ok
@@ -85,7 +86,7 @@ let solve_compiled ?(warm = true) ?trace c ~area =
 let solve_weighted ?trace g cs ~area =
   match compile g cs with
   | Error msg -> Error msg
-  | Ok c -> solve_compiled ~warm:false ?trace c ~area
+  | Ok c -> solve_compiled ?trace c ~area
 
 let solve g cs =
   let area = Array.make (Graph.num_vertices g) 1.0 in

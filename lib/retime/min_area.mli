@@ -13,8 +13,11 @@
     The LAC loop solves a {e series} of these problems over one fixed
     constraint system; {!compile} + {!solve_compiled} is the
     successive-instance path that checks feasibility and builds the
-    flow network once, then warm-starts every later round from the
-    previous optimum's potentials. *)
+    flow network once: the first solve of a compiled instance runs
+    cold, every later one warm-starts from the previous optimum's
+    potentials.  {!solve_weighted} compiles a fresh instance per call,
+    so it always solves cold — the reference the warm path is checked
+    against. *)
 
 type solution = {
   labels : int array;  (** optimal retiming, [r(host) = 0] *)
@@ -49,15 +52,12 @@ type compiled
 val compile : Graph.t -> Constraints.t -> (compiled, string) Stdlib.result
 
 val solve_compiled :
-  ?warm:bool ->
-  ?trace:Lacr_obs.Trace.ctx ->
-  compiled ->
-  area:float array ->
-  (solution, string) Stdlib.result
-(** One weighted solve over the compiled instance.  [warm] (default
-    [true]) reuses the previous round's dual potentials; results are
+  ?trace:Lacr_obs.Trace.ctx -> compiled -> area:float array -> (solution, string) Stdlib.result
+(** One weighted solve over the compiled instance, warm from the
+    previous solve's dual potentials when there was one; results are
     bit-identical to a cold solve (the flow engine canonicalizes its
-    potentials).  [trace] feeds the flow-solver counters into the
+    potentials).  [labels] is the one per-vertex array a solve
+    allocates.  [trace] feeds the flow-solver counters into the
     observability context. *)
 
 val weighted_ff_area : Graph.t -> area:float array -> int array -> float

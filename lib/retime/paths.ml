@@ -4,11 +4,13 @@ end
 
 type dense = { w : int array array; d : float array array }
 
+let period_tol = 1e-9
+
 type frontier = {
   fn : int;
   threshold : float;
-  fbound : float;  (* cycle-ratio/max-delay lower bound (threshold = fbound - 1e-9) *)
-  ffar : float;  (* near/far cut: clock_period + 2e-9; far pairs are dominance-reduced *)
+  fbound : float;  (* cycle-ratio/max-delay lower bound (threshold = fbound - period_tol) *)
+  ffar : float;  (* near/far cut: clock_period + 2 period_tol; far pairs are dominance-reduced *)
   row_off : int array;
   fdst : int array;
   fwgt : int array;
@@ -577,7 +579,7 @@ let arena_push a v w d =
    sets is order-independent.
 
    Retention is split at [far_cut] (the initial clock period plus
-   1e-9 of float noise, plus the constraint-test tolerance).
+   [period_tol] of float noise, plus the constraint-test tolerance).
    Feasibility never probes a period above the initial clock period
    plus that noise — the identity retiming makes T_init feasible, so
    the min-period search is capped there — which makes a "far" pair
@@ -637,18 +639,18 @@ let compute_streamed ~pool ~trace g =
   and wgt = Graph.csr_weight g
   and delays = Graph.delays g in
   (* Every consumer of the matrices — min-period candidates filtered
-     at [>= bound - 1e-9], feasibility probes and constraint
+     at [>= bound - period_tol], feasibility probes and constraint
      generation at periods no smaller than the smallest candidate —
      only ever reads pairs with D at or above the cycle-ratio lower
-     bound, so the frontier at [bound - 1e-9] loses nothing.  At the
-     other end, no consumer probes a period above the initial clock
-     period (the identity retiming already achieves it), so pairs
-     beyond [far_cut] violate every probe uniformly and are kept only
-     up to dominance — see [frontier_row].  Without that reduction the
-     frontier is Theta(n^2) on deep registered pipelines (path delay
-     grows with register distance, so nearly every ordered pair
-     clears the threshold) and the memory wall this backend exists to
-     break comes straight back.  Probes outside that window are
+     bound, so the frontier at [bound - period_tol] loses nothing.
+     At the other end, no consumer probes a period above the initial
+     clock period (the identity retiming already achieves it), so
+     pairs beyond [far_cut] violate every probe uniformly and are kept
+     only up to dominance — see [frontier_row].  Without that
+     reduction the frontier is Theta(n^2) on deep registered pipelines
+     (path delay grows with register distance, so nearly every ordered
+     pair clears the threshold) and the memory wall this backend exists
+     to break comes straight back.  Probes outside that window are
      answered graph-direct instead (see [in_window]). *)
   let traced = Lacr_obs.Trace.enabled trace in
   let c_rows = Lacr_obs.Trace.counter trace "paths.rows" in
@@ -658,12 +660,13 @@ let compute_streamed ~pool ~trace g =
     "paths.compute"
     (fun () ->
       let bound = cycle_ratio_lower_bound g in
-      let threshold = bound -. 1e-9 in
-      (* Min-period candidates reach T_init + 1e-9 (D values equal to
-         T_init up to float noise) and the constraint test adds its own
-         1e-9; computing the cut as that same sum puts every candidate
-         inside [in_window], since rounding is monotone. *)
-      let far_cut = Graph.clock_period g +. 1e-9 +. 1e-9 in
+      let threshold = bound -. period_tol in
+      (* Min-period candidates reach T_init + period_tol (D values
+         equal to T_init up to float noise) and the constraint test
+         adds its own period_tol; computing the cut as that same sum
+         puts every candidate inside [in_window], since rounding is
+         monotone. *)
+      let far_cut = Graph.clock_period g +. period_tol +. period_tol in
       let zorder, zrank = zero_topo_order ~off ~dst ~wgt n in
       let chunk = row_chunk pool n in
       let n_chunks = (n + chunk - 1) / chunk in
@@ -739,9 +742,9 @@ let num_vertices = function Dense { w; _ } -> Array.length w | Streamed fr -> fr
 
 (* The probe window the frontier answers exactly: at or above the
    retention threshold (the near band is complete there) and at most
-   the min-period search's top candidate, T_init + 1e-9 (far dominance
-   holds there). *)
-let in_window fr ~period = period >= fr.threshold && period +. 1e-9 <= fr.ffar
+   the min-period search's top candidate, T_init + period_tol (far
+   dominance holds there). *)
+let in_window fr ~period = period >= fr.threshold && period +. period_tol <= fr.ffar
 
 let frontier_weight fr u v =
   let lo = ref fr.row_off.(u) and hi = ref (fr.row_off.(u + 1) - 1) in
@@ -899,15 +902,15 @@ type flat_rows = {
 
 (* Frontier-gated source activity.  Inside the retention window a
    source has a violating pair at [period] iff its frontier row holds a
-   retained pair with D > period + 1e-9: the near band is retained in
-   full, and a dominance-dropped far pair always has a retained far
-   ancestor in the same row (its D also clears far_cut >= period +
-   1e-9).  Conversely every retained pair past the threshold is itself
-   a candidate.  So skipping the Dijkstra sweep for inactive sources
-   changes nothing in the emitted rows — it only skips sources whose
-   rows would come back empty.  Outside the window ([period] below the
-   retention threshold or above the far cut) the gate abstains and
-   every source is swept. *)
+   retained pair with D > period + period_tol: the near band is
+   retained in full, and a dominance-dropped far pair always has a
+   retained far ancestor in the same row (its D also clears far_cut >=
+   period + period_tol).  Conversely every retained pair past the
+   threshold is itself a candidate.  So skipping the Dijkstra sweep for
+   inactive sources changes nothing in the emitted rows — it only skips
+   sources whose rows would come back empty.  Outside the window
+   ([period] below the retention threshold or above the far cut) the
+   gate abstains and every source is swept. *)
 let frontier_gate fr ~period =
   if in_window fr ~period then begin
     let n = fr.fn in
@@ -916,7 +919,7 @@ let frontier_gate fr ~period =
       let i = ref fr.row_off.(u) in
       let hi = fr.row_off.(u + 1) in
       while !i < hi do
-        if fr.fdly.(!i) > period +. 1e-9 then begin
+        if fr.fdly.(!i) > period +. period_tol then begin
           Bytes.set act u '\001';
           i := hi
         end
@@ -984,7 +987,7 @@ let source_pass_flat ?(pool = Lacr_util.Pool.sequential) ?frontier ~prune g ~per
           for t = 0 to nt - 1 do
             let x = queue.(t) in
             let wx = wrow.(x) and dx = drow.(x) in
-            let cx = dx > period +. 1e-9 && (u <> x || wx = 0) in
+            let cx = dx > period +. period_tol && (u <> x || wx = 0) in
             if cx then begin
               cmem.(x) <- ep;
               incr nc

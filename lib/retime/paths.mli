@@ -10,16 +10,17 @@
 
     The {e streamed} backend is the planner's engine at every size.
     It keeps only the probe-relevant frontier.  Probed periods always
-    lie in [[bound - 1e-9, clock_period + 1e-9]]: the cycle-ratio bound
-    caps them from below, and the identity retiming makes the initial
-    clock period feasible, capping the min-period search from above
-    (the [1e-9] admits D values equal to it up to float noise).  So the
-    frontier stores the {e near} band ([D] within the probe window) in
-    full, and {e far} pairs ([D] beyond every probe, hence violating
-    all of them uniformly) only after an exact dominance reduction: a
-    far pair dominated by a far tight-DAG predecessor is implied by
-    the survivor plus edge constraints at every probed period, so
-    removing it changes no feasibility verdict and no label vector.
+    lie in [[bound - period_tol, clock_period + period_tol]]: the
+    cycle-ratio bound caps them from below, and the identity retiming
+    makes the initial clock period feasible, capping the min-period
+    search from above (the {!period_tol} admits D values equal to it
+    up to float noise).  So the frontier stores the {e near} band ([D]
+    within the probe window) in full, and {e far} pairs ([D] beyond
+    every probe, hence violating all of them uniformly) only after an
+    exact dominance reduction: a far pair dominated by a far tight-DAG
+    predecessor is implied by the survivor plus edge constraints at
+    every probed period, so removing it changes no feasibility verdict
+    and no label vector.
     Periods outside that window ({!in_window}) are answered
     graph-direct by the callers.  Constraint generation does not read
     the frontier at all: systems are enumerated directly from the
@@ -46,15 +47,26 @@ type dense = {
   d : float array array;  (** [d.(u).(v)]; meaningful when reachable *)
 }
 
+val period_tol : float
+(** [1e-9], the one period tolerance of the retiming stack: a pair
+    violates [period] when [D > period + period_tol], and the
+    min-period candidates are the D values in
+    [[bound - period_tol, clock_period + period_tol]].  The frontier's
+    [threshold], [ffar] and {!in_window}, the min-period search
+    ({!Feasibility}) and constraint generation ({!Constraints}) all
+    read it, so they cannot drift apart. *)
+
 type frontier = {
   fn : int;  (** vertex count *)
   threshold : float;  (** near pairs with [D >= threshold] are retained *)
-  fbound : float;  (** the cycle-ratio lower bound ([threshold + 1e-9] before rounding) *)
+  fbound : float;
+      (** the cycle-ratio lower bound ([threshold + period_tol] before
+          rounding) *)
   ffar : float;
-      (** near/far cut: initial clock period [+ 1e-9 + 1e-9] (the
-          highest min-period candidate plus the constraint-test
-          tolerance); far pairs ([D > ffar]) are retained only up to
-          dominance *)
+      (** near/far cut: initial clock period
+          [+ period_tol + period_tol] (the highest min-period candidate
+          plus the constraint-test tolerance); far pairs ([D > ffar])
+          are retained only up to dominance *)
   row_off : int array;  (** [fn + 1] CSR offsets, grouped by source *)
   fdst : int array;  (** target per retained pair, ascending within a row *)
   fwgt : int array;  (** W(u,v) per retained pair *)
@@ -120,8 +132,8 @@ val frontier_weight : frontier -> int -> int -> int option
 
 val in_window : frontier -> period:float -> bool
 (** Whether the frontier answers probes at [period] exactly:
-    [period >= threshold] and [period + 1e-9 <= ffar], which holds for
-    every min-period candidate.  Outside the window the near band may
+    [period >= threshold] and [period + period_tol <= ffar], which holds
+    for every min-period candidate.  Outside the window the near band may
     be incomplete (below the threshold) or a dominance-dropped far pair
     may lack a violating ancestor (above the initial clock period), so
     callers enumerate graph-direct there. *)
@@ -131,8 +143,9 @@ val distinct_delays : wd -> lo:float -> hi:float -> float array
     distinct [D] values in the window [\[lo, hi\]], ascending and
     deduplicated under [Float.compare].  Dense: over all reachable
     pairs; streamed: over the retained frontier.  Over the min-period
-    window [\[bound - 1e-9, clock_period + 1e-9\]] the two backends
-    yield the identical array (the near band is retained in full).
+    window [\[bound - period_tol, clock_period + period_tol\]] the two
+    backends yield the identical array (the near band is retained in
+    full).
     The window is applied before sorting, and the sort runs on
     order-preserving int keys through {!Lacr_util.Int_sort}. *)
 
@@ -160,7 +173,7 @@ val source_pass_flat :
   period:float ->
   flat_rows
 (** Row [u] lists the period-violating [(v, W(u,v))] pairs of source
-    [u] ([D(u,v) > period + 1e-9]; the self pair only when
+    [u] ([D(u,v) > period + period_tol]; the self pair only when
     [W(u,u) = 0]), targets ascending, recomputed per source with a
     Dijkstra + tight-DAG sweep: the dense scan's rows at every period,
     without dense matrices.  [sr_candidates] counts them.
@@ -178,8 +191,8 @@ val source_pass_flat :
 
     [frontier] enables the {e active-source gate}: when [period] lies
     inside the frontier's retention window ({!in_window}), a source
-    whose frontier row holds no pair with [D > period + 1e-9] provably
-    has no period-violating pair — the near band is retained in full,
+    whose frontier row holds no pair with [D > period + period_tol]
+    provably has no period-violating pair — the near band is retained in full,
     and every dominance-dropped far pair has a retained far ancestor in
     the same row — so its sweep is skipped outright.  Skipped rows are
     exactly the empty rows, so the output is unchanged; only

@@ -117,7 +117,7 @@ let outcome_json (o : Lac.outcome) =
 
 (* The deterministic subtree of a plan response: no timings, no solver
    counters, no cache disposition.  Byte-equal for warm and cold paths
-   and for the single-shot [Planner.plan] of the same inputs. *)
+   and for the single-shot [Planner.plan_checked] of the same inputs. *)
 let result_body (run : Planner.run) =
   Jsonx.Obj
     [

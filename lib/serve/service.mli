@@ -11,9 +11,10 @@
     Determinism: the ["result"] subtree of a plan response is a pure
     function of (circuit, configuration, [second_iteration]) — warm
     and cold paths render it byte-identically, and it equals
-    {!result_body} of the single-shot {!Lacr_core.Planner.plan} of the
-    same inputs.  Latency, cache disposition and solver counters live
-    outside that subtree. *)
+    {!result_body} of the single-shot
+    {!Lacr_core.Planner.plan_checked} of the same inputs.  Latency,
+    cache disposition and solver counters live outside that
+    subtree. *)
 
 type t
 

@@ -32,7 +32,7 @@ val set_enabled : bool -> unit
 val with_enabled : bool -> (unit -> 'a) -> 'a
 (** Run with the mode forced, restoring the previous mode after —
     including on exceptions.  Not scoped per-domain: intended for
-    tests and for [Planner.plan]'s config wiring, both of which toggle
+    tests and for the planner's config wiring, both of which toggle
     outside parallel sections. *)
 
 val fail : invariant:string -> string -> 'a

@@ -135,8 +135,8 @@ let test_io_latency_preserved () =
       [ minarea; lac ]
 
 let test_plan_end_to_end () =
-  match Planner.plan ~second_iteration:false (small_circuit ()) with
-  | Error msg -> Alcotest.failf "plan: %s" msg
+  match Planner.plan_checked ~second_iteration:false (small_circuit ()) with
+  | Error e -> Alcotest.failf "plan: %s" (Planner.error_message e)
   | Ok run ->
     check "t_min <= t_clk" true (run.Planner.t_min <= run.Planner.t_clk +. 1e-9);
     check "t_clk <= t_init" true (run.Planner.t_clk <= run.Planner.t_init +. 1e-9);
@@ -153,9 +153,9 @@ let test_plan_end_to_end () =
 
 let test_plan_deterministic () =
   let plan () =
-    match Planner.plan ~second_iteration:false (small_circuit ()) with
+    match Planner.plan_checked ~second_iteration:false (small_circuit ()) with
     | Ok run -> run
-    | Error msg -> Alcotest.failf "plan: %s" msg
+    | Error e -> Alcotest.failf "plan: %s" (Planner.error_message e)
   in
   let a = plan () and b = plan () in
   check_int "same lac n_foa" a.Planner.lac.Lac.n_foa b.Planner.lac.Lac.n_foa;
@@ -163,15 +163,15 @@ let test_plan_deterministic () =
   check "same labels" true (a.Planner.lac.Lac.labels = b.Planner.lac.Lac.labels)
 
 let test_s27_plan () =
-  match Planner.plan ~second_iteration:false (Suite.s27 ()) with
-  | Error msg -> Alcotest.failf "s27 plan: %s" msg
+  match Planner.plan_checked ~second_iteration:false (Suite.s27 ()) with
+  | Error e -> Alcotest.failf "s27 plan: %s" (Planner.error_message e)
   | Ok run ->
     check "t_init positive" true (run.Planner.t_init > 0.0);
     check_int "three flip-flops survive" 3 run.Planner.lac.Lac.n_f
 
 let test_report_row_and_table () =
-  match Planner.plan ~second_iteration:false (small_circuit ()) with
-  | Error msg -> Alcotest.failf "plan: %s" msg
+  match Planner.plan_checked ~second_iteration:false (small_circuit ()) with
+  | Error e -> Alcotest.failf "plan: %s" (Planner.error_message e)
   | Ok run ->
     let row = Report.row_of_run ~name:"small" run in
     let table = Report.render_table1 [ row ] in
@@ -346,8 +346,8 @@ let test_minarea_is_round_zero () =
   in
   let body run = Lacr_obs.Jsonx.to_string (Lacr_serve.Service.result_body run) in
   let obs = Obs.create () in
-  match Planner.plan ~second_iteration:false ~trace:obs netlist with
-  | Error msg -> Alcotest.failf "s386 plan: %s" msg
+  match Planner.plan_checked ~second_iteration:false ~trace:obs netlist with
+  | Error e -> Alcotest.failf "s386 plan: %s" (Planner.error_message e)
   | Ok run -> (
     check_int "lac.rounds" 11 (counter obs "lac.rounds");
     check_int "mcmf.solves = lac.rounds" 11 (counter obs "mcmf.solves");
@@ -443,9 +443,9 @@ let test_default_plan_matches_dense () =
     (fun name ->
       let netlist = Option.get (Suite.by_name name) in
       let plan config =
-        match Planner.plan ~config netlist with
+        match Planner.plan_checked ~config netlist with
         | Ok run -> run
-        | Error msg -> Alcotest.failf "%s plan: %s" name msg
+        | Error e -> Alcotest.failf "%s plan: %s" name (Planner.error_message e)
       in
       let auto = plan Config.default in
       let dense = plan { Config.default with Config.paths_mode = Paths.Mode.Dense } in
@@ -510,8 +510,8 @@ let test_table1_shape_invariants () =
   List.iter
     (fun name ->
       let netlist = Option.get (Suite.by_name name) in
-      match Planner.plan ~second_iteration:false netlist with
-      | Error msg -> Alcotest.failf "%s: %s" name msg
+      match Planner.plan_checked ~second_iteration:false netlist with
+      | Error e -> Alcotest.failf "%s: %s" name (Planner.error_message e)
       | Ok run ->
         check (name ^ ": lac <= minarea") true
           (run.Planner.lac.Lac.n_foa <= run.Planner.minarea.Lac.n_foa);
@@ -546,9 +546,9 @@ let stressed_run () =
       hard_sites_per_cell = 0.5;
     }
   in
-  match Planner.plan ~config ~second_iteration:false (small_circuit ()) with
+  match Planner.plan_checked ~config ~second_iteration:false (small_circuit ()) with
   | Ok run -> run
-  | Error msg -> Alcotest.failf "stressed plan: %s" msg
+  | Error e -> Alcotest.failf "stressed plan: %s" (Planner.error_message e)
 
 let test_growth_table_order_independent () =
   let run = stressed_run () in
@@ -616,8 +616,8 @@ let test_repeater_saturated_tile_zero_capacity () =
     check "terminated within max_wr" true (outcome.Lac.n_wr <= 5)
 
 let test_second_error_surfaced_in_report () =
-  match Planner.plan ~second_iteration:false (small_circuit ()) with
-  | Error msg -> Alcotest.failf "plan: %s" msg
+  match Planner.plan_checked ~second_iteration:false (small_circuit ()) with
+  | Error e -> Alcotest.failf "plan: %s" (Planner.error_message e)
   | Ok run ->
     let failed = { run with Planner.second = Some (Error "expansion build failed") } in
     let row = Report.row_of_run ~name:"small" failed in

@@ -19,5 +19,6 @@ let () =
       ("jsonx", Test_jsonx.suite);
       ("sanitize", Test_sanitize.suite);
       ("serve", Test_serve.suite);
+      ("fuzz", Test_fuzz.suite);
       ("lint", Test_lint.suite);
     ]

@@ -16,13 +16,13 @@ let check_int = Alcotest.(check int)
 let test_single_arc () =
   let p = Mcmf.create 2 in
   let a = Mcmf.add_arc p ~src:0 ~dst:1 ~capacity:10.0 ~cost:3 in
-  Mcmf.add_supply p 0 4.0;
-  Mcmf.add_supply p 1 (-4.0);
+  Mcmf.set_supply p 0 4.0;
+  Mcmf.set_supply p 1 (-4.0);
   match Mcmf.solve p with
   | Error e -> Alcotest.failf "unexpected error: %s" (Mcmf.error_to_string e)
-  | Ok sol ->
-    check_float "cost" 12.0 sol.Mcmf.total_cost;
-    check_float "flow" 4.0 (Mcmf.flow_on sol a)
+  | Ok () ->
+    check_float "cost" 12.0 (Mcmf.total_cost p);
+    check_float "flow" 4.0 (Mcmf.flow_on p a)
 
 let test_two_paths_prefers_cheap () =
   (* 0 -> 1 (cost 1, cap 3) and 0 -> 2 -> 1 (cost 2+2, cap inf): send 5. *)
@@ -30,30 +30,30 @@ let test_two_paths_prefers_cheap () =
   let cheap = Mcmf.add_arc p ~src:0 ~dst:1 ~capacity:3.0 ~cost:1 in
   let leg1 = Mcmf.add_arc p ~src:0 ~dst:2 ~capacity:infinity ~cost:2 in
   let leg2 = Mcmf.add_arc p ~src:2 ~dst:1 ~capacity:infinity ~cost:2 in
-  Mcmf.add_supply p 0 5.0;
-  Mcmf.add_supply p 1 (-5.0);
+  Mcmf.set_supply p 0 5.0;
+  Mcmf.set_supply p 1 (-5.0);
   match Mcmf.solve p with
   | Error e -> Alcotest.failf "unexpected error: %s" (Mcmf.error_to_string e)
-  | Ok sol ->
-    check_float "cheap saturated" 3.0 (Mcmf.flow_on sol cheap);
-    check_float "detour leg1" 2.0 (Mcmf.flow_on sol leg1);
-    check_float "detour leg2" 2.0 (Mcmf.flow_on sol leg2);
-    check_float "cost" (3.0 +. 8.0) sol.Mcmf.total_cost
+  | Ok () ->
+    check_float "cheap saturated" 3.0 (Mcmf.flow_on p cheap);
+    check_float "detour leg1" 2.0 (Mcmf.flow_on p leg1);
+    check_float "detour leg2" 2.0 (Mcmf.flow_on p leg2);
+    check_float "cost" (3.0 +. 8.0) (Mcmf.total_cost p)
 
 let test_negative_cost_arc () =
   let p = Mcmf.create 3 in
   let _ = Mcmf.add_arc p ~src:0 ~dst:1 ~capacity:2.0 ~cost:(-5) in
   let _ = Mcmf.add_arc p ~src:1 ~dst:2 ~capacity:2.0 ~cost:1 in
-  Mcmf.add_supply p 0 2.0;
-  Mcmf.add_supply p 2 (-2.0);
+  Mcmf.set_supply p 0 2.0;
+  Mcmf.set_supply p 2 (-2.0);
   match Mcmf.solve p with
   | Error e -> Alcotest.failf "unexpected error: %s" (Mcmf.error_to_string e)
-  | Ok sol -> check_float "cost" (-8.0) sol.Mcmf.total_cost
+  | Ok () -> check_float "cost" (-8.0) (Mcmf.total_cost p)
 
 let test_unbalanced_detected () =
   let p = Mcmf.create 2 in
   let _ = Mcmf.add_arc p ~src:0 ~dst:1 ~capacity:1.0 ~cost:0 in
-  Mcmf.add_supply p 0 1.0;
+  Mcmf.set_supply p 0 1.0;
   match Mcmf.solve p with
   | Error (Mcmf.Unbalanced _) -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (Mcmf.error_to_string e)
@@ -63,8 +63,8 @@ let test_infeasible_detected () =
   (* No arc reaches the deficit. *)
   let p = Mcmf.create 3 in
   let _ = Mcmf.add_arc p ~src:0 ~dst:1 ~capacity:5.0 ~cost:1 in
-  Mcmf.add_supply p 0 1.0;
-  Mcmf.add_supply p 2 (-1.0);
+  Mcmf.set_supply p 0 1.0;
+  Mcmf.set_supply p 2 (-1.0);
   match Mcmf.solve p with
   | Error Mcmf.Infeasible -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (Mcmf.error_to_string e)
@@ -103,13 +103,13 @@ let test_conservation_random () =
       supplies.(v) <- s
     done;
     supplies.(n - 1) <- -.Array.fold_left ( +. ) 0.0 (Array.sub supplies 0 (n - 1));
-    Array.iteri (fun v s -> Mcmf.add_supply p v s) supplies;
+    Array.iteri (fun v s -> Mcmf.set_supply p v s) supplies;
     match Mcmf.solve p with
     | Error e -> Alcotest.failf "random instance failed: %s" (Mcmf.error_to_string e)
-    | Ok sol ->
+    | Ok () ->
       let balance = Array.make n 0.0 in
       let tally (u, v, handle) =
-        let f = Mcmf.flow_on sol handle in
+        let f = Mcmf.flow_on p handle in
         check "non-negative flow" true (f >= -1e-9);
         balance.(u) <- balance.(u) +. f;
         balance.(v) <- balance.(v) -. f
@@ -124,19 +124,44 @@ let test_conservation_random () =
 
 (* --- difference-constraint tests ------------------------------------- *)
 
+(* The surviving API is array-based; the tests keep writing systems as
+   constraint lists and convert here. *)
+let arrays_of cs =
+  let m = List.length cs in
+  let a = Array.make m 0 and b = Array.make m 0 and bound = Array.make m 0 in
+  List.iteri
+    (fun i (c : Difference.constr) ->
+      a.(i) <- c.Difference.a;
+      b.(i) <- c.Difference.b;
+      bound.(i) <- c.Difference.bound)
+    cs;
+  (a, b, bound, m)
+
+let feasible ~n cs =
+  let a, b, bound, m = arrays_of cs in
+  Difference.feasible_arrays ~n ~a ~b ~bound ~m
+
+let compile ~n cs =
+  let a, b, bound, m = arrays_of cs in
+  Difference.compile_arrays ~n ~a ~b ~bound m
+
+(* One solve on a freshly compiled instance: always cold. *)
+let optimize_fresh ~n ~objective cs =
+  match compile ~n cs with Error e -> Error e | Ok inst -> Difference.reoptimize inst ~objective
+
 let test_feasible_simple () =
   (* x0 - x1 <= -1 (x0 < x1), x1 - x0 <= 3 *)
   let cs = [ { Difference.a = 0; b = 1; bound = -1 }; { Difference.a = 1; b = 0; bound = 3 } ] in
-  match Difference.feasible ~n:2 cs with
+  match feasible ~n:2 cs with
   | None -> Alcotest.fail "expected feasible"
   | Some x -> check "assignment satisfies" true (Difference.check cs x)
 
 let test_infeasible_cycle () =
   (* x0 - x1 <= -1 and x1 - x0 <= 0 gives a negative cycle. *)
   let cs = [ { Difference.a = 0; b = 1; bound = -1 }; { Difference.a = 1; b = 0; bound = 0 } ] in
-  check "infeasible" true (Difference.feasible ~n:2 cs = None)
+  check "infeasible" true (feasible ~n:2 cs = None)
 
-(* Brute-force minimizer over a box, for cross-checking [optimize]. *)
+(* Brute-force minimizer over a box, for cross-checking [reoptimize]. *)
 let brute_force ~n ~objective ~range constraints =
   let best = ref None in
   let x = Array.make n 0 in
@@ -177,6 +202,9 @@ let objective_value objective x =
   !v
 
 let test_optimize_matches_brute_force () =
+  (* Each objective is solved twice: on a fresh instance (cold) and on
+     an instance already solved for another objective (warm).  Both
+     must reach the brute-force optimum with identical labels. *)
   let rng = Rng.create 7 in
   for _trial = 1 to 60 do
     let n = 2 + Rng.int rng 3 in
@@ -196,38 +224,56 @@ let test_optimize_matches_brute_force () =
       end
     done;
     let cs = !constraints in
-    match (Difference.optimize ~n ~objective cs, brute_force ~n ~objective ~range:3 cs) with
-    | Error Difference.Infeasible_constraints, None -> ()
-    | Error Difference.Infeasible_constraints, Some _ -> Alcotest.fail "optimize said infeasible, brute force disagrees"
-    | Error Difference.Unbounded_objective, _ -> Alcotest.fail "unexpected unbounded"
-    | Ok _, None -> Alcotest.fail "optimize found solution, brute force says infeasible"
-    | Ok x, Some (best_value, _) ->
+    let resolved =
+      match compile ~n cs with
+      | Error e -> Error e
+      | Ok inst ->
+        ignore (Difference.reoptimize inst ~objective:(Array.map (fun c -> -.c) objective));
+        Difference.reoptimize inst ~objective
+    in
+    match (optimize_fresh ~n ~objective cs, resolved, brute_force ~n ~objective ~range:3 cs) with
+    | Error Difference.Infeasible_constraints, Error Difference.Infeasible_constraints, None -> ()
+    | Error Difference.Infeasible_constraints, _, Some _ ->
+      Alcotest.fail "optimize said infeasible, brute force disagrees"
+    | Error Difference.Unbounded_objective, _, _ | _, Error Difference.Unbounded_objective, _ ->
+      Alcotest.fail "unexpected unbounded"
+    | Ok _, _, None -> Alcotest.fail "optimize found solution, brute force says infeasible"
+    | Ok x, Ok y, Some (best_value, _) ->
+      if x <> y then Alcotest.fail "re-solved labels differ from a fresh instance's";
       check "solution satisfies constraints" true (Difference.check cs x);
       check_int "normalized" 0 x.(0);
       let got = objective_value objective x in
       if abs_float (got -. best_value) > 1e-6 then
         Alcotest.failf "suboptimal: got %f, brute force %f" got best_value
+    | _ -> Alcotest.fail "fresh and re-solved instances disagree on outcome"
   done
 
 let test_optimize_prefers_cheap_direction () =
   (* min x1 with 0 <= x1 - x0 <= 5 pinned at x0 = 0 gives x1 = 0;
-     max x1 (objective -1) gives x1 = 5. *)
+     max x1 (objective -1) gives x1 = 5, on a fresh instance and on
+     the one that just solved the min. *)
   let cs =
     [ { Difference.a = 0; b = 1; bound = 0 }; { Difference.a = 1; b = 0; bound = 5 } ]
   in
-  (match Difference.optimize ~n:2 ~objective:[| 0.0; 1.0 |] cs with
-  | Ok x -> check_int "min x1" 0 x.(1)
-  | Error _ -> Alcotest.fail "min should solve");
-  match Difference.optimize ~n:2 ~objective:[| 0.0; -1.0 |] cs with
-  | Ok x -> check_int "max x1" 5 x.(1)
-  | Error _ -> Alcotest.fail "max should solve"
+  match compile ~n:2 cs with
+  | Error _ -> Alcotest.fail "compile failed"
+  | Ok inst ->
+    (match Difference.reoptimize inst ~objective:[| 0.0; 1.0 |] with
+    | Ok x -> check_int "min x1" 0 x.(1)
+    | Error _ -> Alcotest.fail "min should solve");
+    (match Difference.reoptimize inst ~objective:[| 0.0; -1.0 |] with
+    | Ok x -> check_int "max x1 re-solved" 5 x.(1)
+    | Error _ -> Alcotest.fail "max should solve");
+    match optimize_fresh ~n:2 ~objective:[| 0.0; -1.0 |] cs with
+    | Ok x -> check_int "max x1" 5 x.(1)
+    | Error _ -> Alcotest.fail "max should solve"
 
 let test_optimize_real_objective () =
   (* Non-integral objective coefficients still give integral labels. *)
   let cs =
     [ { Difference.a = 1; b = 0; bound = 2 }; { Difference.a = 0; b = 1; bound = 0 } ]
   in
-  match Difference.optimize ~n:2 ~objective:[| 0.0; -0.75 |] cs with
+  match optimize_fresh ~n:2 ~objective:[| 0.0; -0.75 |] cs with
   | Ok x -> check_int "pushed to bound" 2 x.(1)
   | Error _ -> Alcotest.fail "should solve"
 
@@ -258,16 +304,16 @@ let test_capacitated_diamond () =
   let cheap2 = Mcmf.add_arc p ~src:1 ~dst:3 ~capacity:5.0 ~cost:1 in
   let dear1 = Mcmf.add_arc p ~src:0 ~dst:2 ~capacity:5.0 ~cost:3 in
   let dear2 = Mcmf.add_arc p ~src:2 ~dst:3 ~capacity:5.0 ~cost:3 in
-  Mcmf.add_supply p 0 3.0;
-  Mcmf.add_supply p 3 (-3.0);
+  Mcmf.set_supply p 0 3.0;
+  Mcmf.set_supply p 3 (-3.0);
   match Mcmf.solve p with
   | Error e -> Alcotest.failf "solve: %s" (Mcmf.error_to_string e)
-  | Ok sol ->
-    check_float "cheap path saturated" 1.0 (Mcmf.flow_on sol cheap1);
-    check_float "cheap tail" 1.0 (Mcmf.flow_on sol cheap2);
-    check_float "dear head" 2.0 (Mcmf.flow_on sol dear1);
-    check_float "dear tail" 2.0 (Mcmf.flow_on sol dear2);
-    check_float "total cost" (2.0 +. 12.0) sol.Mcmf.total_cost
+  | Ok () ->
+    check_float "cheap path saturated" 1.0 (Mcmf.flow_on p cheap1);
+    check_float "cheap tail" 1.0 (Mcmf.flow_on p cheap2);
+    check_float "dear head" 2.0 (Mcmf.flow_on p dear1);
+    check_float "dear tail" 2.0 (Mcmf.flow_on p dear2);
+    check_float "total cost" (2.0 +. 12.0) (Mcmf.total_cost p)
 
 (* Brute-force min-cost flow on tiny instances by enumerating integer
    flows per arc (capacities and supplies integral, <= 4 arcs). *)
@@ -331,13 +377,14 @@ let test_capacitated_matches_brute_force () =
       (fun (u, v, cap, cost) ->
         ignore (Mcmf.add_arc p ~src:u ~dst:v ~capacity:(float_of_int cap) ~cost))
       arcs;
-    Array.iteri (fun v s -> Mcmf.add_supply p v (float_of_int s)) supplies;
+    Array.iteri (fun v s -> Mcmf.set_supply p v (float_of_int s)) supplies;
     let brute = brute_force_flow ~n ~arcs ~supplies in
     match Mcmf.solve p with
     | Error e -> Alcotest.failf "solve: %s" (Mcmf.error_to_string e)
-    | Ok sol ->
-      if abs_float (sol.Mcmf.total_cost -. brute) > 1e-6 then
-        Alcotest.failf "suboptimal flow: got %f, brute force %f" sol.Mcmf.total_cost brute
+    | Ok () ->
+      let cost = Mcmf.total_cost p in
+      if abs_float (cost -. brute) > 1e-6 then
+        Alcotest.failf "suboptimal flow: got %f, brute force %f" cost brute
   done
 
 let suite =
@@ -358,33 +405,37 @@ let test_instance_reuse_two_rounds () =
     let a01 = Mcmf.add_arc p ~src:0 ~dst:1 ~capacity:4.0 ~cost:2 in
     let a12 = Mcmf.add_arc p ~src:1 ~dst:2 ~capacity:4.0 ~cost:1 in
     let a02 = Mcmf.add_arc p ~src:0 ~dst:2 ~capacity:1.0 ~cost:5 in
-    (p, a01, a12, a02)
+    (p, [ a01; a12; a02 ])
   in
-  let solve_with p supplies =
+  (* The optimum read back from the instance right after its solve. *)
+  let solve_with p handles supplies =
     Array.iteri (fun v s -> Mcmf.set_supply p v s) supplies;
     match Mcmf.solve p with
     | Error e -> Alcotest.failf "solve: %s" (Mcmf.error_to_string e)
-    | Ok sol -> sol
+    | Ok () ->
+      ( Mcmf.total_cost p,
+        Array.init 3 (Mcmf.potential p),
+        List.map (Mcmf.flow_on p) handles )
   in
-  let reused, _, _, _ = build () in
-  let r1 = solve_with reused [| 2.0; 0.0; -2.0 |] in
-  let r2 = solve_with reused [| 3.0; -1.0; -2.0 |] in
-  let fresh1, _, _, _ = build () in
-  let f1 = solve_with fresh1 [| 2.0; 0.0; -2.0 |] in
-  let fresh2, _, _, _ = build () in
-  let f2 = solve_with fresh2 [| 3.0; -1.0; -2.0 |] in
-  check_float "round 1 cost" f1.Mcmf.total_cost r1.Mcmf.total_cost;
-  check_float "round 2 cost" f2.Mcmf.total_cost r2.Mcmf.total_cost;
-  check "round 1 potentials" true (r1.Mcmf.potentials = f1.Mcmf.potentials);
-  check "round 2 potentials" true (r2.Mcmf.potentials = f2.Mcmf.potentials);
-  check "round 2 flow" true (r2.Mcmf.flow = f2.Mcmf.flow)
+  let reused, handles = build () in
+  let r1_cost, r1_pi, _ = solve_with reused handles [| 2.0; 0.0; -2.0 |] in
+  let r2_cost, r2_pi, r2_flow = solve_with reused handles [| 3.0; -1.0; -2.0 |] in
+  let fresh1, handles1 = build () in
+  let f1_cost, f1_pi, _ = solve_with fresh1 handles1 [| 2.0; 0.0; -2.0 |] in
+  let fresh2, handles2 = build () in
+  let f2_cost, f2_pi, f2_flow = solve_with fresh2 handles2 [| 3.0; -1.0; -2.0 |] in
+  check_float "round 1 cost" f1_cost r1_cost;
+  check_float "round 2 cost" f2_cost r2_cost;
+  check "round 1 potentials" true (r1_pi = f1_pi);
+  check "round 2 potentials" true (r2_pi = f2_pi);
+  check "round 2 flow" true (r2_flow = f2_flow)
 
 let test_sealed_instance_rejects_arcs () =
   let p = Mcmf.create 2 in
   let _ = Mcmf.add_arc p ~src:0 ~dst:1 ~capacity:1.0 ~cost:1 in
-  Mcmf.add_supply p 0 1.0;
-  Mcmf.add_supply p 1 (-1.0);
-  (match Mcmf.solve p with Ok _ -> () | Error e -> Alcotest.failf "%s" (Mcmf.error_to_string e));
+  Mcmf.set_supply p 0 1.0;
+  Mcmf.set_supply p 1 (-1.0);
+  (match Mcmf.solve p with Ok () -> () | Error e -> Alcotest.failf "%s" (Mcmf.error_to_string e));
   match Mcmf.add_arc p ~src:0 ~dst:1 ~capacity:1.0 ~cost:1 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "add_arc accepted after seal"
@@ -432,10 +483,10 @@ let test_warm_equals_cold_random () =
       let _, fresh = mk () in
       Array.iteri (fun v s -> Mcmf.set_supply reused v s) supplies;
       Array.iteri (fun v s -> Mcmf.set_supply fresh v s) supplies;
-      match (Mcmf.solve ~warm:true reused, Mcmf.solve fresh) with
-      | Ok w, Ok c ->
-        check_float "warm cost = cold cost" c.Mcmf.total_cost w.Mcmf.total_cost;
-        if w.Mcmf.potentials <> c.Mcmf.potentials then
+      match (Mcmf.solve reused, Mcmf.solve fresh) with
+      | Ok (), Ok () ->
+        check_float "warm cost = cold cost" (Mcmf.total_cost fresh) (Mcmf.total_cost reused);
+        if Array.init n (Mcmf.potential reused) <> Array.init n (Mcmf.potential fresh) then
           Alcotest.fail "warm potentials differ from cold"
       | Error we, Error ce ->
         if we <> ce then
@@ -456,7 +507,7 @@ let test_solver_stats_and_warm_hit () =
   check "no stats before solve" true (Mcmf.last_stats p = Mcmf.zero_stats);
   Mcmf.set_supply p 0 2.0;
   Mcmf.set_supply p 2 (-2.0);
-  (match Mcmf.solve p with Ok _ -> () | Error e -> Alcotest.failf "%s" (Mcmf.error_to_string e));
+  (match Mcmf.solve p with Ok () -> () | Error e -> Alcotest.failf "%s" (Mcmf.error_to_string e));
   let cold = Mcmf.last_stats p in
   check "cold solve is not warm" false cold.Mcmf.warm_start;
   check "cold phases positive" true (cold.Mcmf.phases >= 1);
@@ -465,8 +516,8 @@ let test_solver_stats_and_warm_hit () =
   Mcmf.set_supply p 0 1.0;
   Mcmf.set_supply p 1 1.0;
   Mcmf.set_supply p 2 (-2.0);
-  (match Mcmf.solve ~warm:true p with
-  | Ok _ -> ()
+  (match Mcmf.solve p with
+  | Ok () -> ()
   | Error e -> Alcotest.failf "%s" (Mcmf.error_to_string e));
   let warm = Mcmf.last_stats p in
   check "second solve hits warm start" true warm.Mcmf.warm_start;
@@ -489,35 +540,36 @@ let random_system rng =
   (n, !constraints)
 
 let test_compiled_matches_one_shot () =
-  (* A compiled instance re-optimized (warm) over a series of random
-     objectives returns bit-identical labels to the one-shot cold
-     path, round after round. *)
+  (* A compiled instance re-optimized over a series of random
+     objectives (cold once, then warm) returns bit-identical labels to
+     a fresh instance solved once (cold) per objective, round after
+     round. *)
   let rng = Rng.create 2024 in
   for _trial = 1 to 40 do
     let n, cs = random_system rng in
-    match Difference.compile ~n cs with
+    match compile ~n cs with
     | Error Difference.Infeasible_constraints ->
-      check "one-shot agrees infeasible" true
-        (Difference.optimize ~n ~objective:(Array.make n 0.0) cs
-        = Error Difference.Infeasible_constraints)
+      check "Bellman-Ford agrees infeasible" true (feasible ~n cs = None)
     | Error Difference.Unbounded_objective -> Alcotest.fail "compile cannot be unbounded"
     | Ok inst ->
+      let a, b, bound, m = arrays_of cs in
       for _round = 1 to 4 do
         let objective = Array.init n (fun _ -> float_of_int (Rng.int_in rng (-3) 3)) in
-        let compiled = Difference.reoptimize inst ~objective in
-        let one_shot = Difference.optimize ~n ~objective cs in
-        (match (compiled, one_shot) with
+        let resolved = Difference.reoptimize inst ~objective in
+        let fresh = optimize_fresh ~n ~objective cs in
+        (match (resolved, fresh) with
         | Ok x, Ok y ->
-          if x <> y then Alcotest.fail "compiled labels differ from one-shot";
-          check "check_instance agrees" true (Difference.check_instance inst x = Difference.check cs x)
+          if x <> y then Alcotest.fail "re-solved labels differ from a fresh instance's";
+          check "check_arrays agrees" true
+            (Difference.check_arrays ~a ~b ~bound ~m x = Difference.check cs x)
         | Error Difference.Unbounded_objective, Error Difference.Unbounded_objective -> ()
-        | _ -> Alcotest.fail "compiled/one-shot disagree on outcome")
+        | _ -> Alcotest.fail "re-solved/fresh instances disagree on outcome")
       done
   done
 
 let test_compiled_stats_warm_progression () =
   let cs = [ { Difference.a = 1; b = 0; bound = 2 }; { Difference.a = 0; b = 1; bound = 0 } ] in
-  match Difference.compile ~n:2 cs with
+  match compile ~n:2 cs with
   | Error _ -> Alcotest.fail "compile failed"
   | Ok inst ->
     (match Difference.reoptimize inst ~objective:[| 0.0; -0.75 |] with
@@ -529,6 +581,50 @@ let test_compiled_stats_warm_progression () =
     | Error _ -> Alcotest.fail "second round failed");
     check "second round warm" true (Difference.solver_stats inst).Mcmf.warm_start
 
+(* A warm re-solve allocates its one label array and nothing per
+   constraint: on a system with m >= 20 n constraints it must add
+   fewer than m/2 words to the major heap.  A per-solve flow array (one
+   float per constraint and guard arc) is allocated straight into the
+   major heap and fails this. *)
+let test_warm_reoptimize_allocation () =
+  let rng = Rng.create 4242 in
+  let n = 300 in
+  let cs = ref [] in
+  for v = 0 to n - 1 do
+    cs := { Difference.a = v; b = (v + 1) mod n; bound = 1 } :: !cs
+  done;
+  for _c = 1 to 24 * n do
+    let a = Rng.int rng n and b = Rng.int rng n in
+    if a <> b then cs := { Difference.a; b; bound = Rng.int_in rng 0 3 } :: !cs
+  done;
+  let m = List.length !cs in
+  check "m >= 20 n" true (m >= 20 * n);
+  match compile ~n !cs with
+  | Error _ -> Alcotest.fail "compile failed"
+  | Ok inst ->
+    let objective () = Array.init n (fun _ -> Rng.float rng 4.0 -. 2.0) in
+    let solve objective =
+      match Difference.reoptimize inst ~objective with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.fail "reoptimize failed"
+    in
+    (* One cold and two warm rounds size every scratch buffer. *)
+    for _round = 1 to 3 do
+      solve (objective ())
+    done;
+    let objective = objective () in
+    (* [major_words] takes in the words allocated straight into the
+       major heap at the next minor collection, so one brackets the
+       solve on each side. *)
+    Gc.minor ();
+    let before = (Gc.quick_stat ()).Gc.major_words in
+    solve objective;
+    Gc.minor ();
+    let added = (Gc.quick_stat ()).Gc.major_words -. before in
+    check "measured solve is warm" true (Difference.solver_stats inst).Mcmf.warm_start;
+    if added >= float_of_int m /. 2.0 then
+      Alcotest.failf "warm reoptimize added %.0f major words (m = %d)" added m
+
 let suite =
   suite
   @ [
@@ -539,4 +635,6 @@ let suite =
       Alcotest.test_case "compiled matches one-shot" `Quick test_compiled_matches_one_shot;
       Alcotest.test_case "compiled stats warm progression" `Quick
         test_compiled_stats_warm_progression;
+      Alcotest.test_case "warm reoptimize allocates no per-constraint array" `Quick
+        test_warm_reoptimize_allocation;
     ]

@@ -197,9 +197,9 @@ let test_metrics_exports_valid () =
    the seed; this one compares on/off directly.) *)
 let test_tracing_changes_no_output () =
   let plan trace =
-    match Planner.plan ?trace ~second_iteration:false (Suite.s27 ()) with
+    match Planner.plan_checked ?trace ~second_iteration:false (Suite.s27 ()) with
     | Ok run -> run
-    | Error msg -> Alcotest.failf "plan: %s" msg
+    | Error e -> Alcotest.failf "plan: %s" (Planner.error_message e)
   in
   let plain = plan None in
   let ctx = Trace.create () in
@@ -223,9 +223,9 @@ let test_domains_1_vs_4_metrics_identical () =
   let run domains =
     let ctx = Trace.create () in
     let config = { Config.default with Config.domains } in
-    match Planner.plan ~config ~second_iteration:false ~trace:ctx (Suite.s27 ()) with
+    match Planner.plan_checked ~config ~second_iteration:false ~trace:ctx (Suite.s27 ()) with
     | Ok _ -> (Trace.counter_totals ctx, Trace.histogram_totals ctx)
-    | Error msg -> Alcotest.failf "plan (domains=%d): %s" domains msg
+    | Error e -> Alcotest.failf "plan (domains=%d): %s" domains (Planner.error_message e)
   in
   let c1, h1 = run 1 and c4, h4 = run 4 in
   check "counters non-empty" true (c1 <> []);

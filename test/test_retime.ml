@@ -317,7 +317,7 @@ let prop_warm_compiled_matches_cold =
         let rounds = 3 + Rng.int rng 3 in
         let ok = ref true in
         for _round = 1 to rounds do
-          (match (Min_area.solve_compiled ~warm:true compiled ~area, Min_area.solve_weighted g cs ~area) with
+          (match (Min_area.solve_compiled compiled ~area, Min_area.solve_weighted g cs ~area) with
           | Ok warm, Ok cold ->
             if
               warm.Min_area.labels <> cold.Min_area.labels
@@ -379,20 +379,21 @@ let prop_cycle_ratio_bounds_min_period =
       bound <= mp.Feasibility.period +. 1e-6)
 
 let prop_compile_matches_generate =
-  (* The throwaway compiled probe system and the list-based generator
-     must agree on feasibility for arbitrary periods. *)
+  (* The throwaway compiled probe system and the generated constraint
+     system must agree on feasibility for arbitrary periods. *)
   QCheck2.Test.make ~count:50 ~name:"compiled probes match list-based feasibility" graph_gen
     (fun params ->
       let g = make_graph params in
       let wd = Paths.compute g in
       let period = 2.0 +. float_of_int (Hashtbl.hash params mod 13) in
-      let cs = Constraints.generate g wd ~period in
-      let via_list =
-        Lacr_mcmf.Difference.feasible ~n:(Graph.num_vertices g) (Constraints.to_list cs)
+      let s = (Constraints.generate g wd ~period).Constraints.system in
+      let via_generate =
+        Lacr_mcmf.Difference.feasible_arrays ~n:(Graph.num_vertices g) ~a:s.Constraints.ca
+          ~b:s.Constraints.cb ~bound:s.Constraints.cbound ~m:s.Constraints.m
         <> None
       in
       let via_probe = Feasibility.feasible g wd ~period <> None in
-      via_list = via_probe)
+      via_generate = via_probe)
 
 let suite =
   suite

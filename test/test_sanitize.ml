@@ -123,8 +123,8 @@ let test_lac_clean_under_sanitizer () =
 
 let plan_fingerprint ~sanitize netlist =
   let config = { Config.default with Config.sanitize } in
-  match Planner.plan ~config netlist with
-  | Error msg -> Alcotest.failf "plan: %s" msg
+  match Planner.plan_checked ~config netlist with
+  | Error e -> Alcotest.failf "plan: %s" (Planner.error_message e)
   | Ok run ->
     (* Wall-clock columns vary run to run regardless of the sanitizer;
        zero them so the comparison pins every solver-derived field. *)

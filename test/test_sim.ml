@@ -238,8 +238,8 @@ let test_planner_labels_equivalent_on_pipeline () =
      behaviour matches the original circuit. *)
   let rng = Rng.create 77 in
   let netlist = random_pipeline rng ~width:5 ~depth:6 in
-  match Lacr_core.Planner.plan ~second_iteration:false netlist with
-  | Error msg -> Alcotest.failf "plan: %s" msg
+  match Lacr_core.Planner.plan_checked ~second_iteration:false netlist with
+  | Error e -> Alcotest.failf "plan: %s" (Lacr_core.Planner.error_message e)
   | Ok run ->
     let view = run.Lacr_core.Planner.instance.Lacr_core.Build.view in
     let labels = run.Lacr_core.Planner.lac.Lacr_core.Lac.labels in
