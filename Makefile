@@ -57,13 +57,17 @@ smoke-sanitize:
 smoke-route:
 	LACR_SANITIZE=1 dune exec bin/lacr_cli.exe -- verify-route s1196
 
-# Bench smoke: the harness's cheap sections in fast mode (about 10 s).
-# P, Q, R and T fail hard on a pool-size, warm/cold or trace-off
-# allocation mismatch, and the --json log is written and closed.
-# S (its dense comparison rung needs about 4 GB) and U (full mode
-# only) stay out.
+# Bench smoke: the harness's cheap sections in fast mode (about 2 s),
+# the E5 run-time rows and the A1-A3 ablations, with the --json log
+# written and closed.  The harness checks no identities; those run
+# elsewhere in `make check`: (W,D) pool-size identity as QCheck
+# properties in `make test`, warm/cold identity in smoke-warm, router
+# identity across domains in smoke-route, and the trace-off
+# allocation guard as the obs test "disabled context allocates
+# nothing".  S (about 30 s in fast mode) and U (full mode only) stay
+# out.
 smoke-bench:
-	LACR_BENCH_FAST=1 dune exec bench/main.exe -- --only P,Q,R,T,E,A,F \
+	LACR_BENCH_FAST=1 dune exec bench/main.exe -- --only E,A \
 	  --json _build/smoke_bench.json
 
 # Scale smoke: plan a 2x10^5-unit hierarchical circuit on the default
@@ -98,7 +102,7 @@ smoke-serve: build
 check: build test lint smoke smoke-warm smoke-trace smoke-sanitize smoke-route smoke-bench smoke-scale smoke-serve
 
 bench:
-	LACR_BENCH_FAST=1 dune exec bench/main.exe -- --json BENCH_fast.json
+	LACR_BENCH_FAST=1 dune exec bench/main.exe -- --json _build/bench_fast.json
 
 clean:
 	dune clean

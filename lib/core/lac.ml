@@ -121,10 +121,11 @@ let retime_problem ?(alpha = Config.default.Config.alpha)
      whole run (paper §4.2 — generated once), so the flow network is
      compiled once and every round after the first warm-starts from
      the previous optimum's potentials.  [reuse = false] keeps the
-     cold path (fresh compile per round) for benchmarking; both return
-     bit-identical labellings.  [session] hands in a compiled solver
-     kept resident {e across} runs (the serving daemon's warm cache):
-     it skips the compile and starts from whatever potentials the
+     cold path (fresh compile per round), the reference `lacr
+     verify-warm` compares against; both return bit-identical
+     labellings.  [session] hands in a compiled solver kept resident
+     {e across} runs (the serving daemon's warm cache): it skips the
+     compile and starts from whatever potentials the
      previous run left behind — canonical potentials make the
      labelling identical either way, only the solver counters move. *)
   let compiled =

@@ -35,7 +35,8 @@ type outcome = {
   exec_seconds : float;
   trace : (int * float) list;
       (** per iteration: (N_FOA, total weighted FF area) — the
-          convergence record used by the ablation benches *)
+          convergence record the daemon's result body carries and
+          [lacr verify-warm] compares *)
   solver : Lacr_mcmf.Mcmf.stats list;
       (** per iteration, parallel to [trace]: flow-solver counters
           (phases, Dijkstra settles, blocking-flow pushes, warm-start
@@ -65,11 +66,11 @@ val retime :
 (** LAC-retiming.  Defaults come from the instance configuration.
     [reuse] (default [true]) runs the warm-started compiled solver
     across rounds; [reuse:false] recompiles cold every round (the
-    pre-engine behaviour, kept for benchmarking) — outcomes are
-    bit-identical either way.  [session] supplies a compiled solver
-    held resident across whole runs (the serving daemon's warm
-    cache, see {!Planner.compile_solver}): the compile step is
-    skipped and the first round warm-starts from the potentials the
+    pre-engine behaviour, kept as [lacr verify-warm]'s reference) —
+    outcomes are bit-identical either way.  [session] supplies a
+    compiled solver held resident across whole runs (the serving
+    daemon's warm cache, see {!Planner.compile_solver}): the compile
+    step is skipped and the first round warm-starts from the potentials the
     previous run left in the instance.  It must have been compiled
     from the same graph and constraint system; outcomes are again
     bit-identical (canonical potentials), only latency and the

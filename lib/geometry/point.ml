@@ -11,10 +11,3 @@ let euclidean a b =
   sqrt ((dx *. dx) +. (dy *. dy))
 
 let midpoint a b = { x = (a.x +. b.x) /. 2.0; y = (a.y +. b.y) /. 2.0 }
-
-let add a b = { x = a.x +. b.x; y = a.y +. b.y }
-let sub a b = { x = a.x -. b.x; y = a.y -. b.y }
-
-let equal a b = a.x = b.x && a.y = b.y
-
-let to_string p = Printf.sprintf "(%.3f, %.3f)" p.x p.y

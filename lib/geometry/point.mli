@@ -12,12 +12,3 @@ val manhattan : t -> t -> float
 val euclidean : t -> t -> float
 
 val midpoint : t -> t -> t
-
-val add : t -> t -> t
-val sub : t -> t -> t
-
-val equal : t -> t -> bool
-(** Exact float equality — intended for points produced by the same
-    computation (grid centres, block corners). *)
-
-val to_string : t -> string

@@ -43,5 +43,3 @@ let hpwl points =
     in
     let xmin, xmax, ymin, ymax = List.fold_left fold init rest in
     xmax -. xmin +. (ymax -. ymin)
-
-let to_string r = Printf.sprintf "[%.3f,%.3f %.3fx%.3f]" r.x r.y r.w r.h

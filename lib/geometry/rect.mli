@@ -26,5 +26,3 @@ val union_bbox : t -> t -> t
 val hpwl : Point.t list -> float
 (** Half-perimeter wire length of a point set; 0.0 for fewer than two
     points. *)
-
-val to_string : t -> string

@@ -177,8 +177,3 @@ let to_string netlist =
     (Netlist.signals netlist);
   Buffer.add_string buf ".end\n";
   Buffer.contents buf
-
-let write_file path netlist =
-  let oc = open_out path in
-  output_string oc (to_string netlist);
-  close_out oc

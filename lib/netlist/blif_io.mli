@@ -22,5 +22,3 @@ val parse_file : string -> (Netlist.t, string) result
 
 val to_string : Netlist.t -> string
 (** BLIF text whose re-parse is structurally equal to the input. *)
-
-val write_file : string -> Netlist.t -> unit

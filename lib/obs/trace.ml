@@ -314,7 +314,7 @@ let events ctx =
 
 (* Aggregated durations of the shallow spans on the planner's own
    track (slot 0), in first-start order: the per-stage summary table
-   and the bench breakdown. *)
+   and the metrics export. *)
 let span_summary ?(max_depth = 1) ctx =
   match ctx with
   | Off -> []

@@ -105,4 +105,4 @@ val events : ctx -> (int * event list) list
 val span_summary : ?max_depth:int -> ctx -> (int * string * int * float) list
 (** [(depth, name, count, total_seconds)] aggregated over the planner
     track's spans of depth [<= max_depth] (default 1), in first-start
-    order — the per-stage breakdown behind [Report] and bench. *)
+    order — the per-stage breakdown behind [Report] and [Export]. *)

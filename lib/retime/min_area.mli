@@ -25,7 +25,7 @@ type solution = {
   ff_area : float;  (** weighted flip-flop area after retiming *)
   stats : Lacr_mcmf.Mcmf.stats;
       (** flow-solver counters of this solve (phases, settles, pushes,
-          warm-start) — surfaced into the LAC trace and bench dumps *)
+          warm-start) — surfaced into the LAC trace *)
 }
 
 val solve : Graph.t -> Constraints.t -> (solution, string) Stdlib.result

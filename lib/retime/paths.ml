@@ -125,11 +125,6 @@ let delay_row ~off ~dst ~wgt ~delays ~n scratch source wrow =
   done;
   drow
 
-let min_weights g source =
-  let n = Graph.num_vertices g in
-  dijkstra_row ~off:(Graph.csr_offsets g) ~dst:(Graph.csr_dst g) ~wgt:(Graph.csr_weight g) ~n
-    (make_scratch n) source
-
 (* Lower bound on any achievable period: the maximum cycle ratio
    max_C d(C) / w(C) (registers on a cycle are invariant under
    retiming, so the cycle's delay must fit in w(C) periods), and the

@@ -101,12 +101,6 @@ val compute :
 
 val num_vertices : wd -> int
 
-val min_weights : Graph.t -> int -> int array
-(** One W row: minimum path weight from a source to every vertex
-    ([max_int] = unreachable).  The single-row CSR Dijkstra kernel,
-    exposed for callers and micro-benchmarks that do not need the full
-    matrices. *)
-
 val cycle_ratio_lower_bound : Graph.t -> float
 (** [max(max_v d(v), max_C d(C)/w(C))] — no retiming can clock below
     it.  Computed by Lawler's negative-cycle test with early

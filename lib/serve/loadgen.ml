@@ -25,19 +25,6 @@ type options = {
   shutdown_after : bool;
 }
 
-let default_options =
-  {
-    endpoint = Protocol.Unix_path "lacrd.sock";
-    connections = 2;
-    requests = 20;
-    seed = 7;
-    mix = [ "s27"; "s27"; "s27"; "s298" ];
-    verify = false;
-    second_iteration = true;
-    wait_s = 5.0;
-    shutdown_after = false;
-  }
-
 type summary = {
   sent : int;
   ok : int;

@@ -25,10 +25,6 @@ type options = {
   shutdown_after : bool;  (** send [shutdown] after the final metrics pull *)
 }
 
-val default_options : options
-(** [lacrd.sock], 2 connections, 20 requests, seed 7, an s27-heavy
-    mix, no verify, no shutdown. *)
-
 type summary = {
   sent : int;
   ok : int;

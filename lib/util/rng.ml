@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* splitmix64 finalizer: xor-shift multiply mix of the advanced state. *)
 let bits64 t =
   t.state <- Int64.add t.state golden_gamma;

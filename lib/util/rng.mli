@@ -14,9 +14,6 @@ val create : int -> t
 (** [create seed] makes a generator from an integer seed.  Equal seeds
     yield equal streams. *)
 
-val copy : t -> t
-(** Independent copy of the current state. *)
-
 val split : t -> t
 (** [split rng] advances [rng] and returns a new generator whose stream
     is statistically independent of the remainder of [rng]'s stream. *)

@@ -232,6 +232,42 @@ let test_domains_1_vs_4_metrics_identical () =
   check "counters identical" true (c1 = c4);
   check "histograms identical" true (h1 = h4)
 
+(* Tracing off (the default) costs the hot kernels no allocation.
+   Passing [~trace:Trace.disabled] explicitly boxes one [Some] at the
+   call site, so the (W,D) kernel may read up to 16 words above its
+   default call (after a warm-up call); and 10 000 calls of each
+   recording entry point on the disabled context add none. *)
+let test_disabled_allocates_nothing () =
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let g =
+    match Lacr_netlist.Seqview.of_netlist (Option.get (Suite.by_name "s526")) with
+    | Ok view -> Lacr_retime.Graph.of_seqview view
+    | Error msg -> Alcotest.failf "s526: %s" msg
+  in
+  let compute ?trace () = ignore (Lacr_retime.Paths.compute ?trace g) in
+  compute ();
+  let base = words (fun () -> compute ()) in
+  let off = words (fun () -> compute ~trace:Trace.disabled ()) in
+  check (Printf.sprintf "(W,D) trace-off %.0f words vs default %.0f" off base) true
+    (off -. base <= 16.0);
+  let ctx = Trace.disabled in
+  let buckets = [| 1; 2 |] and attr = Trace.Int 1 in
+  let calls f = words (fun () -> for _ = 1 to 10_000 do f () done) in
+  let zero name w = check (Printf.sprintf "%s: %.0f words" name w) true (w = 0.0) in
+  zero "with_span" (calls (fun () -> Trace.with_span ctx "s" ignore));
+  zero "counter, add, incr"
+    (calls (fun () ->
+         let c = Trace.counter ctx "c" in
+         Trace.add c 3;
+         Trace.incr c));
+  zero "histogram, observe"
+    (calls (fun () -> Trace.observe (Trace.histogram ctx ~buckets "h") 7));
+  zero "span_attr" (calls (fun () -> Trace.span_attr ctx "k" attr))
+
 let suite =
   [
     Alcotest.test_case "disabled context is a no-op" `Quick test_disabled_is_noop;
@@ -246,4 +282,5 @@ let suite =
     Alcotest.test_case "metrics exports valid" `Quick test_metrics_exports_valid;
     Alcotest.test_case "tracing changes no planner output" `Slow test_tracing_changes_no_output;
     Alcotest.test_case "domains 1 vs 4 metrics identical" `Slow test_domains_1_vs_4_metrics_identical;
+    Alcotest.test_case "disabled context allocates nothing" `Quick test_disabled_allocates_nothing;
   ]

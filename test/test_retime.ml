@@ -580,18 +580,6 @@ let test_pooled_constraints_identical () =
           check_int "n_period equal" seq.Constraints.n_period par.Constraints.n_period)
         [ false; true ])
 
-let test_min_weights_row () =
-  (* The exported single-row kernel must agree with the full matrix. *)
-  let g = make_graph (8, 4242) in
-  let dn =
-    match Paths.compute ~mode:Paths.Mode.Dense g with
-    | Paths.Dense dn -> dn
-    | Paths.Streamed _ -> Alcotest.fail "Dense mode must produce dense matrices"
-  in
-  for u = 0 to Graph.num_vertices g - 1 do
-    check (Printf.sprintf "row %d" u) true (Paths.min_weights g u = dn.Paths.w.(u))
-  done
-
 let test_pooled_lac_outcome_identical () =
   (* End-to-end: LAC-retiming outcomes are pool-size independent. *)
   let rng = Rng.create 90210 in
@@ -1056,7 +1044,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_parallel_wd_odd_pool;
       Alcotest.test_case "pooled constraint generation identical" `Quick
         test_pooled_constraints_identical;
-      Alcotest.test_case "min_weights row matches matrix" `Quick test_min_weights_row;
       Alcotest.test_case "pooled LAC outcome identical" `Quick test_pooled_lac_outcome_identical;
       QCheck_alcotest.to_alcotest prop_stream_dense_identical;
       Alcotest.test_case "stream candidate delays match dense" `Quick
