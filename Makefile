@@ -45,9 +45,12 @@ smoke-trace:
 
 # Sanitizer smoke: a full plan with every solver invariant re-checked
 # after each step (flow conservation, admissibility, retiming cycle
-# sums, tile accounting, CSR shape, span balance).
+# sums, tile accounting, CSR shape, span balance).  s27's LAC run is
+# one cold round; s386's has 11 rounds, 10 of them warm, so the flow
+# checks also run on warm, multi-phase blocking flows.
 smoke-sanitize:
 	LACR_SANITIZE=1 dune exec bin/lacr_cli.exe -- plan s27
+	LACR_SANITIZE=1 dune exec bin/lacr_cli.exe -- plan s386
 
 # Router determinism smoke: the negotiated A* router must produce
 # bit-identical nets/wirelength/overflow at --domains 1, 2 and 4.

@@ -106,8 +106,7 @@ let run_plan circuit seed domains sanitize route_passes verbose second trace_fil
          routed wirelength = %.1f mm, routing overflow = %.1f tracks\n"
         run.Planner.t_init run.Planner.t_min run.Planner.t_clk inst.Build.n_units
         inst.Build.n_interconnect_units inst.Build.n_repeaters
-        inst.Build.routing.Lacr_routing.Global_router.total_wirelength
-        inst.Build.routing.Lacr_routing.Global_router.overflow;
+        inst.Build.routing.Build.total_wirelength inst.Build.routing.Build.overflow;
       (match run.Planner.second with
       | Some (Ok { Planner.lac2 = Ok o2; _ }) ->
         Printf.printf "second planning iteration: N_FOA %d -> %d\n" run.Planner.lac.Lac.n_foa
@@ -260,7 +259,7 @@ let run_verify_route circuit seed =
   with_instance ?seed circuit @@ fun inst ->
   let module Gr = Lacr_routing.Global_router in
   let tg = inst.Build.tilegraph in
-  let nets = Array.map (fun r -> r.Gr.net) inst.Build.routing.Gr.nets in
+  let nets = inst.Build.routing.Build.nets in
   let passes = inst.Build.config.Config.route_passes in
   let route_with size =
     Lacr_util.Pool.with_pool ~size (fun pool -> Gr.route_all ~passes ~pool tg nets)

@@ -46,7 +46,7 @@ let () =
     let inst = run.Planner.instance in
     Printf.printf "\nphysical view: %d blocks, %d repeaters, %.1f mm of global wire\n"
       (Array.length inst.Build.blocks) inst.Build.n_repeaters
-      inst.Build.routing.Lacr_routing.Global_router.total_wirelength;
+      inst.Build.routing.Build.total_wirelength;
 
     (* 6. And the paper-style Table-1 row. *)
     print_newline ();

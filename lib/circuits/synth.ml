@@ -33,15 +33,21 @@ let fanin_count rng kind =
 
 (* Pick [k] distinct fan-ins, biased towards the previous level to
    control depth, with occasional long-range taps like real circuits
-   have. *)
-let pick_fanins rng ~previous ~all k =
+   have.  The whole pool has [n_all] signals, the newest gate first
+   and the sources last; [signals] holds it reversed in its first
+   [n_all] entries, so the pool's entry [i] is
+   [signals.(n_all - 1 - i)]. *)
+let pick_fanins rng ~previous ~signals ~n_all k =
+  let choose_all () = signals.(n_all - 1 - Rng.int rng n_all) in
   let chosen = Hashtbl.create 8 in
   let result = ref [] in
   let attempts = ref 0 in
   while List.length !result < k && !attempts < 50 do
     incr attempts;
-    let pool = if Array.length previous > 0 && Rng.int rng 100 < 60 then previous else all in
-    let candidate = Rng.choose rng pool in
+    let candidate =
+      if Array.length previous > 0 && Rng.int rng 100 < 60 then Rng.choose rng previous
+      else choose_all ()
+    in
     if not (Hashtbl.mem chosen candidate) then begin
       Hashtbl.add chosen candidate ();
       result := candidate :: !result
@@ -49,7 +55,7 @@ let pick_fanins rng ~previous ~all k =
   done;
   (* Small pools can exhaust distinct candidates; a repeated fan-in is
      harmless (it models a multi-input gate tied to one net). *)
-  let rec fill acc = if List.length acc >= k then acc else fill (Rng.choose rng all :: acc) in
+  let rec fill acc = if List.length acc >= k then acc else fill (choose_all () :: acc) in
   fill !result
 
 let generate spec =
@@ -69,7 +75,13 @@ let generate spec =
   let sources = Array.append pis ff_outs in
   let per_level = max 1 (spec.n_gates / spec.levels) in
   let gate_names = Array.init spec.n_gates (fun i -> Printf.sprintf "g%d" i) in
-  let all_signals = ref (Array.to_list sources) in
+  (* The fan-in pool, reversed (see [pick_fanins]): the sources in
+     reverse order, then the gates in creation order.  One array for
+     the whole run; gate [g] draws from its first [n_sources + g]
+     entries. *)
+  let n_sources = Array.length sources in
+  let signals = Array.make (n_sources + spec.n_gates) "" in
+  Array.iteri (fun i s -> signals.(n_sources - 1 - i) <- s) sources;
   (* Every signal consumed by some gate or register, to pick
      primary outputs among the otherwise-unobservable sinks. *)
   let fanin_seen : (string, unit) Hashtbl.t = Hashtbl.create 256 in
@@ -88,11 +100,10 @@ let generate spec =
     if g > 0 && level <> level_of_gate.(g - 1) then flush_level ();
     let kind = pick_kind rng in
     let k = fanin_count rng kind in
-    let all = Array.of_list !all_signals in
-    let fanins = pick_fanins rng ~previous:!previous_level ~all k in
+    let fanins = pick_fanins rng ~previous:!previous_level ~signals ~n_all:(n_sources + g) k in
     List.iter (fun f -> Hashtbl.replace fanin_seen f ()) fanins;
     Netlist.Builder.add_gate builder gate_names.(g) kind fanins;
-    all_signals := gate_names.(g) :: !all_signals;
+    signals.(n_sources + g) <- gate_names.(g);
     current := gate_names.(g) :: !current
   done;
   (* Flip-flop data inputs: most state registers close feedback loops

@@ -18,6 +18,22 @@
       isolated; interface latency is frozen through the
       [pin_constraints] instead of host edges. *)
 
+(** What an instance keeps of the global routing: its totals, the
+    overflow trajectory, the boundary usage and the routed nets
+    ([lacr verify-route] routes them again).  The per-net maze paths
+    and sink paths are consumed by repeater insertion inside {!build}
+    and not kept. *)
+type routing = {
+  nets : Lacr_routing.Global_router.net array;  (** in routing order *)
+  usage : Lacr_routing.Maze.usage;
+  total_wirelength : float;  (** mm *)
+  overflow : float;
+  max_utilization : float;
+  pass_overflow : float array;
+      (** overflow after the initial pass and after each executed
+          rip-up pass *)
+}
+
 type instance = {
   circuit : string;
   config : Config.t;
@@ -30,7 +46,7 @@ type instance = {
   tilegraph : Lacr_tilegraph.Tilegraph.t;
   occupancy : Lacr_tilegraph.Occupancy.t;
       (** after repeater reservation: remaining = the paper's C(t) *)
-  routing : Lacr_routing.Global_router.result;
+  routing : routing;
   graph : Lacr_retime.Graph.t;
   pin_constraints : Lacr_mcmf.Difference.constr list;
       (** I/O pinning: every primary input/output keeps its retiming
@@ -46,22 +62,11 @@ type instance = {
 
 val build :
   ?config:Config.t ->
-  ?soft_growth:(string -> float) ->
-  ?layout:Lacr_floorplan.Sequence_pair.t * (float * float) array ->
   ?pool:Lacr_util.Pool.t ->
   ?trace:Lacr_obs.Trace.ctx ->
   Lacr_netlist.Netlist.t ->
   (instance, string) result
-(** [soft_growth] feeds the second planning iteration: each soft
-    block's area is multiplied by [1 + soft_growth name] before
-    floorplanning (default: no growth).
-
-    [layout] skips simulated annealing and reuses a previous
-    iteration's sequence pair and block outlines (grown blocks are
-    scaled isotropically) — the paper's "incremental change of the
-    floorplan" between planning iterations.
-
-    [pool] (default sequential) supplies the domains for the parallel
+(** [pool] (default sequential) supplies the domains for the parallel
     negotiated global router; routed results are bit-identical for
     every pool size.
 
@@ -70,6 +75,20 @@ val build :
     [build.floorplan] / [build.tilegraph] / [route.all] /
     [build.repeaters] / [build.graph]) and threads the context into
     routing and repeater insertion for their counters. *)
+
+val expand :
+  ?pool:Lacr_util.Pool.t ->
+  ?trace:Lacr_obs.Trace.ctx ->
+  instance ->
+  grow:(string -> float) ->
+  instance
+(** The second planning iteration's instance: the same circuit with
+    each soft block's area multiplied by [1 + grow name], re-planned
+    from the instance's sequence pair and block outlines (grown blocks
+    are scaled isotropically, no annealing) — the paper's "incremental
+    change of the floorplan" between planning iterations.  It shares
+    the instance's config and sequential view; [pool] and [trace] as
+    for {!build}. *)
 
 val interconnect_vertex : instance -> int -> bool
 (** True for interconnect-unit vertices (not units, not host). *)

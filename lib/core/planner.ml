@@ -57,7 +57,6 @@ let capture f =
    the constraint system generated once at T_clk.  Immutable, so a
    resident copy can serve any number of [plan_prepared] calls. *)
 type prepared = {
-  p_netlist : Lacr_netlist.Netlist.t;
   p_instance : Build.instance;
   p_t_init : float;
   p_t_min : float;
@@ -143,10 +142,9 @@ let retiming_setup ?pool ?(trace = Obs.disabled) (inst : Build.instance) =
   in
   (t_init, t_min, t_clk, constraints)
 
-let prepare_with_pool ~pool ~trace instance netlist =
+let prepare_with_pool ~pool ~trace instance =
   let t_init, t_min, t_clk, constraints = retiming_setup ~pool ~trace instance in
   {
-    p_netlist = netlist;
     p_instance = instance;
     p_t_init = t_init;
     p_t_min = t_min;
@@ -155,7 +153,7 @@ let prepare_with_pool ~pool ~trace instance netlist =
   }
 
 let plan_prepared_with_pool ~pool ~second_iteration ?session ~trace prepared =
-  let { p_netlist = netlist; p_instance = instance; p_t_clk = t_clk; _ } = prepared in
+  let { p_instance = instance; p_t_clk = t_clk; _ } = prepared in
   let config = instance.Build.config in
   (match Lac.retime ?session ~pool ~obs:trace instance prepared.p_constraints with
   | Error msg -> Error msg
@@ -164,32 +162,23 @@ let plan_prepared_with_pool ~pool ~second_iteration ?session ~trace prepared =
       if (not second_iteration) || lac.Lac.n_foa = 0 then None
       else
         Obs.with_span trace ~cat:"core" "plan.second" @@ fun () ->
-        let grow = growth_for instance lac in
-        let layout = (instance.Build.sequence, instance.Build.dims) in
-        match Build.build ~config ~soft_growth:grow ~layout ~pool ~trace netlist with
-        | Error msg ->
-          (* The failed expansion is part of the run's story: surface
-             it instead of silently reporting first-iteration numbers
-             as final. *)
-          Some (Error msg)
-        | Ok instance2 ->
-          (* The expanded floorplan changes interconnect delays; the
-             original T_clk may no longer be feasible (the paper's
-             s1269 case).  Generate fresh constraints at the same
-             T_clk and report infeasibility honestly.  The resident
-             [session] solver belongs to the first-iteration
-             constraint system, so the re-plan always compiles its
-             own. *)
-          let g2 = instance2.Build.graph in
-          let wd2 = Paths.compute ~mode:config.Config.paths_mode ~pool ~trace g2 in
-          let constraints2 =
-            Constraints.generate ~prune:config.Config.prune_constraints
-              ~extra:instance2.Build.pin_constraints ~pool ~trace g2 wd2 ~period:t_clk
-          in
-          let lac2 =
-            Result.map (fun o -> o.Lac.lac) (Lac.retime ~pool ~obs:trace instance2 constraints2)
-          in
-          Some (Ok { instance2; lac2 })
+        let instance2 = Build.expand ~pool ~trace instance ~grow:(growth_for instance lac) in
+        (* The expanded floorplan changes interconnect delays; the
+           original T_clk may no longer be feasible (the paper's s1269
+           case).  Generate fresh constraints at the same T_clk and
+           report infeasibility honestly.  The resident [session]
+           solver belongs to the first-iteration constraint system, so
+           the re-plan always compiles its own. *)
+        let g2 = instance2.Build.graph in
+        let wd2 = Paths.compute ~mode:config.Config.paths_mode ~pool ~trace g2 in
+        let constraints2 =
+          Constraints.generate ~prune:config.Config.prune_constraints
+            ~extra:instance2.Build.pin_constraints ~pool ~trace g2 wd2 ~period:t_clk
+        in
+        let lac2 =
+          Result.map (fun o -> o.Lac.lac) (Lac.retime ~pool ~obs:trace instance2 constraints2)
+        in
+        Some (Ok { instance2; lac2 })
     in
     Ok
       {
@@ -226,7 +215,7 @@ let plan_checked ?(config = Config.default) ?(second_iteration = true) ?(trace =
       | Error msg -> Error msg
       | Ok instance ->
         plan_prepared_with_pool ~pool ~second_iteration ~trace
-          (prepare_with_pool ~pool ~trace instance netlist))
+          (prepare_with_pool ~pool ~trace instance))
 
 (* The split pipeline: [prepare] does everything up to (and including)
    constraint generation, [plan_prepared] runs the retiming solves and
@@ -242,7 +231,7 @@ let prepare ?(config = Config.default) ?(trace = Obs.disabled) netlist =
   Lacr_util.Pool.with_pool ~size:(pool_size config) (fun pool ->
       match Build.build ~config ~pool ~trace netlist with
       | Error msg -> Error msg
-      | Ok instance -> Ok (prepare_with_pool ~pool ~trace instance netlist))
+      | Ok instance -> Ok (prepare_with_pool ~pool ~trace instance))
 
 let plan_prepared ?(second_iteration = true) ?session ?(trace = Obs.disabled) prepared =
   let config = prepared.p_instance.Build.config in

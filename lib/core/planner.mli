@@ -27,9 +27,10 @@ type run = {
   second : (second, string) result option;
       (** [None]: no second iteration was attempted (disabled, or the
           first iteration already reached zero violations).
-          [Some (Error msg)]: the expansion re-build itself failed —
-          recorded rather than swallowed, so reports can say why the
-          first-iteration numbers are final. *)
+          [Some (Error msg)]: a failed expansion re-build.  The
+          planner no longer produces it: {!Build.expand} re-plans from
+          the first instance's already checked sequential view and
+          cannot fail. *)
 }
 
 and second = {
@@ -68,7 +69,6 @@ val error_message : error -> string
     [t_clk].  Immutable once built — a resident copy (the daemon's
     warm cache) can serve any number of {!plan_prepared} calls. *)
 type prepared = {
-  p_netlist : Lacr_netlist.Netlist.t;
   p_instance : Build.instance;
   p_t_init : float;
   p_t_min : float;

@@ -1,3 +1,5 @@
+module Rect = Lacr_geometry.Rect
+
 type net = { pins : int array; weight : float }
 
 type options = {
@@ -28,15 +30,39 @@ type result = {
   cost : float;
 }
 
-let cost_of options _blocks nets (packing : Sequence_pair.packing) =
+(* Area plus the nets' weighted half-perimeter wire length over the
+   block centres, summed in net order.  The annealer evaluates this on
+   every move, so each net's bounding box is kept in float locals: no
+   centre point, list or tuple per pin, and the same float operations
+   in the same order as folding [min]/[max] over the centre points. *)
+let cost options (nets : net array) (packing : Sequence_pair.packing) =
+  let rects = packing.Sequence_pair.rects in
+  let wirelength = ref 0.0 in
+  for k = 0 to Array.length nets - 1 do
+    let { pins; weight } = nets.(k) in
+    let hpwl =
+      if Array.length pins < 2 then 0.0
+      else begin
+        let r = rects.(pins.(0)) in
+        let x = r.Rect.x +. (r.Rect.w /. 2.0) and y = r.Rect.y +. (r.Rect.h /. 2.0) in
+        let xmin = ref x and xmax = ref x and ymin = ref y and ymax = ref y in
+        for i = 1 to Array.length pins - 1 do
+          let r = rects.(pins.(i)) in
+          let x = r.Rect.x +. (r.Rect.w /. 2.0) and y = r.Rect.y +. (r.Rect.h /. 2.0) in
+          xmin := if !xmin <= x then !xmin else x;
+          xmax := if !xmax >= x then !xmax else x;
+          ymin := if !ymin <= y then !ymin else y;
+          ymax := if !ymax >= y then !ymax else y
+        done;
+        !xmax -. !xmin +. (!ymax -. !ymin)
+      end
+    in
+    wirelength := !wirelength +. (weight *. hpwl)
+  done;
   let area = packing.Sequence_pair.width *. packing.Sequence_pair.height in
-  let centers = Array.map Lacr_geometry.Rect.center packing.Sequence_pair.rects in
-  let net_hpwl { pins; weight } =
-    let points = Array.to_list (Array.map (fun b -> centers.(b)) pins) in
-    weight *. Lacr_geometry.Rect.hpwl points
-  in
-  let wirelength = List.fold_left (fun acc n -> acc +. net_hpwl n) 0.0 nets in
-  (options.area_weight *. area) +. (options.wirelength_weight *. wirelength)
+  (options.area_weight *. area) +. (options.wirelength_weight *. !wirelength)
+
+let cost_of options _blocks nets packing = cost options (Array.of_list nets) packing
 
 let floorplan rng blocks nets =
   let options = default_options in
@@ -56,9 +82,10 @@ let floorplan rng blocks nets =
   Array.iteri (fun b table -> shape_idx.(b) <- Array.length table / 2) shape_table;
   let dims_of () = Array.init n (fun b -> shape_table.(b).(shape_idx.(b))) in
   let sp = ref (Sequence_pair.random rng n) in
+  let net_array = Array.of_list nets in
   let evaluate sp =
     let packing = Sequence_pair.pack sp ~dims:(dims_of ()) in
-    (packing, cost_of options blocks nets packing)
+    (packing, cost options net_array packing)
   in
   let packing0, cost0 = evaluate !sp in
   let current_cost = ref cost0 in

@@ -6,8 +6,6 @@ let make ~x ~y ~w ~h =
 
 let area r = r.w *. r.h
 
-let center r = Point.make (r.x +. (r.w /. 2.0)) (r.y +. (r.h /. 2.0))
-
 let contains r (p : Point.t) =
   p.Point.x >= r.x && p.Point.x < r.x +. r.w && p.Point.y >= r.y && p.Point.y < r.y +. r.h
 
@@ -31,15 +29,3 @@ let union_bbox a b =
   let x0 = min a.x b.x and y0 = min a.y b.y in
   let x1 = max (a.x +. a.w) (b.x +. b.w) and y1 = max (a.y +. a.h) (b.y +. b.h) in
   { x = x0; y = y0; w = x1 -. x0; h = y1 -. y0 }
-
-let hpwl points =
-  match points with
-  | [] | [ _ ] -> 0.0
-  | p :: rest ->
-    let open Point in
-    let init = (p.x, p.x, p.y, p.y) in
-    let fold (xmin, xmax, ymin, ymax) q =
-      (min xmin q.x, max xmax q.x, min ymin q.y, max ymax q.y)
-    in
-    let xmin, xmax, ymin, ymax = List.fold_left fold init rest in
-    xmax -. xmin +. (ymax -. ymin)

@@ -8,8 +8,6 @@ val make : x:float -> y:float -> w:float -> h:float -> t
 
 val area : t -> float
 
-val center : t -> Point.t
-
 val contains : t -> Point.t -> bool
 (** Closed on the low edges, open on the high edges, so a grid of
     touching tiles partitions the plane. *)
@@ -22,7 +20,3 @@ val overlaps : t -> t -> bool
 val intersection : t -> t -> t option
 
 val union_bbox : t -> t -> t
-
-val hpwl : Point.t list -> float
-(** Half-perimeter wire length of a point set; 0.0 for fewer than two
-    points. *)

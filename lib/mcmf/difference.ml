@@ -5,9 +5,24 @@ type constr = { a : int; b : int; bound : int }
    Starting every node at 0 emulates a zero-cost virtual source.  The
    relaxation loop runs over flat int arrays: feasibility probes inside
    min-period binary search hit systems with hundreds of thousands of
-   constraints, where list traversal dominates. *)
-let feasible_arrays ~n ~a ~b ~bound ~m =
-  let dist = Array.make n 0 in
+   constraints, where list traversal dominates.  The arrays live in a
+   [scratch] so a series of probes over the same nodes reuses them. *)
+type scratch = {
+  dist : int array;
+  pred : int array;
+  mark : int array;
+  mutable next_base : int;
+}
+
+let scratch n =
+  { dist = Array.make n 0; pred = Array.make n (-1); mark = Array.make n 0; next_base = 1 }
+
+let scratch_labels s = s.dist
+
+let feasible_in s ~a ~b ~bound ~m =
+  let dist = s.dist and pred = s.pred and mark = s.mark in
+  let n = Array.length dist in
+  Array.fill dist 0 n 0;
   (* Predecessor of the last relaxation into each node: a cycle in
      this graph implies a negative constraint cycle (exact integer
      arithmetic, so the classic implication holds with no tolerance
@@ -15,13 +30,13 @@ let feasible_arrays ~n ~a ~b ~bound ~m =
      infeasible probes exit after about one cycle length of rounds
      instead of the full n — on 10^5-vertex systems the difference
      between milliseconds and minutes.  Feasible systems converge
-     exactly as before, so the returned labelling is unchanged. *)
-  let pred = Array.make n (-1) in
-  let mark = Array.make n 0 in
-  let next_base = ref 1 in
+     exactly as before, so the returned labelling is unchanged.  Marks
+     below the current walk's base count as unvisited, so [mark] needs
+     no clearing between walks or probes. *)
+  Array.fill pred 0 n (-1);
   let pred_has_cycle () =
-    let base = !next_base in
-    next_base := base + n;
+    let base = s.next_base in
+    s.next_base <- base + n;
     let found = ref false in
     let v = ref 0 in
     while (not !found) && !v < n do
@@ -61,7 +76,11 @@ let feasible_arrays ~n ~a ~b ~bound ~m =
     done;
     if !changed && !rounds > 32 then negative := pred_has_cycle ()
   done;
-  if !changed || !negative then None else Some dist
+  not (!changed || !negative)
+
+let feasible_arrays ~n ~a ~b ~bound ~m =
+  let s = scratch n in
+  if feasible_in s ~a ~b ~bound ~m then Some s.dist else None
 
 type objective_error =
   | Infeasible_constraints
@@ -106,9 +125,12 @@ let reoptimize ?trace inst ~objective =
   (* The assignment is normalized to x(0) = 0 afterwards, so the LP
      objective may be shifted to sum to zero (making it invariant
      under uniform translation); this balances the flow supplies. *)
-  let total = Array.fold_left ( +. ) 0.0 objective in
+  let total = ref 0.0 in
   for v = 0 to inst.inst_n - 1 do
-    let coeff = if v = 0 then objective.(v) -. total else objective.(v) in
+    total := !total +. objective.(v)
+  done;
+  for v = 0 to inst.inst_n - 1 do
+    let coeff = if v = 0 then objective.(v) -. !total else objective.(v) in
     Mcmf.set_supply inst.net v (-.coeff)
   done;
   match Mcmf.solve ?trace inst.net with

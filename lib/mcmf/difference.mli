@@ -30,6 +30,23 @@ val feasible_arrays :
     cycle.  The min-period binary search runs it on probes of
     hundreds of thousands of constraints. *)
 
+type scratch
+(** The Bellman-Ford arrays of {!feasible_arrays} over a fixed node
+    count, reusable by a series of probes. *)
+
+val scratch : int -> scratch
+(** [scratch n] serves systems over nodes [0 .. n-1]. *)
+
+val feasible_in :
+  scratch -> a:int array -> b:int array -> bound:int array -> m:int -> bool
+(** {!feasible_arrays} in [scratch]: [true] when the system is
+    feasible, with the same witness in {!scratch_labels} until the
+    next call on the scratch. *)
+
+val scratch_labels : scratch -> int array
+(** The witness of the last feasible {!feasible_in} call; shared, not
+    a copy. *)
+
 type objective_error =
   | Infeasible_constraints
   | Unbounded_objective

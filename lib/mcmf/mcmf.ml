@@ -46,8 +46,10 @@ type t = {
   mutable csr_row : int array;
   mutable csr_arc : int array;
   (* Scratch reused across solves and phases. *)
-  mutable zrow : int array;  (* per-phase zero-reduced-cost arcs, CSR *)
-  mutable zarc : int array;
+  mutable zarc : int array;  (* per-phase zero-reduced-cost arcs, CSR *)
+  mutable zend : int array;  (* end of a node's [zarc] slice; -1 = not gathered *)
+  mutable dfs_limit : float array;  (* DFS push limit per BFS level *)
+  dfs_sent : float array;  (* one cell: the amount the last DFS call pushed *)
   mutable pi : int array;  (* potentials over n + 2 nodes *)
   mutable has_pi : bool;  (* pi holds a previous solve's optimum *)
   mutable dist : int array;
@@ -75,8 +77,10 @@ let create n =
     orig_cap = [||];
     csr_row = [||];
     csr_arc = [||];
-    zrow = [||];
     zarc = [||];
+    zend = [||];
+    dfs_limit = [||];
+    dfs_sent = [| 0.0 |];
     pi = [||];
     has_pi = false;
     dist = [||];
@@ -179,8 +183,9 @@ let seal t =
     ignore (append_arc t ~src:v ~dst:sink ~capacity:0.0 ~cost:0 : int)
   done;
   build_csr t ~n_nodes;
-  t.zrow <- Array.make (n_nodes + 1) 0;
   t.zarc <- Array.make (max 1 t.n_arcs) 0;
+  t.zend <- Array.make n_nodes (-1);
+  t.dfs_limit <- Array.make n_nodes 0.0;
   t.pi <- Array.make n_nodes 0;
   t.dist <- Array.make n_nodes max_int;
   t.settled <- Array.make n_nodes false;
@@ -303,58 +308,104 @@ let dijkstra t ~source ~sink ~n_nodes ~settles =
    with Exit -> ());
   dist
 
-(* The phase's candidate arcs: every residual arc of zero reduced
-   cost, gathered per node into [zrow]/[zarc] in CSR order, capacity
-   ignored.  Potentials are fixed for the whole phase and the reverse
-   of a zero-reduced-cost arc has zero reduced cost too, so a push
-   never makes an arc outside this list admissible — the blocking
+(* The phase's candidate arcs out of [u]: every residual arc of zero
+   reduced cost, capacity ignored, gathered in CSR order into [u]'s own
+   CSR slice of [zarc] (it starts at [csr_row.(u)] and ends at
+   [zend.(u)]).  Potentials are fixed for the whole phase and the
+   reverse of a zero-reduced-cost arc has zero reduced cost too, so a
+   push never makes an arc outside this list admissible — the blocking
    flow tests only residual capacity on it, and its scan order (hence
-   its push schedule) is the full CSR's with the never-admissible
-   arcs skipped. *)
-let gather_zero_arcs t ~arc_scans =
-  let pi = t.pi and zrow = t.zrow and zarc = t.zarc in
-  let n_nodes = Array.length zrow - 1 in
-  let k = ref 0 in
-  for u = 0 to n_nodes - 1 do
-    zrow.(u) <- !k;
-    let pu = pi.(u) in
-    for slot = t.csr_row.(u) to t.csr_row.(u + 1) - 1 do
-      let a = t.csr_arc.(slot) in
-      if t.arc_cost.(a) + pu - pi.(t.arc_dst.(a)) = 0 then begin
-        zarc.(!k) <- a;
-        incr k
-      end
-    done
+   its push schedule) is the full CSR's with the never-admissible arcs
+   skipped.  A node is gathered once per phase, the first time the
+   blocking flow needs its arcs, so the nodes no BFS reaches cost
+   nothing. *)
+let gather_zero_arcs t u ~arc_scans =
+  let pi = t.pi and zarc = t.zarc and arc_cost = t.arc_cost and arc_dst = t.arc_dst in
+  let lo = t.csr_row.(u) and hi = t.csr_row.(u + 1) in
+  let pu = pi.(u) in
+  let k = ref lo in
+  for slot = lo to hi - 1 do
+    let a = t.csr_arc.(slot) in
+    if arc_cost.(a) + pu - pi.(arc_dst.(a)) = 0 then begin
+      zarc.(!k) <- a;
+      incr k
+    end
   done;
-  zrow.(n_nodes) <- !k;
-  arc_scans := !arc_scans + t.n_arcs
+  t.zend.(u) <- !k;
+  arc_scans := !arc_scans + (hi - lo)
 
 (* Dinic blocking flow over the gathered zero-reduced-cost arcs: BFS
-   levels orient them, the DFS uses current-arc pointers into
-   [zarc].  The BFS frontier and both pointer arrays come from the
-   instance scratch — no per-phase allocation.  [arc_scans] grows by
-   each BFS node's list length and by each DFS visit's cursor advance
-   plus its pushes (a push re-examines the arc under the cursor). *)
+   levels orient them, the DFS uses current-arc pointers into [zarc].
+
+   The BFS stops as soon as it labels the sink, and the DFS never
+   enters a node other than the sink at the sink's level: every level
+   below the sink's is complete by then, and no level-graph path from
+   a node at the sink's level (or past it) comes back down to the
+   sink, so only dead ends are skipped and the pushes are those of a
+   BFS over every reachable node.  The queued nodes the BFS did not
+   dequeue, below the sink's level, are gathered before the DFS.
+
+   The DFS keeps its floats unboxed: a call reads its limit from
+   [dfs_limit] at its node's level (the caller writes it) and leaves
+   what it pushed in [dfs_sent].  The BFS frontier, the pointers and
+   these cells are instance scratch — no per-phase allocation.
+   [arc_scans] grows by each gather's CSR slice, the arcs each BFS
+   node scans, and each DFS visit's cursor advance plus its pushes (a
+   push re-examines the arc under the cursor). *)
 let blocking_flow t ~source ~sink ~pushes ~arc_scans =
-  gather_zero_arcs t ~arc_scans;
-  let zrow = t.zrow and zarc = t.zarc and arc_cap = t.arc_cap and arc_dst = t.arc_dst in
+  let zarc = t.zarc and zend = t.zend and csr_row = t.csr_row in
+  let arc_cap = t.arc_cap and arc_dst = t.arc_dst in
   let level = t.level and queue = t.queue and cursor = t.cursor in
+  let dfs_limit = t.dfs_limit and dfs_sent = t.dfs_sent in
   let n_nodes = Array.length level in
+  Array.fill zend 0 n_nodes (-1);
+  let rec dfs u =
+    let lu = level.(u) in
+    let limit = dfs_limit.(lu) in
+    if u = sink then dfs_sent.(0) <- limit
+    else begin
+      let lv = lu + 1 and lsink = level.(sink) in
+      let pushed = ref 0.0 in
+      let first = cursor.(u) and hi = zend.(u) in
+      while !pushed < limit -. eps && cursor.(u) < hi do
+        let a = zarc.(cursor.(u)) in
+        let v = arc_dst.(a) in
+        if arc_cap.(a) > eps && level.(v) = lv && (lv < lsink || v = sink) then begin
+          let room = limit -. !pushed and cap = arc_cap.(a) in
+          dfs_limit.(lv) <- (if room <= cap then room else cap);
+          dfs v;
+          let sent = dfs_sent.(0) in
+          if sent > eps then begin
+            arc_cap.(a) <- arc_cap.(a) -. sent;
+            arc_cap.(a lxor 1) <- arc_cap.(a lxor 1) +. sent;
+            incr pushes;
+            incr arc_scans;
+            pushed := !pushed +. sent
+          end
+          else cursor.(u) <- cursor.(u) + 1
+        end
+        else cursor.(u) <- cursor.(u) + 1
+      done;
+      arc_scans := !arc_scans + (cursor.(u) - first);
+      dfs_sent.(0) <- !pushed
+    end
+  in
   let total_pushed = ref 0.0 in
   let continue_phases = ref true in
   while !continue_phases do
-    (* BFS levels over admissible arcs. *)
+    (* BFS levels over admissible arcs, up to the sink. *)
     Array.fill level 0 n_nodes (-1);
     level.(source) <- 0;
     queue.(0) <- source;
     let head = ref 0 and tail = ref 1 in
-    while !head < !tail do
+    while !head < !tail && level.(sink) < 0 do
       let u = queue.(!head) in
       incr head;
-      let hi = zrow.(u + 1) in
-      arc_scans := !arc_scans + (hi - zrow.(u));
-      for slot = zrow.(u) to hi - 1 do
-        let a = zarc.(slot) in
+      if zend.(u) < 0 then gather_zero_arcs t u ~arc_scans;
+      let lo = csr_row.(u) and hi = zend.(u) in
+      let slot = ref lo in
+      while !slot < hi && level.(sink) < 0 do
+        let a = zarc.(!slot) in
         if arc_cap.(a) > eps then begin
           let v = arc_dst.(a) in
           if level.(v) < 0 then begin
@@ -362,40 +413,24 @@ let blocking_flow t ~source ~sink ~pushes ~arc_scans =
             queue.(!tail) <- v;
             incr tail
           end
-        end
-      done
+        end;
+        incr slot
+      done;
+      arc_scans := !arc_scans + (!slot - lo)
     done;
-    if level.(sink) < 0 then continue_phases := false
+    let lsink = level.(sink) in
+    if lsink < 0 then continue_phases := false
     else begin
-      Array.blit zrow 0 cursor 0 n_nodes;
+      for i = !head to !tail - 1 do
+        let u = queue.(i) in
+        if level.(u) < lsink && zend.(u) < 0 then gather_zero_arcs t u ~arc_scans
+      done;
+      Array.blit csr_row 0 cursor 0 n_nodes;
       (* DFS pushing one augmenting path at a time (paths are short:
          S -> ... -> T through the level graph). *)
-      let rec dfs u limit =
-        if u = sink then limit
-        else begin
-          let pushed = ref 0.0 in
-          let first = cursor.(u) and hi = zrow.(u + 1) in
-          while !pushed < limit -. eps && cursor.(u) < hi do
-            let a = zarc.(cursor.(u)) in
-            let v = arc_dst.(a) in
-            if arc_cap.(a) > eps && level.(v) = level.(u) + 1 then begin
-              let sent = dfs v (min (limit -. !pushed) arc_cap.(a)) in
-              if sent > eps then begin
-                arc_cap.(a) <- arc_cap.(a) -. sent;
-                arc_cap.(a lxor 1) <- arc_cap.(a lxor 1) +. sent;
-                incr pushes;
-                incr arc_scans;
-                pushed := !pushed +. sent
-              end
-              else cursor.(u) <- cursor.(u) + 1
-            end
-            else cursor.(u) <- cursor.(u) + 1
-          done;
-          arc_scans := !arc_scans + (cursor.(u) - first);
-          !pushed
-        end
-      in
-      let sent = dfs source infinity in
+      dfs_limit.(0) <- infinity;
+      dfs source;
+      let sent = dfs_sent.(0) in
       if sent <= eps then continue_phases := false else total_pushed := !total_pushed +. sent
     end
   done;
@@ -452,8 +487,11 @@ let canonicalize_potentials t ~n_nodes =
   done
 
 let solve ?(trace = Lacr_obs.Trace.disabled) t =
-  let total_supply = Array.fold_left ( +. ) 0.0 t.supply in
-  if abs_float total_supply > 1e-5 then Error (Unbalanced total_supply)
+  let total_supply = ref 0.0 in
+  for v = 0 to t.n - 1 do
+    total_supply := !total_supply +. t.supply.(v)
+  done;
+  if abs_float !total_supply > 1e-5 then Error (Unbalanced !total_supply)
   else begin
     if not t.sealed then seal t;
     let source = t.n and sink = t.n + 1 in

@@ -37,17 +37,22 @@
 
     Each phase runs one Dijkstra on reduced costs, shifts the
     potentials, then saturates the zero-reduced-cost subgraph with a
-    Dinic blocking flow.  Right after the shift the phase gathers its
-    zero-reduced-cost arcs once into a second CSR held by the instance
-    (CSR order kept, capacity ignored: a push only gives capacity to
-    the reverse of a gathered arc, which is gathered too), and every
-    BFS and DFS of the blocking flow scans that list, testing only
-    residual capacity.  The gather costs one int per residual arc
-    (user arcs and the permanent super arcs, both directions),
-    allocated at seal time and held as long as the instance — also by
-    every compiled solver a daemon keeps cached: 0.37 MB for s1423
-    (45 844 residual arcs) and, estimated from the constraint count,
-    about 50 MB at hier:200000. *)
+    Dinic blocking flow.  The phase gathers a node's zero-reduced-cost
+    arcs (CSR order kept, capacity ignored: a push only gives capacity
+    to the reverse of a gathered arc, which is gathered too) into the
+    node's slice of a second CSR held by the instance the first time
+    its blocking flow needs them, and every BFS and DFS scans those
+    slices, testing only residual capacity.  Each BFS stops once it
+    labels the sink, and the DFS enters no other node at the sink's
+    level; both skip only dead ends, so the pushes are those of a
+    full BFS.  The DFS passes its push limits and results through
+    float arrays in the instance, so no float is boxed.  The gather
+    costs one int per residual arc (user arcs and the permanent super
+    arcs, both directions) plus one per node, allocated at seal time
+    and held as long as the instance — also by every compiled solver
+    a daemon keeps cached: 0.37 MB for s1423 (45 844 residual arcs)
+    and, estimated from the constraint count, about 50 MB at
+    hier:200000. *)
 
 type t
 (** Mutable problem under construction, then a reusable solver
@@ -77,10 +82,11 @@ type stats = {
   settles : int;  (** nodes settled across all phase Dijkstras *)
   pushes : int;  (** arc-level pushes inside blocking flows *)
   arc_scans : int;
-      (** arcs examined: each phase's zero-reduced-cost gather (every
-          residual arc), each blocking-flow BFS (the gathered list of
-          every node it dequeues) and each DFS visit (its cursor
-          advance plus its pushes) *)
+      (** arcs examined: each node's zero-reduced-cost gather (its
+          residual arcs, once per phase that reaches it), each
+          blocking-flow BFS (the gathered arcs it scans before it
+          labels the sink) and each DFS visit (its cursor advance plus
+          its pushes) *)
   warm_start : bool;
       (** the last solve reused the previous potentials (skipping the
           Bellman-Ford bootstrap) *)

@@ -116,38 +116,74 @@ let emit_pruned_cols ~pool ~extra ~edges (tc : Paths.flat_cols) =
       done);
   ({ ca; cb; cbound; m }, n_edge, m - n_edge)
 
-(* --- throwaway probe systems --------------------------------------- *)
+(* --- probe systems ---------------------------------------------------- *)
 
-let compile ?(extra = []) g (wd : Paths.wd) ~period =
-  let n = Paths.num_vertices wd in
-  let n_edges = Graph.num_edges g in
-  let cap = ref (n_edges + List.length extra + 1024) in
-  let ca = ref (Array.make !cap 0) in
-  let cb = ref (Array.make !cap 0) in
-  let cbound = ref (Array.make !cap 0) in
-  let m = ref 0 in
-  let push a b bound =
-    if !m = !cap then begin
-      let ncap = !cap * 2 in
-      let grow arr =
-        let narr = Array.make ncap 0 in
-        Array.blit arr 0 narr 0 !m;
-        narr
-      in
-      ca := grow !ca;
-      cb := grow !cb;
-      cbound := grow !cbound;
-      cap := ncap
-    end;
-    !ca.(!m) <- a;
-    !cb.(!m) <- b;
-    !cbound.(!m) <- bound;
-    incr m
+(* A growable system the probes of one min-period search are compiled
+   into one after another: its arrays keep their largest size, so a
+   probe allocates nothing once the buffer has grown. *)
+type buffer = {
+  mutable bca : int array;
+  mutable bcb : int array;
+  mutable bbound : int array;
+  mutable bm : int;
+}
+
+let buffer () = { bca = [||]; bcb = [||]; bbound = [||]; bm = 0 }
+
+let resize buf cap =
+  let grow arr =
+    let narr = Array.make cap 0 in
+    Array.blit arr 0 narr 0 buf.bm;
+    narr
   in
-  Array.iter (fun (e : Graph.edge) -> push e.Graph.src e.Graph.dst e.Graph.weight) (Graph.edges g);
+  buf.bca <- grow buf.bca;
+  buf.bcb <- grow buf.bcb;
+  buf.bbound <- grow buf.bbound
+
+let push buf a b bound =
+  let m = buf.bm in
+  if m = Array.length buf.bca then resize buf (2 * m);
+  buf.bca.(m) <- a;
+  buf.bcb.(m) <- b;
+  buf.bbound.(m) <- bound;
+  buf.bm <- m + 1
+
+(* The period pairs a streamed probe inside the window adds: the test
+   of the emitting loop below, counted. *)
+let count_window_pairs (fr : Paths.frontier) ~period =
+  let k = ref 0 in
+  for u = 0 to fr.Paths.fn - 1 do
+    for i = fr.Paths.row_off.(u) to fr.Paths.row_off.(u + 1) - 1 do
+      if
+        fr.Paths.fdly.(i) > period +. Paths.period_tol
+        && (u <> fr.Paths.fdst.(i) || fr.Paths.fwgt.(i) = 0)
+      then incr k
+    done
+  done;
+  !k
+
+let compile_into buf ?(extra = []) g (wd : Paths.wd) ~period =
+  let n = Paths.num_vertices wd in
+  buf.bm <- 0;
+  let header = Graph.num_edges g + List.length extra in
+  (* A streamed probe that does not fit grows the buffer to its exact
+     size, or to double the old one when that is larger (so a run of
+     slowly growing probes resizes a few times only), but never past
+     every frontier pair: a buffer that only doubled would hold up to
+     twice the largest probe at the min-period search's peak. *)
+  let cap = Array.length buf.bca in
+  (match wd with
+  | Paths.Streamed fr when Paths.in_window fr ~period ->
+    let most = header + fr.Paths.row_off.(n) in
+    if cap < most then begin
+      let need = header + count_window_pairs fr ~period in
+      if cap < need then resize buf (min most (max need (2 * cap)))
+    end
+  | Paths.Streamed _ | Paths.Dense _ -> if cap < header + 1024 then resize buf (header + 1024));
+  Array.iter (fun (e : Graph.edge) -> push buf e.Graph.src e.Graph.dst e.Graph.weight) (Graph.edges g);
   List.iter
     (fun (c : Lacr_mcmf.Difference.constr) ->
-      push c.Lacr_mcmf.Difference.a c.Lacr_mcmf.Difference.b c.Lacr_mcmf.Difference.bound)
+      push buf c.Lacr_mcmf.Difference.a c.Lacr_mcmf.Difference.b c.Lacr_mcmf.Difference.bound)
     extra;
   (match wd with
   | Paths.Dense dn ->
@@ -158,7 +194,7 @@ let compile ?(extra = []) g (wd : Paths.wd) ~period =
           wrow.(v) <> max_int
           && drow.(v) > period +. Paths.period_tol
           && (u <> v || wrow.(v) = 0)
-        then push u v (wrow.(v) - 1)
+        then push buf u v (wrow.(v) - 1)
       done
     done
   | Paths.Streamed fr when Paths.in_window fr ~period ->
@@ -167,7 +203,7 @@ let compile ?(extra = []) g (wd : Paths.wd) ~period =
         let v = fr.Paths.fdst.(i) in
         let wuv = fr.Paths.fwgt.(i) in
         if fr.Paths.fdly.(i) > period +. Paths.period_tol && (u <> v || wuv = 0) then
-          push u v (wuv - 1)
+          push buf u v (wuv - 1)
       done
     done
   | Paths.Streamed _ ->
@@ -177,10 +213,12 @@ let compile ?(extra = []) g (wd : Paths.wd) ~period =
     let sr = Paths.source_pass_flat ~prune:false g ~period in
     for u = 0 to n - 1 do
       for i = sr.Paths.sr_off.(u) to sr.Paths.sr_off.(u + 1) - 1 do
-        push u sr.Paths.sr_dst.(i) (sr.Paths.sr_wgt.(i) - 1)
+        push buf u sr.Paths.sr_dst.(i) (sr.Paths.sr_wgt.(i) - 1)
       done
     done);
-  { ca = !ca; cb = !cb; cbound = !cbound; m = !m }
+  { ca = buf.bca; cb = buf.bcb; cbound = buf.bbound; m = buf.bm }
+
+let compile ?extra g wd ~period = compile_into (buffer ()) ?extra g wd ~period
 
 (* --- generation ---------------------------------------------------- *)
 

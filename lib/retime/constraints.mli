@@ -97,7 +97,7 @@ val system_bytes : system -> int
     (3 words per slot, including any over-allocated capacity) — the
     arena-footprint number surfaced by the serve metrics. *)
 
-(** {1 Throwaway compiled systems for feasibility probes} *)
+(** {1 Compiled systems for feasibility probes} *)
 
 type compiled = system
 
@@ -113,3 +113,20 @@ val compile :
     dominance-reduced pair set has the same verdicts and labels as the
     full enumeration; at any other period the pairs are enumerated
     graph-direct, which is exact everywhere. *)
+
+type buffer
+(** Arrays a series of probe systems is compiled into, one after
+    another; they keep their largest size. *)
+
+val buffer : unit -> buffer
+
+val compile_into :
+  buffer ->
+  ?extra:Lacr_mcmf.Difference.constr list ->
+  Graph.t ->
+  Paths.wd ->
+  period:float ->
+  compiled
+(** {!compile} into the buffer's arrays: the same constraints in the
+    same order.  The result shares the buffer's arrays and is valid
+    until the next [compile_into] on the buffer. *)

@@ -2,14 +2,18 @@ let normalize_to_host g labels =
   let base = labels.(Graph.host g) in
   Array.map (fun l -> l - base) labels
 
+(* One probe, compiled into [buf] and solved in [scratch]. *)
+let probe buf scratch ~extra g wd ~period =
+  let c = Constraints.compile_into buf ~extra g wd ~period in
+  if
+    Lacr_mcmf.Difference.feasible_in scratch ~a:c.Constraints.ca ~b:c.Constraints.cb
+      ~bound:c.Constraints.cbound ~m:c.Constraints.m
+  then Some (normalize_to_host g (Lacr_mcmf.Difference.scratch_labels scratch))
+  else None
+
 let feasible ?(extra = []) g wd ~period =
-  let compiled = Constraints.compile ~extra g wd ~period in
-  match
-    Lacr_mcmf.Difference.feasible_arrays ~n:(Graph.num_vertices g) ~a:compiled.Constraints.ca
-      ~b:compiled.Constraints.cb ~bound:compiled.Constraints.cbound ~m:compiled.Constraints.m
-  with
-  | None -> None
-  | Some labels -> Some (normalize_to_host g labels)
+  probe (Constraints.buffer ()) (Lacr_mcmf.Difference.scratch (Graph.num_vertices g)) ~extra g wd
+    ~period
 
 type min_period_result = { period : float; labels : int array }
 
@@ -43,6 +47,10 @@ let min_period ?(extra = []) g wd =
     (* Invariant: hi is feasible (the max candidate always is: every
        path of minimum weight fits in it without moving a register on
        that path beyond what feasibility provides). *)
+    (* Every probe reuses one constraint buffer and one Bellman-Ford
+       scratch; the witness is copied out by [normalize_to_host]. *)
+    let buf = Constraints.buffer () and scratch = Lacr_mcmf.Difference.scratch (Graph.num_vertices g) in
+    let feasible_at period = probe buf scratch ~extra g wd ~period in
     let best = ref None in
     let rec search lo hi =
       (* candidates.(hi) known feasible with witness in !best (except
@@ -50,14 +58,14 @@ let min_period ?(extra = []) g wd =
       if lo >= hi then ()
       else begin
         let mid = (lo + hi) / 2 in
-        match feasible ~extra g wd ~period:candidates.(mid) with
+        match feasible_at candidates.(mid) with
         | Some labels ->
           best := Some (candidates.(mid), labels);
           search lo mid
         | None -> search (mid + 1) hi
       end
     in
-    (match feasible ~extra g wd ~period:candidates.(n_cand - 1) with
+    (match feasible_at candidates.(n_cand - 1) with
     | Some labels -> best := Some (candidates.(n_cand - 1), labels)
     | None ->
       (* Should be impossible; fall back to the current period with the

@@ -4,8 +4,6 @@ type t = {
   delays : float array;
   edges : edge array;
   host : int;
-  fanout : edge list array;
-  fanin : edge list array;
   (* CSR (compressed sparse row) fanout view: edges grouped by source
      in original edge order; [csr_off] has n+1 entries, edge slots of
      vertex v are [csr_off.(v), csr_off.(v+1)).  The flat arrays are
@@ -18,12 +16,6 @@ type t = {
 
 let build delays edges host =
   let n = Array.length delays in
-  let fanout = Array.make n [] and fanin = Array.make n [] in
-  let record e =
-    fanout.(e.src) <- e :: fanout.(e.src);
-    fanin.(e.dst) <- e :: fanin.(e.dst)
-  in
-  Array.iter record edges;
   let m = Array.length edges in
   let csr_off = Array.make (n + 1) 0 in
   Array.iter (fun e -> csr_off.(e.src + 1) <- csr_off.(e.src + 1) + 1) edges;
@@ -42,7 +34,7 @@ let build delays edges host =
   if Lacr_util.Sanitize.enabled () then
     Lacr_util.Sanitize.check_csr ~invariant:"graph.csr" ~n ~m ~offsets:csr_off
       ~targets:csr_dst ~max_target:n;
-  { delays; edges; host; fanout; fanin; csr_off; csr_dst; csr_weight }
+  { delays; edges; host; csr_off; csr_dst; csr_weight }
 
 let create ~delays ~edges ~host =
   let n = Array.length delays in
@@ -86,8 +78,6 @@ let host t = t.host
 let delay t v = t.delays.(v)
 let delays t = t.delays
 let edges t = t.edges
-let fanout_edges t v = t.fanout.(v)
-let fanin_edges t v = t.fanin.(v)
 let csr_offsets t = t.csr_off
 let csr_dst t = t.csr_dst
 let csr_weight t = t.csr_weight

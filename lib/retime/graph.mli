@@ -35,8 +35,6 @@ val num_edges : t -> int
 val host : t -> int
 val delay : t -> int -> float
 val edges : t -> edge array
-val fanout_edges : t -> int -> edge list
-val fanin_edges : t -> int -> edge list
 
 (** {1 CSR fanout view}
 

@@ -28,15 +28,15 @@ let weighted_ff_area g ~area labels =
    driver, so each vertex contributes its largest retimed fan-out
    weight. *)
 let shared_registers g labels =
-  let n = Graph.num_vertices g in
+  let off = Graph.csr_offsets g and dst = Graph.csr_dst g and wgt = Graph.csr_weight g in
   let total = ref 0 in
-  for v = 0 to n - 1 do
-    let deepest =
-      List.fold_left
-        (fun acc e -> max acc (Graph.retimed_weight g labels e))
-        0 (Graph.fanout_edges g v)
-    in
-    total := !total + deepest
+  for v = 0 to Graph.num_vertices g - 1 do
+    let deepest = ref 0 in
+    for slot = off.(v) to off.(v + 1) - 1 do
+      let w = wgt.(slot) + labels.(dst.(slot)) - labels.(v) in
+      if w > !deepest then deepest := w
+    done;
+    total := !total + !deepest
   done;
   !total
 

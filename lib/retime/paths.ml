@@ -146,7 +146,7 @@ let delay_row ~off ~dst ~wgt ~delays ~n scratch source wrow =
    rounds-exhausted test. *)
 let cycle_ratio_lower_bound g =
   let n = Graph.num_vertices g in
-  let edges = Graph.edges g in
+  let edges = Graph.edges g and delays = Graph.delays g in
   let pred = Array.make n (-1) in
   let mark = Array.make n 0 in
   let next_base = ref 1 in
@@ -178,10 +178,10 @@ let cycle_ratio_lower_bound g =
     done;
     !found
   in
+  (* Edge [e]'s length is [lambda * w(e) - d(src e)], computed inline
+     in both loops below: a float-returning closure would box one float
+     per edge per round. *)
   let no_negative_cycle lambda =
-    let len (e : Graph.edge) =
-      (lambda *. float_of_int e.Graph.weight) -. Graph.delay g e.Graph.src
-    in
     let dist = Array.make n 0.0 in
     Array.fill pred 0 n (-1);
     let changed = ref true in
@@ -190,14 +190,16 @@ let cycle_ratio_lower_bound g =
     while !changed && (not !negative) && !rounds <= n do
       changed := false;
       incr rounds;
-      Array.iter
-        (fun (e : Graph.edge) ->
-          if dist.(e.Graph.src) +. len e < dist.(e.Graph.dst) -. 1e-9 then begin
-            dist.(e.Graph.dst) <- dist.(e.Graph.src) +. len e;
-            pred.(e.Graph.dst) <- e.Graph.src;
-            changed := true
-          end)
-        edges;
+      for k = 0 to Array.length edges - 1 do
+        let e = edges.(k) in
+        let src = e.Graph.src and dst = e.Graph.dst in
+        let nd = dist.(src) +. ((lambda *. float_of_int e.Graph.weight) -. delays.(src)) in
+        if nd < dist.(dst) -. 1e-9 then begin
+          dist.(dst) <- nd;
+          pred.(dst) <- src;
+          changed := true
+        end
+      done;
       if !changed && !rounds > 50 then begin
         match pred_cycle_start () with
         | -1 -> ()
@@ -222,11 +224,13 @@ let cycle_ratio_lower_bound g =
             end
             else begin
               let best = ref infinity in
-              Array.iter
-                (fun (e : Graph.edge) ->
-                  if e.Graph.src = p && e.Graph.dst = !x then
-                    if len e < !best then best := len e)
-                edges;
+              for k = 0 to Array.length edges - 1 do
+                let e = edges.(k) in
+                if e.Graph.src = p && e.Graph.dst = !x then begin
+                  let len = (lambda *. float_of_int e.Graph.weight) -. delays.(p) in
+                  if len < !best then best := len
+                end
+              done;
               cycle_sum := !cycle_sum +. !best;
               x := p;
               if !x = start then continue_ := false
@@ -530,36 +534,41 @@ let worker_scratch scratches n =
     scratches.(slot) <- Some sc;
     sc
 
-(* Per-chunk growable arena of frontier triples plus per-source
-   counts.  Exactly one worker writes a given arena (chunks are
-   claimed whole), and the merge reads them after the pool joins. *)
+(* Per-chunk arena of frontier triples plus per-source counts.
+   Exactly one worker writes a given arena (chunks are claimed whole),
+   and the merge reads them after the pool joins.  Triples go into
+   blocks that double from 256 up to [arena_block] entries: a full
+   block is kept and a fresh one started, so the arena never copies
+   what it holds, and the merged frontier is the only second copy
+   (a doubling array would allocate up to four times what it holds,
+   the frontier's largest transient at Table 1 sizes). *)
+let arena_block = 8192
+
+type block = { bdst : int array; bwgt : int array; bdly : float array }
+
+let make_block size =
+  { bdst = Array.make size 0; bwgt = Array.make size 0; bdly = Array.make size 0.0 }
+
 type arena = {
-  mutable adst : int array;
-  mutable awgt : int array;
-  mutable adly : float array;
-  mutable alen : int;
+  mutable full : block list;  (* filled blocks, newest first *)
+  mutable cur : block;
+  mutable clen : int;  (* entries used in [cur] *)
+  mutable alen : int;  (* entries in the whole arena *)
   acounts : int array;
   alo : int;
 }
 
 let arena_push a v w d =
-  let cap = Array.length a.adst in
-  if a.alen = cap then begin
-    let ncap = max 64 (2 * cap) in
-    let grow_int arr =
-      let narr = Array.make ncap 0 in
-      Array.blit arr 0 narr 0 a.alen;
-      narr
-    in
-    let ndly = Array.make ncap 0.0 in
-    Array.blit a.adly 0 ndly 0 a.alen;
-    a.adst <- grow_int a.adst;
-    a.awgt <- grow_int a.awgt;
-    a.adly <- ndly
+  if a.clen = Array.length a.cur.bdst then begin
+    a.full <- a.cur :: a.full;
+    a.cur <- make_block (min arena_block (2 * a.clen));
+    a.clen <- 0
   end;
-  a.adst.(a.alen) <- v;
-  a.awgt.(a.alen) <- w;
-  a.adly.(a.alen) <- d;
+  let b = a.cur and i = a.clen in
+  b.bdst.(i) <- v;
+  b.bwgt.(i) <- w;
+  b.bdly.(i) <- d;
+  a.clen <- i + 1;
   a.alen <- a.alen + 1
 
 (* One frontier row on the shared sweep kernel: W from [tight_sweep],
@@ -671,9 +680,9 @@ let compute_streamed ~pool ~trace g =
           let sc = worker_scratch scratches n in
           let a =
             {
-              adst = Array.make 256 0;
-              awgt = Array.make 256 0;
-              adly = Array.make 256 0.0;
+              full = [];
+              cur = make_block 256;
+              clen = 0;
               alen = 0;
               acounts = Array.make (hi - lo) 0;
               alo = lo;
@@ -714,14 +723,18 @@ let compute_streamed ~pool ~trace g =
       let fwgt = Array.make (max 1 !total) 0 in
       let fdly = Array.make (max 1 !total) 0.0 in
       let pos = ref 0 in
+      let copy b len =
+        Array.blit b.bdst 0 fdst !pos len;
+        Array.blit b.bwgt 0 fwgt !pos len;
+        Array.blit b.bdly 0 fdly !pos len;
+        pos := !pos + len
+      in
       Array.iter
         (function
           | None -> ()
           | Some a ->
-            Array.blit a.adst 0 fdst !pos a.alen;
-            Array.blit a.awgt 0 fwgt !pos a.alen;
-            Array.blit a.adly 0 fdly !pos a.alen;
-            pos := !pos + a.alen)
+            List.iter (fun b -> copy b (Array.length b.bdst)) (List.rev a.full);
+            copy a.cur a.clen)
         arenas;
       Streamed { fn = n; threshold; fbound = bound; ffar = far_cut; row_off; fdst; fwgt; fdly })
 

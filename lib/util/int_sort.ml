@@ -3,9 +3,12 @@
    (no closure call per compare) and no allocation — the hot paths
    sort millions of small slices (per-source candidate rows, per-target
    survivor slices), where [Array.sub]+[Array.sort]+blit costs a heap
-   block and a closure-driven compare per element pair. *)
+   block and a closure-driven compare per element pair.  The
+   [int array] annotation is what makes the comparisons monomorphic:
+   without it [sort] is polymorphic and every [<] and [>] calls
+   [caml_lessthan]/[caml_greaterthan]. *)
 
-let rec sort a lo hi =
+let rec sort (a : int array) lo hi =
   let len = hi - lo in
   if len <= 12 then begin
     for i = lo + 1 to hi - 1 do

@@ -134,3 +134,37 @@ let suite =
     QCheck_alcotest.to_alcotest prop_generated_circuits_well_formed;
     QCheck_alcotest.to_alcotest prop_generated_counts_match_spec;
   ]
+
+(* The ten Table 1 netlists, pinned by a digest of the marshalled
+   value: a change to the generator's random draws, or to the order
+   of the signal pool they index, shows here before it moves a plan. *)
+let table1_digests =
+  [
+    ("s298", "31274c026edae32e905d37ae11cc7178");
+    ("s386", "f7895cf146a62be117352c15d8bd5db6");
+    ("s400", "57dc3016b80f83565f89e82721005ee3");
+    ("s526", "ac51c5dc0b5d6be64ae2be3d3b9073b9");
+    ("s641", "6ea46f4485f3cdeaa9d43b0dfc217d8a");
+    ("s820", "7f6dff4f1517e45897fd59a28e0c9ce6");
+    ("s953", "bf3261f3dfaec0039a3aeea327f0d5bd");
+    ("s1196", "5aaf952fba7400a465913abf8a4b8488");
+    ("s1269", "bf9fcd953107ea552322547b1fc3b7fc");
+    ("s1423", "e98f6a61ab781e4b61fb53974445af0f");
+  ]
+
+let test_table1_netlists_pinned () =
+  check "every Table 1 circuit pinned" true
+    (List.equal String.equal (List.map fst table1_digests) Suite.table1_names);
+  List.iter
+    (fun (name, expected) ->
+      match Suite.spec_of name with
+      | None -> Alcotest.failf "%s: no generator spec" name
+      | Some spec ->
+        let marshalled = Marshal.to_string (Synth.generate spec) [ Marshal.No_sharing ] in
+        Alcotest.(check string)
+          (name ^ " netlist digest") expected
+          (Digest.to_hex (Digest.string marshalled)))
+    table1_digests
+
+let suite =
+  suite @ [ Alcotest.test_case "table1 netlists pinned" `Quick test_table1_netlists_pinned ]

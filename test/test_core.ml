@@ -46,10 +46,16 @@ let test_instance_invariants () =
   (* No zero-weight cycle: the clock period is well-defined. *)
   check "clock period computes" true (Graph.clock_period g > 0.0);
   (* Interconnect vertices have exactly one fan-in and one fan-out. *)
+  let fanin = Array.make n 0 and fanout = Array.make n 0 in
+  Array.iter
+    (fun (e : Graph.edge) ->
+      fanout.(e.Graph.src) <- fanout.(e.Graph.src) + 1;
+      fanin.(e.Graph.dst) <- fanin.(e.Graph.dst) + 1)
+    (Graph.edges g);
   for v = 0 to n - 1 do
     if Build.interconnect_vertex inst v then begin
-      check_int "interconnect fanin" 1 (List.length (Graph.fanin_edges g v));
-      check_int "interconnect fanout" 1 (List.length (Graph.fanout_edges g v))
+      check_int "interconnect fanin" 1 fanin.(v);
+      check_int "interconnect fanout" 1 fanout.(v)
     end
   done
 
@@ -702,3 +708,19 @@ let suite =
       Alcotest.test_case "growth table sorted by name" `Slow test_growth_table_sorted_by_name;
       Alcotest.test_case "default plan matches dense plan" `Slow test_default_plan_matches_dense;
     ]
+
+(* What a plan keeps alive: s953's run, both planning iterations,
+   reaches at most 90 000 words.  A change that makes an instance keep
+   more (per-net routes, adjacency lists, a second sequential view)
+   fails here instead of on the benchmark's peak-RSS bound, which
+   grows with every run the ladder keeps. *)
+let test_retained_words () =
+  match Planner.plan_checked (Option.get (Suite.by_name "s953")) with
+  | Error err -> Alcotest.fail (Planner.error_message err)
+  | Ok run ->
+    check "second iteration ran" true (Option.is_some run.Planner.second);
+    let words = Obj.reachable_words (Obj.repr run) in
+    if words > 90_000 then Alcotest.failf "s953 run reaches %d words (at most 90000)" words
+
+let suite =
+  suite @ [ Alcotest.test_case "s953 run retains at most 90000 words" `Quick test_retained_words ]

@@ -132,7 +132,7 @@ let test_block_at () =
   let fp = Floorplan.of_packing blocks result.Annealer.packing in
   Array.iteri
     (fun i p ->
-      let c = Rect.center p.Floorplan.rect in
+      let c = Lacr_oracle.Geometry.center p.Floorplan.rect in
       match Floorplan.block_at fp c with
       | Some j -> check "center maps to own block" true (i = j)
       | None -> Alcotest.fail "center not found")
@@ -163,3 +163,58 @@ let suite =
     Alcotest.test_case "block_at" `Quick test_block_at;
     Alcotest.test_case "expand soft blocks" `Quick test_expand_soft_blocks;
   ]
+
+(* The annealer on two Table 1 circuits, pinned by a digest of the
+   sequence pair and block outlines a default build picks. *)
+let test_annealer_pinned () =
+  List.iter
+    (fun (name, expected) ->
+      match Lacr_circuits.Suite.by_name name with
+      | None -> Alcotest.failf "%s missing" name
+      | Some netlist -> (
+        match Lacr_core.Build.build netlist with
+        | Error msg -> Alcotest.fail msg
+        | Ok inst ->
+          let layout = (inst.Lacr_core.Build.sequence, inst.Lacr_core.Build.dims) in
+          let marshalled = Marshal.to_string layout [ Marshal.No_sharing ] in
+          Alcotest.(check string)
+            (name ^ " sequence pair and dims") expected
+            (Digest.to_hex (Digest.string marshalled))))
+    [ ("s526", "59a0abe133076df5b393f7e53ff95eb0"); ("s1423", "c24a2b2a4da33e2e7e2524370c4bb8cc") ]
+
+(* The annealer's inline cost against the point-list formula it
+   replaced: the same float, bit for bit, on random packings and nets
+   (empty, single-pin and repeated-pin nets included). *)
+let prop_cost_of_matches_point_list =
+  QCheck2.Test.make ~count:300 ~name:"annealer cost_of equals the point-list formula bit for bit"
+    QCheck2.Gen.(pair (int_range 1 12) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let rng = Rng.create seed in
+      let sp = Sequence_pair.random rng n in
+      let dims = Array.init n (fun _ -> (0.1 +. Rng.float rng 5.0, 0.1 +. Rng.float rng 5.0)) in
+      let packing = Sequence_pair.pack sp ~dims in
+      let blocks = Array.init n (fun b -> Block.soft ~name:(string_of_int b) 1.0) in
+      let nets =
+        List.init (Rng.int rng 8) (fun _ ->
+            {
+              Annealer.pins = Array.init (Rng.int rng 6) (fun _ -> Rng.int rng n);
+              weight = Rng.float rng 3.0;
+            })
+      in
+      let options =
+        {
+          Annealer.default_options with
+          area_weight = Rng.float rng 2.0;
+          wirelength_weight = Rng.float rng 2.0;
+        }
+      in
+      Int64.equal
+        (Int64.bits_of_float (Annealer.cost_of options blocks nets packing))
+        (Int64.bits_of_float (Lacr_oracle.Geometry.annealer_cost options nets packing)))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "annealer pinned on s526 and s1423" `Quick test_annealer_pinned;
+      QCheck_alcotest.to_alcotest prop_cost_of_matches_point_list;
+    ]

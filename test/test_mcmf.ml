@@ -581,12 +581,12 @@ let test_compiled_stats_warm_progression () =
     | Error _ -> Alcotest.fail "second round failed");
     check "second round warm" true (Difference.solver_stats inst).Mcmf.warm_start
 
-(* A warm re-solve allocates its one label array and nothing per
-   constraint: on a system with m >= 20 n constraints it must add
-   fewer than m/2 words to the major heap.  A per-solve flow array (one
-   float per constraint and guard arc) is allocated straight into the
-   major heap and fails this. *)
-let test_warm_reoptimize_allocation () =
+(* A ring over n = 300 nodes plus 24 n random constraints
+   (m = 7483), compiled, with one cold and two warm rounds run so every
+   scratch buffer has its size.  Returns [n], [m], the instance, a
+   fresh random objective and a solve that fails the test on an
+   error. *)
+let warm_allocation_system () =
   let rng = Rng.create 4242 in
   let n = 300 in
   let cs = ref [] in
@@ -598,7 +598,6 @@ let test_warm_reoptimize_allocation () =
     if a <> b then cs := { Difference.a; b; bound = Rng.int_in rng 0 3 } :: !cs
   done;
   let m = List.length !cs in
-  check "m >= 20 n" true (m >= 20 * n);
   match compile ~n !cs with
   | Error _ -> Alcotest.fail "compile failed"
   | Ok inst ->
@@ -608,22 +607,30 @@ let test_warm_reoptimize_allocation () =
       | Ok _ -> ()
       | Error _ -> Alcotest.fail "reoptimize failed"
     in
-    (* One cold and two warm rounds size every scratch buffer. *)
     for _round = 1 to 3 do
       solve (objective ())
     done;
-    let objective = objective () in
-    (* [major_words] takes in the words allocated straight into the
-       major heap at the next minor collection, so one brackets the
-       solve on each side. *)
-    Gc.minor ();
-    let before = (Gc.quick_stat ()).Gc.major_words in
-    solve objective;
-    Gc.minor ();
-    let added = (Gc.quick_stat ()).Gc.major_words -. before in
-    check "measured solve is warm" true (Difference.solver_stats inst).Mcmf.warm_start;
-    if added >= float_of_int m /. 2.0 then
-      Alcotest.failf "warm reoptimize added %.0f major words (m = %d)" added m
+    (n, m, inst, objective (), solve)
+
+(* A warm re-solve allocates its one label array and nothing per
+   constraint: on a system with m >= 20 n constraints it must add
+   fewer than m/2 words to the major heap.  A per-solve flow array (one
+   float per constraint and guard arc) is allocated straight into the
+   major heap and fails this. *)
+let test_warm_reoptimize_allocation () =
+  let n, m, inst, objective, solve = warm_allocation_system () in
+  check "m >= 20 n" true (m >= 20 * n);
+  (* [major_words] takes in the words allocated straight into the
+     major heap at the next minor collection, so one brackets the
+     solve on each side. *)
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  solve objective;
+  Gc.minor ();
+  let added = (Gc.quick_stat ()).Gc.major_words -. before in
+  check "measured solve is warm" true (Difference.solver_stats inst).Mcmf.warm_start;
+  if added >= float_of_int m /. 2.0 then
+    Alcotest.failf "warm reoptimize added %.0f major words (m = %d)" added m
 
 let suite =
   suite
@@ -637,4 +644,27 @@ let suite =
         test_compiled_stats_warm_progression;
       Alcotest.test_case "warm reoptimize allocates no per-constraint array" `Quick
         test_warm_reoptimize_allocation;
+    ]
+
+(* The blocking flow keeps its floats unboxed: a warm re-solve
+   allocates O(n) minor words, not a few per push.  The solve makes
+   more than three pushes per node, so boxing a single float (two
+   words) per push would exceed the 4 n bound by itself. *)
+let test_warm_reoptimize_minor_words () =
+  let n, _m, inst, objective, solve = warm_allocation_system () in
+  let before = Gc.minor_words () in
+  solve objective;
+  let words = Gc.minor_words () -. before in
+  let stats = Difference.solver_stats inst in
+  check "measured solve is warm" true stats.Mcmf.warm_start;
+  check "more than three pushes per node" true (stats.Mcmf.pushes > 3 * n);
+  if words >= float_of_int (4 * n) then
+    Alcotest.failf "warm reoptimize allocated %.0f minor words (n = %d, %d pushes)" words n
+      stats.Mcmf.pushes
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "warm reoptimize allocates O(n) minor words" `Quick
+        test_warm_reoptimize_minor_words;
     ]

@@ -56,7 +56,7 @@ let prop_steiner_connected_and_bounded =
           (fun acc (a, b) -> acc +. Point.manhattan pts.(a) pts.(b))
           0.0 (Steiner.mst pts)
       in
-      let hpwl = Rect.hpwl (Array.to_list pts) in
+      let hpwl = Lacr_oracle.Geometry.hpwl (Array.to_list pts) in
       Steiner.connected tree
       && Steiner.length tree <= mst_len +. 1e-9
       && Steiner.length tree >= (hpwl /. 2.0) -. 1e-9)
@@ -411,7 +411,7 @@ let routing_of netlist =
 
 let routed_wirelength netlist =
   let r = routing_of netlist in
-  (r.Global_router.total_wirelength, r.Global_router.overflow)
+  (r.Build.total_wirelength, r.Build.overflow)
 
 let suite_circuit name =
   match Suite.by_name name with Some n -> n | None -> Alcotest.fail (name ^ " missing")
@@ -430,12 +430,12 @@ let test_pin_s386 () =
    passes' checkpoint/revert loop on a real circuit. *)
 let test_pin_s1196 () =
   let r = routing_of (suite_circuit "s1196") in
-  check_int "s1196 nets" 344 (Array.length r.Global_router.nets);
+  check_int "s1196 nets" 344 (Array.length r.Build.nets);
   Alcotest.(check (float 1e-4)) "s1196 routed wirelength" 3517.603919
-    r.Global_router.total_wirelength;
-  Alcotest.(check (float 1e-9)) "s1196 overflow" 0.0 r.Global_router.overflow;
+    r.Build.total_wirelength;
+  Alcotest.(check (float 1e-9)) "s1196 overflow" 0.0 r.Build.overflow;
   Alcotest.(check (array (float 1e-9)))
-    "s1196 pass overflow" [| 25.; 2.; 0. |] r.Global_router.pass_overflow
+    "s1196 pass overflow" [| 25.; 2.; 0. |] r.Build.pass_overflow
 
 let suite =
   [
