@@ -212,7 +212,7 @@ let scale_rung ?(prefix = "") units =
           ~pairs_of:(function
             | Paths.Streamed fr -> Array.length fr.Paths.fdst
             | Paths.Dense _ -> 0)
-          (fun () -> Paths.compute ~pool g)
+          (fun () -> Paths.compute ~pool ~extra g)
       in
       let mp = stage "min_period" (fun () -> Feasibility.min_period ~extra g wd) in
       let t_clk =
@@ -380,11 +380,11 @@ let run_bechamel () =
   let inst = instance "s298" in
   let _, _, t_clk, cs = Planner.retiming_setup inst in
   let g = inst.Build.graph and extra = inst.Build.pin_constraints in
-  let wd = Paths.compute g in
+  let wd = Paths.compute ~extra g in
   let area = Array.make (Graph.num_vertices g) 1.0 in
   let tests =
     [
-      Test.make ~name:"wd-matrices" (Staged.stage (fun () -> ignore (Paths.compute g)));
+      Test.make ~name:"wd-matrices" (Staged.stage (fun () -> ignore (Paths.compute ~extra g)));
       Test.make ~name:"constraint-gen-pruned"
         (Staged.stage (fun () ->
              ignore (Constraints.generate ~prune:true ~extra g wd ~period:t_clk)));
@@ -394,7 +394,7 @@ let run_bechamel () =
         (Staged.stage (fun () -> ignore (Min_area.solve_weighted g cs ~area)));
       Test.make ~name:"clock-period" (Staged.stage (fun () -> ignore (Graph.clock_period g)));
       Test.make ~name:"cycle-ratio-bound"
-        (Staged.stage (fun () -> ignore (Paths.cycle_ratio_lower_bound g)));
+        (Staged.stage (fun () -> ignore (Paths.cycle_ratio_lower_bound ~extra g)));
     ]
   in
   let results =

@@ -318,7 +318,7 @@ let run_verify_constraints circuit seed domains =
   Lacr_util.Pool.with_pool
     ~size:(Lacr_util.Pool.resolve_size ~requested:config.Config.domains)
     (fun pool ->
-      match P.compute ~pool g with
+      match P.compute ~pool ~extra g with
       | P.Dense _ ->
         prerr_endline "verify-constraints: expected the streamed (W,D) frontier";
         1
@@ -369,7 +369,7 @@ let run_retime circuit slack output =
   with_view circuit @@ fun netlist view ->
   let g = Lacr_retime.Graph.of_seqview view in
   let extra = Lacr_retime.Graph.io_pin_constraints view ~host:(Lacr_retime.Graph.host g) in
-  let wd = Lacr_retime.Paths.compute g in
+  let wd = Lacr_retime.Paths.compute ~extra g in
   let mp = Lacr_retime.Feasibility.min_period ~extra g wd in
   let t_min = mp.Lacr_retime.Feasibility.period in
   let t_init = Lacr_retime.Graph.clock_period g in

@@ -63,7 +63,7 @@ let () =
      this minimal flow): min-period, then a relaxed min-area. *)
   let g = Graph.of_seqview view in
   let extra = Graph.io_pin_constraints view ~host:(Graph.host g) in
-  let wd = Paths.compute g in
+  let wd = Paths.compute ~extra g in
   let mp = Feasibility.min_period ~extra g wd in
   Printf.printf "clock: %.2f ns initial, %.2f ns after min-period retiming\n"
     (Graph.clock_period g) mp.Feasibility.period;

@@ -22,7 +22,7 @@ let () =
   (* Min-area retime at a 10% relaxed period. *)
   let g = Graph.of_seqview view in
   let extra = Graph.io_pin_constraints view ~host:(Graph.host g) in
-  let wd = Lacr_retime.Paths.compute g in
+  let wd = Lacr_retime.Paths.compute ~extra g in
   let mp = Lacr_retime.Feasibility.min_period ~extra g wd in
   let period = mp.Lacr_retime.Feasibility.period *. 1.1 in
   let cs = Lacr_retime.Constraints.generate ~prune:true ~extra g wd ~period in

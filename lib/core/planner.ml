@@ -128,12 +128,9 @@ let retiming_setup ?pool ?(trace = Obs.disabled) (inst : Build.instance) =
   let g = inst.Build.graph in
   let t_init = Graph.clock_period g in
   let cfg = inst.Build.config in
-  let wd = Paths.compute ~mode:cfg.Config.paths_mode ?pool ~trace g in
   let extra = inst.Build.pin_constraints in
-  let mp =
-    Obs.with_span trace ~cat:"core" "feasibility.min_period" (fun () ->
-        Feasibility.min_period ~extra g wd)
-  in
+  let wd = Paths.compute ~mode:cfg.Config.paths_mode ?pool ~trace ~extra g in
+  let mp = Feasibility.min_period ~extra ~trace g wd in
   let t_min = mp.Feasibility.period in
   let t_clk = Config.t_clk cfg ~t_init ~t_min in
   let constraints =
@@ -170,10 +167,11 @@ let plan_prepared_with_pool ~pool ~second_iteration ?session ~trace prepared =
            solver belongs to the first-iteration constraint system, so
            the re-plan always compiles its own. *)
         let g2 = instance2.Build.graph in
-        let wd2 = Paths.compute ~mode:config.Config.paths_mode ~pool ~trace g2 in
+        let extra2 = instance2.Build.pin_constraints in
+        let wd2 = Paths.compute ~mode:config.Config.paths_mode ~pool ~trace ~extra:extra2 g2 in
         let constraints2 =
-          Constraints.generate ~prune:config.Config.prune_constraints
-            ~extra:instance2.Build.pin_constraints ~pool ~trace g2 wd2 ~period:t_clk
+          Constraints.generate ~prune:config.Config.prune_constraints ~extra:extra2 ~pool ~trace g2
+            wd2 ~period:t_clk
         in
         let lac2 =
           Result.map (fun o -> o.Lac.lac) (Lac.retime ~pool ~obs:trace instance2 constraints2)

@@ -22,10 +22,22 @@ type min_period_result = {
 
 val min_period :
   ?extra:Lacr_mcmf.Difference.constr list ->
+  ?trace:Lacr_obs.Trace.ctx ->
   Graph.t ->
   Paths.wd ->
   min_period_result
 (** Smallest achievable clock period over the candidate set of
-    distinct path delays.  Always succeeds: the largest candidate (the
-    total delay of the heaviest minimum-weight path) is feasible with
-    the identity retiming. *)
+    distinct path delays in [[bound - period_tol, T_init + period_tol]],
+    where [bound] is {!Paths.cycle_ratio_lower_bound} closed over the
+    pins of [extra] (the streamed frontier's [fbound]).  Always
+    succeeds: the largest candidate (the total delay of the heaviest
+    minimum-weight path) is feasible with the identity retiming.
+
+    [trace] (default disabled) wraps the search in a
+    [feasibility.min_period] span with [candidates] and [probes]
+    attributes, and adds them to the [feasibility.candidates] and
+    [feasibility.probes] counters.
+
+    @raise Invalid_argument when a streamed [wd] was closed over a
+    vertex ([fpinned]) that [extra] does not pin: its bound can
+    exclude the true minimum of the less constrained system. *)

@@ -10,6 +10,7 @@ type frontier = {
   fn : int;
   threshold : float;
   fbound : float;  (* cycle-ratio/max-delay lower bound (threshold = fbound - period_tol) *)
+  fpinned : int array;  (* the pinned vertices the bound closed the graph over *)
   ffar : float;  (* near/far cut: clock_period + 2 period_tol; far pairs are dominance-reduced *)
   row_off : int array;
   fdst : int array;
@@ -125,138 +126,298 @@ let delay_row ~off ~dst ~wgt ~delays ~n scratch source wrow =
   done;
   drow
 
-(* Lower bound on any achievable period: the maximum cycle ratio
-   max_C d(C) / w(C) (registers on a cycle are invariant under
-   retiming, so the cycle's delay must fit in w(C) periods), and the
-   largest single vertex delay.  Checked by Lawler's reformulation:
-   lambda bounds all cycle ratios iff the graph with edge lengths
-   [lambda * w(e) - d(src e)] has no negative cycle.
+(* --- the cycle-ratio lower bound: Howard's policy iteration --- *)
 
-   Besides pruning the min-period binary search, this bound is the
-   retention threshold of the streamed (W,D) frontier, which is why it
-   lives here rather than in [Feasibility] (which re-exports it).
+(* The vertices [extra] ties to the host: it holds both
+   [r(p) - r(host) <= 0] and [r(host) - r(p) <= 0], so every retiming
+   that satisfies it has [r(p) = r(host) = 0].  Ascending. *)
+let pinned_vertices g (extra : Lacr_mcmf.Difference.constr list) =
+  let n = Graph.num_vertices g and host = Graph.host g in
+  let mark = Bytes.make n '\000' in
+  let set v bit = Bytes.set mark v (Char.unsafe_chr (Char.code (Bytes.get mark v) lor bit)) in
+  List.iter
+    (fun (c : Lacr_mcmf.Difference.constr) ->
+      let a = c.Lacr_mcmf.Difference.a and b = c.Lacr_mcmf.Difference.b in
+      if c.Lacr_mcmf.Difference.bound = 0 && a <> b then
+        if b = host && a >= 0 && a < n then set a 1
+        else if a = host && b >= 0 && b < n then set b 2)
+    extra;
+  let pinned = ref [] in
+  for v = n - 1 downto 0 do
+    if Bytes.get mark v = '\003' then pinned := v :: !pinned
+  done;
+  Array.of_list !pinned
 
-   The Bellman-Ford negative-cycle test walks the predecessor graph
-   once per round after a short warm-up: a cycle in the predecessor
-   graph implies a negative cycle, so the infeasible probes of the
-   bisection terminate after about one cycle length of rounds instead
-   of the full |V| rounds — the difference between minutes and
-   milliseconds at 10^5 vertices.  Each detected cycle is re-summed
-   before it is believed, so a verdict never differs from the plain
-   rounds-exhausted test. *)
-let cycle_ratio_lower_bound g =
+(* The graph's CSR, closed through a zero-delay hub (vertex [n]) when
+   [pinned] is non-empty: arcs hub -> p of weight 0 and p -> hub of
+   weight 1 per pinned vertex, after p's own out-arcs.  Returns
+   [(vertices, off, dst, wgt, delay)]; unclosed, the graph's own
+   arrays. *)
+let closed_csr g pinned =
   let n = Graph.num_vertices g in
-  let edges = Graph.edges g and delays = Graph.delays g in
-  let pred = Array.make n (-1) in
-  let mark = Array.make n 0 in
-  let next_base = ref 1 in
-  (* Is the predecessor graph cyclic?  Colored walks with monotone
-     tokens: one pass is O(n) and needs no clearing. *)
-  let pred_cycle_start () =
-    let base = !next_base in
-    next_base := base + n;
-    let found = ref (-1) in
-    let v = ref 0 in
-    while !found < 0 && !v < n do
-      if mark.(!v) < base then begin
-        let token = base + !v in
-        let x = ref !v in
-        let walking = ref true in
-        while !walking do
-          if !x < 0 then walking := false
-          else if mark.(!x) >= base then begin
-            if mark.(!x) = token then found := !x;
-            walking := false
-          end
-          else begin
-            mark.(!x) <- token;
-            x := pred.(!x)
-          end
-        done
-      end;
-      incr v
+  let off = Graph.csr_offsets g and dst = Graph.csr_dst g and wgt = Graph.csr_weight g in
+  let k = Array.length pinned in
+  if k = 0 then (n, off, dst, wgt, Graph.delays g)
+  else begin
+    let is_pinned = Bytes.make n '\000' in
+    Array.iter (fun p -> Bytes.set is_pinned p '\001') pinned;
+    let coff = Array.make (n + 2) 0 in
+    for v = 0 to n - 1 do
+      let closing = if Bytes.get is_pinned v = '\001' then 1 else 0 in
+      coff.(v + 1) <- coff.(v) + (off.(v + 1) - off.(v)) + closing
     done;
-    !found
-  in
-  (* Edge [e]'s length is [lambda * w(e) - d(src e)], computed inline
-     in both loops below: a float-returning closure would box one float
-     per edge per round. *)
-  let no_negative_cycle lambda =
-    let dist = Array.make n 0.0 in
-    Array.fill pred 0 n (-1);
-    let changed = ref true in
-    let negative = ref false in
-    let rounds = ref 0 in
-    while !changed && (not !negative) && !rounds <= n do
-      changed := false;
-      incr rounds;
-      for k = 0 to Array.length edges - 1 do
-        let e = edges.(k) in
-        let src = e.Graph.src and dst = e.Graph.dst in
-        let nd = dist.(src) +. ((lambda *. float_of_int e.Graph.weight) -. delays.(src)) in
-        if nd < dist.(dst) -. 1e-9 then begin
-          dist.(dst) <- nd;
-          pred.(dst) <- src;
-          changed := true
-        end
-      done;
-      if !changed && !rounds > 50 then begin
-        match pred_cycle_start () with
-        | -1 -> ()
-        | start ->
-          (* Verify the cycle really sums negative before cutting the
-             loop short; the tolerance in the relaxation test makes
-             the implication one float-rounding hair short of exact.
-             The minimum edge length per predecessor hop is sound: a
-             cycle negative under minimum lengths is a genuine
-             negative cycle of the graph. *)
-          let cycle_sum = ref 0.0 in
-          let ok = ref true in
-          let x = ref start in
-          let steps = ref 0 in
-          let continue_ = ref true in
-          while !continue_ do
-            incr steps;
-            let p = pred.(!x) in
-            if p < 0 || !steps > n then begin
-              ok := false;
-              continue_ := false
-            end
-            else begin
-              let best = ref infinity in
-              for k = 0 to Array.length edges - 1 do
-                let e = edges.(k) in
-                if e.Graph.src = p && e.Graph.dst = !x then begin
-                  let len = (lambda *. float_of_int e.Graph.weight) -. delays.(p) in
-                  if len < !best then best := len
-                end
-              done;
-              cycle_sum := !cycle_sum +. !best;
-              x := p;
-              if !x = start then continue_ := false
-            end
-          done;
-          if !ok && !cycle_sum < 0.0 then negative := true
+    coff.(n + 1) <- coff.(n) + k;
+    let mc = coff.(n + 1) in
+    let cdst = Array.make mc 0 and cwgt = Array.make mc 0 in
+    for v = 0 to n - 1 do
+      let base = coff.(v) and len = off.(v + 1) - off.(v) in
+      Array.blit dst off.(v) cdst base len;
+      Array.blit wgt off.(v) cwgt base len;
+      if Bytes.get is_pinned v = '\001' then begin
+        cdst.(base + len) <- n;
+        cwgt.(base + len) <- 1
       end
     done;
-    (not !changed) && not !negative
+    Array.blit pinned 0 cdst coff.(n) k;
+    let cdel = Array.make (n + 1) 0.0 in
+    Array.blit (Graph.delays g) 0 cdel 0 n;
+    (n + 1, coff, cdst, cwgt, cdel)
+  end
+
+(* Strongly connected components by an iterative Tarjan walk over a
+   CSR.  Returns [(comp, order, comp_off, n_comp)]: [order] lists the
+   vertices grouped by component, component [c] in slots
+   [comp_off.(c), comp_off.(c + 1)).  A visited vertex is on Tarjan's
+   stack exactly while it has no component yet. *)
+let components ~off ~dst n =
+  let index = Array.make n (-1) and low = Array.make n 0 in
+  let stack = Array.make n 0 and sp = ref 0 in
+  let call = Array.make n 0 and cursor = Array.make n 0 and cp = ref 0 in
+  let comp = Array.make n (-1) and order = Array.make n 0 and filled = ref 0 in
+  let comp_off = Array.make (n + 1) 0 and n_comp = ref 0 in
+  let next = ref 0 in
+  let enter v =
+    index.(v) <- !next;
+    low.(v) <- !next;
+    incr next;
+    stack.(!sp) <- v;
+    incr sp;
+    cursor.(v) <- off.(v);
+    call.(!cp) <- v;
+    incr cp
   in
+  for root = 0 to n - 1 do
+    if index.(root) < 0 then begin
+      enter root;
+      while !cp > 0 do
+        let v = call.(!cp - 1) in
+        let i = cursor.(v) in
+        if i < off.(v + 1) then begin
+          cursor.(v) <- i + 1;
+          let w = dst.(i) in
+          if index.(w) < 0 then enter w
+          else if comp.(w) < 0 && index.(w) < low.(v) then low.(v) <- index.(w)
+        end
+        else begin
+          decr cp;
+          if !cp > 0 then begin
+            let u = call.(!cp - 1) in
+            if low.(v) < low.(u) then low.(u) <- low.(v)
+          end;
+          if low.(v) = index.(v) then begin
+            let popping = ref true in
+            while !popping do
+              decr sp;
+              let w = stack.(!sp) in
+              comp.(w) <- !n_comp;
+              order.(!filled) <- w;
+              incr filled;
+              if w = v then popping := false
+            done;
+            incr n_comp;
+            comp_off.(!n_comp) <- !filled
+          end
+        end
+      done
+    end
+  done;
+  (comp, order, comp_off, !n_comp)
+
+(* Policy iterations per component before the best cycle found so far
+   is returned as it stands (a real cycle, so still a valid bound).
+   The large components of s298, s526, s953, s1423 and hier:2000
+   converge in 5-8. *)
+let howard_max_iter = 1000
+
+(* The ratio of the policy cycle through [v], summed from the head of
+   its first registered arc after [v]. *)
+let policy_cycle_ratio ~policy ~dst ~wgt ~del v =
+  let start = ref (-1) and u = ref v in
+  while !start < 0 do
+    let e = policy.(!u) in
+    u := dst.(e);
+    if wgt.(e) > 0 then start := !u
+    else if !u = v then failwith "Paths.cycle_ratio_lower_bound: zero-weight cycle"
+  done;
+  let d = ref 0.0 and w = ref 0 and u = ref !start and closed = ref false in
+  while not !closed do
+    d := !d +. del.(!u);
+    let e = policy.(!u) in
+    w := !w + wgt.(e);
+    u := dst.(e);
+    if !u = !start then closed := true
+  done;
+  !d /. float_of_int !w
+
+(* Lower bound on any achievable period: the largest vertex delay and
+   the maximum cycle ratio max_C d(C) / w(C) of the graph closed
+   through the pinned I/O (registers on a cycle are invariant under
+   retiming, so the cycle's delay must fit in w(C) periods; the closure
+   is sound because a pinned path keeps its registers, DESIGN §3).
+
+   Howard's policy iteration per strongly connected component (after
+   Cochet-Terrasson et al. 1998, and the in-arc sweep of Dasdan, Irani
+   and Gupta, DAC'99): every vertex follows one out-arc (its policy),
+   the best cycle of the policy graph gives a ratio [lambda], reverse
+   sweeps from that cycle give every vertex the value
+   [x(u) = x(v) + d(u) - lambda * w(u -> v)] along its policy, and any
+   arc that raises a value by more than float noise becomes the new
+   policy.  When no arc does, no cycle's ratio exceeds [lambda].  The
+   bound is the best cycle ratio seen, summed from the head of one of
+   its registered arcs (the order a D value of the same path is summed
+   in), so it is the ratio of a real cycle whether or not the
+   iteration converged.  Arc cost is the source vertex's delay; the
+   hub's is 0.  Flat arrays throughout: no closure, no boxed float in
+   the loops. *)
+let closed_bound g pinned =
+  let nc, off, dst, wgt, del = closed_csr g pinned in
+  let n = Graph.num_vertices g in
   let max_delay =
     let m = ref 0.0 in
     for v = 0 to n - 1 do
-      if Graph.delay g v > !m then m := Graph.delay g v
+      if del.(v) > !m then m := del.(v)
     done;
     !m
   in
-  if no_negative_cycle max_delay then max_delay
-  else begin
-    let lo = ref max_delay and hi = ref (max max_delay (Graph.clock_period g)) in
-    for _i = 1 to 30 do
-      let mid = (!lo +. !hi) /. 2.0 in
-      if no_negative_cycle mid then hi := mid else lo := mid
-    done;
-    !hi
-  end
+  let comp, order, comp_off, n_comp = components ~off ~dst nc in
+  (* Intra-component in-arcs: source and arc index per target. *)
+  let rin_off = Array.make (nc + 1) 0 in
+  for u = 0 to nc - 1 do
+    for i = off.(u) to off.(u + 1) - 1 do
+      let v = dst.(i) in
+      if comp.(v) = comp.(u) then rin_off.(v + 1) <- rin_off.(v + 1) + 1
+    done
+  done;
+  for v = 1 to nc do
+    rin_off.(v) <- rin_off.(v) + rin_off.(v - 1)
+  done;
+  let rin_src = Array.make (max 1 rin_off.(nc)) 0 and rin_arc = Array.make (max 1 rin_off.(nc)) 0 in
+  let fill = Array.sub rin_off 0 nc in
+  for u = 0 to nc - 1 do
+    for i = off.(u) to off.(u + 1) - 1 do
+      let v = dst.(i) in
+      if comp.(v) = comp.(u) then begin
+        rin_src.(fill.(v)) <- u;
+        rin_arc.(fill.(v)) <- i;
+        fill.(v) <- fill.(v) + 1
+      end
+    done
+  done;
+  let policy = Array.make nc (-1) and x = Array.make nc 0.0 in
+  let mark = Array.make nc 0 and token = ref 1 in
+  let queue = Array.make nc 0 in
+  let best = ref neg_infinity in
+  for c = 0 to n_comp - 1 do
+    let lo = comp_off.(c) and hi = comp_off.(c + 1) in
+    if hi - lo >= 2 then begin
+      (* Initial policy: the fewest registers, then the slowest head. *)
+      for t = lo to hi - 1 do
+        let u = order.(t) in
+        for i = off.(u) to off.(u + 1) - 1 do
+          let v = dst.(i) in
+          if comp.(v) = c then begin
+            let p = policy.(u) in
+            if p < 0 || wgt.(i) < wgt.(p) || (wgt.(i) = wgt.(p) && del.(v) > del.(dst.(p))) then
+              policy.(u) <- i
+          end
+        done
+      done;
+      let iter = ref 0 and improved = ref true in
+      while !improved && !iter < howard_max_iter do
+        incr iter;
+        (* The best cycle of the policy graph: walks marked with one
+           token each, so a walk that meets its own token closed a
+           cycle. *)
+        let base = !token in
+        token := base + (hi - lo) + 1;
+        let lambda = ref neg_infinity and root = ref (-1) in
+        for t = lo to hi - 1 do
+          let s = order.(t) in
+          if mark.(s) < base then begin
+            let tok = base + (t - lo) in
+            let v = ref s in
+            while mark.(!v) < base do
+              mark.(!v) <- tok;
+              v := dst.(policy.(!v))
+            done;
+            if mark.(!v) = tok then begin
+              let r = policy_cycle_ratio ~policy ~dst ~wgt ~del !v in
+              if r > !lambda then begin
+                lambda := r;
+                root := !v
+              end
+            end
+          end
+        done;
+        let lambda = !lambda and root = !root in
+        if lambda > !best then best := lambda;
+        (* Values: a reverse sweep from the cycle along policy arcs,
+           then a second one along any arc (which becomes the policy)
+           for the vertices the first did not reach. *)
+        let reached = base + (hi - lo) in
+        x.(root) <- 0.0;
+        mark.(root) <- reached;
+        queue.(0) <- root;
+        let qtail = ref 1 in
+        for pass = 0 to 1 do
+          let any = pass = 1 and qhead = ref 0 in
+          while !qhead < !qtail do
+            let v = queue.(!qhead) in
+            incr qhead;
+            let xv = x.(v) in
+            for j = rin_off.(v) to rin_off.(v + 1) - 1 do
+              let u = rin_src.(j) and e = rin_arc.(j) in
+              if mark.(u) <> reached && (any || policy.(u) = e) then begin
+                mark.(u) <- reached;
+                policy.(u) <- e;
+                x.(u) <- xv +. del.(u) -. (lambda *. float_of_int wgt.(e));
+                queue.(!qtail) <- u;
+                incr qtail
+              end
+            done
+          done
+        done;
+        improved := false;
+        for t = lo to hi - 1 do
+          let v = order.(t) in
+          let xv = x.(v) in
+          for j = rin_off.(v) to rin_off.(v + 1) - 1 do
+            let u = rin_src.(j) and e = rin_arc.(j) in
+            let cand = xv +. del.(u) -. (lambda *. float_of_int wgt.(e)) in
+            let xu = x.(u) in
+            if cand > xu +. (1e-12 *. (Float.abs xu +. lambda)) then begin
+              x.(u) <- cand;
+              policy.(u) <- e;
+              improved := true
+            end
+          done
+        done
+      done
+    end
+  done;
+  if !best > max_delay then !best else max_delay
+
+let cycle_ratio_lower_bound ?(extra = []) g = closed_bound g (pinned_vertices g extra)
 
 let compute_dense ~pool ~trace g =
   let n = Graph.num_vertices g in
@@ -636,7 +797,7 @@ let frontier_row sc ~off ~dst ~wgt ~delays ~zorder ~zrank ~threshold ~far_cut u 
   Lacr_util.Int_sort.sort_slice cand ~lo:0 ~hi:!nc;
   !nc
 
-let compute_streamed ~pool ~trace g =
+let compute_streamed ~pool ~trace ~pinned g =
   let n = Graph.num_vertices g in
   let off = Graph.csr_offsets g
   and dst = Graph.csr_dst g
@@ -655,7 +816,9 @@ let compute_streamed ~pool ~trace g =
      (path delay grows with register distance, so nearly every ordered
      pair clears the threshold) and the memory wall this backend exists
      to break comes straight back.  Probes outside that window are
-     answered graph-direct instead (see [in_window]). *)
+     answered graph-direct instead (see [in_window]).  Closed over the
+     pinned I/O, the bound is the pinned min period's own lower bound,
+     so only a min-period search under the same pins may read it. *)
   let traced = Lacr_obs.Trace.enabled trace in
   let c_rows = Lacr_obs.Trace.counter trace "paths.rows" in
   let c_front = Lacr_obs.Trace.counter trace "paths.frontier_pairs" in
@@ -663,7 +826,11 @@ let compute_streamed ~pool ~trace g =
     ~attrs:[ ("vertices", Lacr_obs.Trace.Int n); ("mode", Lacr_obs.Trace.Str "stream") ]
     "paths.compute"
     (fun () ->
-      let bound = cycle_ratio_lower_bound g in
+      let bound = closed_bound g pinned in
+      if traced then begin
+        Lacr_obs.Trace.span_attr trace "bound" (Lacr_obs.Trace.Float bound);
+        Lacr_obs.Trace.span_attr trace "pinned" (Lacr_obs.Trace.Int (Array.length pinned))
+      end;
       let threshold = bound -. period_tol in
       (* Min-period candidates reach T_init + period_tol (D values
          equal to T_init up to float noise) and the constraint test
@@ -736,15 +903,16 @@ let compute_streamed ~pool ~trace g =
             List.iter (fun b -> copy b (Array.length b.bdst)) (List.rev a.full);
             copy a.cur a.clen)
         arenas;
-      Streamed { fn = n; threshold; fbound = bound; ffar = far_cut; row_off; fdst; fwgt; fdly })
+      Streamed
+        { fn = n; threshold; fbound = bound; fpinned = pinned; ffar = far_cut; row_off; fdst; fwgt; fdly })
 
 let auto_cutoff = 0
 
 let compute ?(mode = Mode.Auto) ?(pool = Lacr_util.Pool.sequential)
-    ?(trace = Lacr_obs.Trace.disabled) g =
+    ?(trace = Lacr_obs.Trace.disabled) ?(extra = []) g =
   match mode with
   | Mode.Dense -> compute_dense ~pool ~trace g
-  | Mode.Auto | Mode.Stream -> compute_streamed ~pool ~trace g
+  | Mode.Auto | Mode.Stream -> compute_streamed ~pool ~trace ~pinned:(pinned_vertices g extra) g
 
 let num_vertices = function Dense { w; _ } -> Array.length w | Streamed fr -> fr.fn
 

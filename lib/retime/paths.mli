@@ -8,19 +8,20 @@
     edges cannot form a cycle because the circuit has no zero-weight
     cycle).
 
-    The {e streamed} backend is the planner's engine at every size.
-    It keeps only the probe-relevant frontier.  Probed periods always
-    lie in [[bound - period_tol, clock_period + period_tol]]: the
-    cycle-ratio bound caps them from below, and the identity retiming
-    makes the initial clock period feasible, capping the min-period
-    search from above (the {!period_tol} admits D values equal to it
-    up to float noise).  So the frontier stores the {e near} band ([D]
-    within the probe window) in full, and {e far} pairs ([D] beyond
-    every probe, hence violating all of them uniformly) only after an
-    exact dominance reduction: a far pair dominated by a far tight-DAG
-    predecessor is implied by the survivor plus edge constraints at
-    every probed period, so removing it changes no feasibility verdict
-    and no label vector.
+    The {e streamed} backend is the planner's engine at every size. It
+    keeps only the probe-relevant frontier. Probed periods always lie
+    in [[bound - period_tol, clock_period + period_tol]]: the
+    cycle-ratio bound (closed over the caller's pins, see
+    {!cycle_ratio_lower_bound}) caps them from below, and the identity
+    retiming makes the initial clock period feasible, capping the
+    min-period search from above (the {!period_tol} admits D values
+    equal to it up to float noise). So the frontier stores the
+    {e near} band ([D] within the probe window) in full, and {e far}
+    pairs ([D] beyond every probe, hence violating all of them
+    uniformly) only after an exact dominance reduction: a far pair
+    dominated by a far tight-DAG predecessor is implied by the
+    survivor plus edge constraints at every probed period, so removing
+    it changes no feasibility verdict and no label vector.
     Periods outside that window ({!in_window}) are answered
     graph-direct by the callers.  Constraint generation does not read
     the frontier at all: systems are enumerated directly from the
@@ -58,10 +59,19 @@ val period_tol : float
 
 type frontier = {
   fn : int;  (** vertex count *)
-  threshold : float;  (** near pairs with [D >= threshold] are retained *)
+  threshold : float;
+      (** [fbound - period_tol]: near pairs with [D >= threshold] are
+          retained.  Closed over pins, it rises with the bound, so the
+          frontier keeps only the pairs a pinned min-period search or a
+          probe at or above the pinned T_min can read. *)
   fbound : float;
-      (** the cycle-ratio lower bound ([threshold + period_tol] before
-          rounding) *)
+      (** {!cycle_ratio_lower_bound} of the graph, closed over
+          [fpinned]: the min-period search's lower end *)
+  fpinned : int array;
+      (** the vertices the bound closed the graph over (ascending):
+          {!pinned_vertices} of the [extra] given to {!compute}, empty
+          without pins.  [Feasibility.min_period] refuses a frontier
+          whose pins its own [extra] does not cover. *)
   ffar : float;
       (** near/far cut: initial clock period
           [+ period_tol + period_tol] (the highest min-period candidate
@@ -80,7 +90,12 @@ val auto_cutoff : int
     0, so [Auto] streams at every size. *)
 
 val compute :
-  ?mode:Mode.t -> ?pool:Lacr_util.Pool.t -> ?trace:Lacr_obs.Trace.ctx -> Graph.t -> wd
+  ?mode:Mode.t ->
+  ?pool:Lacr_util.Pool.t ->
+  ?trace:Lacr_obs.Trace.ctx ->
+  ?extra:Lacr_mcmf.Difference.constr list ->
+  Graph.t ->
+  wd
 (** Sources are independent, so the rows fill in parallel over [pool]
     (default {!Lacr_util.Pool.sequential}): each worker owns its
     scratch and writes only its own rows (dense) or its own
@@ -93,21 +108,44 @@ val compute :
     [Config.paths_mode] through, and callers that read the matrices
     ask for [Mode.Dense].
 
+    [extra] (default none) is the pin list the caller's min-period
+    search and constraint generation take: the streamed frontier's
+    bound ({!cycle_ratio_lower_bound}) is closed over the vertices it
+    pins, which raises the retention threshold to the pinned T_min's
+    own lower bound.  The dense backend ignores it.
+
     [trace] (default disabled) wraps the computation in a
-    [paths.compute] span and accumulates [paths.rows] plus
+    [paths.compute] span (streamed: with [bound] and [pinned]
+    attributes) and accumulates [paths.rows] plus
     [paths.reachable_pairs] (dense) / [paths.frontier_pairs]
     (streamed) counters per chunk; the disabled path adds no work and
     no allocation to the row kernels. *)
 
 val num_vertices : wd -> int
 
-val cycle_ratio_lower_bound : Graph.t -> float
-(** [max(max_v d(v), max_C d(C)/w(C))] — no retiming can clock below
-    it.  Computed by Lawler's negative-cycle test with early
-    predecessor-cycle detection (detected cycles are re-summed before
-    being believed, so verdicts match the plain rounds-exhausted
-    Bellman-Ford bit for bit).  This is both the min-period search
-    pruner and the streamed frontier's retention threshold. *)
+val pinned_vertices : Graph.t -> Lacr_mcmf.Difference.constr list -> int array
+(** The vertices [p] that the constraints tie to the host: both
+    [r(p) - r(host) <= 0] and [r(host) - r(p) <= 0] are present
+    ({!Graph.io_pin_constraints} gives every primary input and
+    output).  Ascending, without duplicates. *)
+
+val cycle_ratio_lower_bound : ?extra:Lacr_mcmf.Difference.constr list -> Graph.t -> float
+(** [max(max_v d(v), max_C d(C)/w(C))] over the cycles of the graph
+    closed through the host: each vertex [p] that [extra] pins
+    ({!pinned_vertices}) gets virtual arcs host -> p (weight 0) and
+    p -> host (weight 1), the host counting delay 0.  No retiming that
+    satisfies [extra] clocks below it: a pinned path keeps its
+    registers, so a cycle through the host is a sum of paths each
+    with [d <= (w + 1) T] (DESIGN §3).  Without pins (the default) it
+    is the plain cycle-ratio bound.
+
+    Computed exactly by Howard's policy iteration on the CSR, per
+    strongly connected component.  The result is always the ratio of
+    a real cycle (summed from the head of one of its registered arcs),
+    so it is a valid bound even if the iteration stops at its cap.
+    This is both the min-period search's lower end and the streamed
+    frontier's retention threshold.
+    @raise Failure on a zero-weight cycle. *)
 
 val iter_pairs : wd -> (int -> int -> int -> float -> unit) -> unit
 (** [iter_pairs wd f] calls [f u v w_uv d_uv] on every reachable pair.

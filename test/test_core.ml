@@ -724,3 +724,42 @@ let test_retained_words () =
 
 let suite =
   suite @ [ Alcotest.test_case "s953 run retains at most 90000 words" `Quick test_retained_words ]
+
+(* The min-period search's window, read off a traced plan: s526's
+   frontier is closed over its pinned I/O, so the search sees 183
+   candidate periods (39 103 over the unclosed bound), and the
+   [paths.compute] and [feasibility.min_period] spans carry the bound
+   and the window. *)
+let test_min_period_window_counters () =
+  let module Obs = Lacr_obs.Trace in
+  let obs = Obs.create () in
+  match
+    Planner.plan_checked ~second_iteration:false ~trace:obs (Option.get (Suite.by_name "s526"))
+  with
+  | Error err -> Alcotest.fail (Planner.error_message err)
+  | Ok run ->
+    let counter name = Option.value (List.assoc_opt name (Obs.counter_totals obs)) ~default:0 in
+    check_int "feasibility.candidates" 183 (counter "feasibility.candidates");
+    let probes = counter "feasibility.probes" in
+    check "about log2 candidates probes" true (probes >= 8 && probes <= 10);
+    let attrs name =
+      List.concat_map snd (Obs.events obs)
+      |> List.filter (fun e -> String.equal e.Obs.ev_name name)
+      |> List.concat_map (fun e -> e.Obs.ev_attrs)
+    in
+    let paths = attrs "paths.compute" and search = attrs "feasibility.min_period" in
+    check "bound attribute is T_min" true
+      (match List.assoc_opt "bound" paths with
+      | Some (Obs.Float b) -> Float.equal b run.Planner.t_min
+      | _ -> false);
+    check "pinned attribute" true
+      (match List.assoc_opt "pinned" paths with Some (Obs.Int k) -> k > 0 | _ -> false);
+    check "candidates attribute" true (List.assoc_opt "candidates" search = Some (Obs.Int 183));
+    check "probes attribute" true (List.assoc_opt "probes" search = Some (Obs.Int probes))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "traced s526 plan counts the min-period window" `Quick
+        test_min_period_window_counters;
+    ]

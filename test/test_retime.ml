@@ -1059,3 +1059,168 @@ let suite =
       Alcotest.test_case "frontier gate skips constraint-free sources" `Quick
         test_frontier_gate_skips_sources;
     ]
+
+(* --- the cycle-ratio bound closed through the pinned I/O --- *)
+
+(* Pin constraints tying each listed vertex to the host, as
+   [Graph.io_pin_constraints] writes them. *)
+let pins_of g vs =
+  let host = Graph.host g in
+  List.concat_map
+    (fun v ->
+      [
+        { Lacr_mcmf.Difference.a = v; b = host; bound = 0 };
+        { Lacr_mcmf.Difference.a = host; b = v; bound = 0 };
+      ])
+    vs
+
+(* A random graph, half the time with fractional delays, pinning a
+   random subset of its non-host vertices; a one-sided host constraint
+   that pins nothing rides along. *)
+let pinned_graph (n, seed) =
+  let rng = Rng.create seed in
+  let g = random_graph rng n in
+  let g =
+    if Rng.bool rng then g
+    else
+      Graph.create
+        ~delays:(Array.init n (fun v -> if v = 0 then 0.0 else 0.5 +. Rng.float rng 5.0))
+        ~edges:(Array.to_list (Graph.edges g)) ~host:0
+  in
+  let pinned = List.filter (fun _ -> Rng.bool rng) (List.init (n - 1) (fun i -> i + 1)) in
+  let one_sided = { Lacr_mcmf.Difference.a = 1 + Rng.int rng (n - 1); b = 0; bound = 0 } in
+  (g, pinned, one_sided :: pins_of g pinned)
+
+let pinned_gen =
+  QCheck2.Gen.(
+    let* n = int_range 3 8 in
+    let* seed = int_range 0 1_000_000 in
+    return (n, seed))
+
+(* The largest vertex delay and every simple cycle's ratio in the graph
+   closed through a zero-delay hub over [pinned], each cycle enumerated
+   once from its smallest vertex. *)
+let brute_force_cycle_ratio g pinned =
+  let n = Graph.num_vertices g in
+  let hub = n in
+  let out = Array.make (n + 1) [] in
+  Array.iter
+    (fun (e : Graph.edge) -> out.(e.Graph.src) <- (e.Graph.dst, e.Graph.weight) :: out.(e.Graph.src))
+    (Graph.edges g);
+  List.iter
+    (fun p ->
+      out.(hub) <- (p, 0) :: out.(hub);
+      out.(p) <- (hub, 1) :: out.(p))
+    pinned;
+  let delay v = if v = hub then 0.0 else Graph.delay g v in
+  let best = ref 0.0 in
+  for v = 0 to n - 1 do
+    best := Float.max !best (delay v)
+  done;
+  let on_path = Array.make (n + 1) false in
+  for s = 0 to n do
+    let rec walk v d w =
+      List.iter
+        (fun (y, wy) ->
+          if y = s then best := Float.max !best (d /. float_of_int (w + wy))
+          else if y > s && not on_path.(y) then begin
+            on_path.(y) <- true;
+            walk y (d +. delay y) (w + wy);
+            on_path.(y) <- false
+          end)
+        out.(v)
+    in
+    on_path.(s) <- true;
+    walk s (delay s) 0;
+    on_path.(s) <- false
+  done;
+  !best
+
+let prop_howard_matches_brute_force =
+  QCheck2.Test.make ~count:300
+    ~name:"Howard's bound equals the brute-force cycle ratio (pinned and unpinned)" pinned_gen
+    (fun params ->
+      let g, pinned, extra = pinned_graph params in
+      let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.abs b) in
+      close (Paths.cycle_ratio_lower_bound g) (brute_force_cycle_ratio g [])
+      && close (Paths.cycle_ratio_lower_bound ~extra g) (brute_force_cycle_ratio g pinned))
+
+let prop_closed_bound_keeps_min_period =
+  QCheck2.Test.make ~count:150
+    ~name:"closed bound stays below the pinned T_min, which the closed window keeps" pinned_gen
+    (fun params ->
+      let g, _, extra = pinned_graph params in
+      let closed = Paths.compute ~extra g and unclosed = Paths.compute g in
+      let bound =
+        match closed with
+        | Paths.Streamed fr -> fr.Paths.fbound
+        | Paths.Dense _ -> Alcotest.fail "the default backend must stream"
+      in
+      let mp = Feasibility.min_period ~extra g closed in
+      let mp_unclosed = Feasibility.min_period ~extra g unclosed in
+      let mp_dense = Feasibility.min_period ~extra g (Paths.compute ~mode:Paths.Mode.Dense g) in
+      bound <= mp.Feasibility.period +. Paths.period_tol
+      && Float.equal mp.Feasibility.period mp_unclosed.Feasibility.period
+      && mp.Feasibility.labels = mp_unclosed.Feasibility.labels
+      && Float.equal mp.Feasibility.period mp_dense.Feasibility.period
+      && mp.Feasibility.labels = mp_dense.Feasibility.labels)
+
+(* The planner's graph and pins for a suite circuit. *)
+let planner_graph name =
+  match Lacr_core.Build.build (Option.get (Lacr_circuits.Suite.by_name name)) with
+  | Error msg -> Alcotest.failf "%s build: %s" name msg
+  | Ok inst -> (inst.Lacr_core.Build.graph, inst.Lacr_core.Build.pin_constraints)
+
+let streamed = function
+  | Paths.Streamed fr -> fr
+  | Paths.Dense _ -> Alcotest.fail "the default backend must stream"
+
+let test_s526_bound_is_t_min () =
+  (* s526's critical cycle runs through the host, and its ratio is
+     summed in the order its D value is: the bound is T_min itself. *)
+  let g, extra = planner_graph "s526" in
+  let wd = Paths.compute ~extra g in
+  let fr = streamed wd in
+  let mp = Feasibility.min_period ~extra g wd in
+  check_int "pinned vertices" (List.length extra / 2) (Array.length fr.Paths.fpinned);
+  check "bound = T_min bit for bit" true
+    (Int64.equal (Int64.bits_of_float fr.Paths.fbound) (Int64.bits_of_float mp.Feasibility.period));
+  check "unclosed bound is lower" true (Paths.cycle_ratio_lower_bound g < fr.Paths.fbound)
+
+let test_s1423_frontier_pairs () =
+  (* 878 424 pairs at the unclosed bound, 66 496 at the closed one. *)
+  let g, extra = planner_graph "s1423" in
+  let fr = streamed (Paths.compute ~extra g) in
+  let pairs = fr.Paths.row_off.(fr.Paths.fn) in
+  if pairs >= 100_000 then Alcotest.failf "s1423 frontier keeps %d pairs (fewer than 100000)" pairs
+
+let test_min_period_refuses_unpinned_extra () =
+  (* A frontier closed over pins searches from the pinned bound; a
+     search that leaves a pinned vertex free must be refused, and a
+     search pinning more than the frontier is accepted. *)
+  let g, extra = planner_graph "s27" in
+  let closed = Paths.compute ~extra g in
+  let raises extra =
+    match Feasibility.min_period ~extra g closed with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check "no pins refused" true (raises []);
+  check "one pin dropped refused" true (raises (List.tl (List.tl extra)));
+  check "same pins accepted" false (raises extra);
+  let fewer = pins_of g [ (streamed closed).Paths.fpinned.(0) ] in
+  let wd = Paths.compute ~extra:fewer g in
+  check "more pins accepted" true
+    (match Feasibility.min_period ~extra g wd with _ -> true | exception Invalid_argument _ -> false)
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest prop_howard_matches_brute_force;
+      QCheck_alcotest.to_alcotest prop_closed_bound_keeps_min_period;
+      Alcotest.test_case "s526 closed bound equals T_min" `Quick test_s526_bound_is_t_min;
+      Alcotest.test_case "s1423 closed frontier under 100000 pairs" `Quick
+        test_s1423_frontier_pairs;
+      Alcotest.test_case "min-period refuses a frontier closed over unpinned vertices" `Quick
+        test_min_period_refuses_unpinned_extra;
+    ]
